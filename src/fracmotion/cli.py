@@ -41,6 +41,7 @@ import scipy
 from . import __version__
 from .counting import FracPoissonSpec, RateFunction
 from .densities import (
+    _require_speed_horizon,
     classical_line_density,
     flight_unconditional,
     line_law,
@@ -154,6 +155,9 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+_CSV_CHUNK = 1 << 12  # endpoint rows formatted at once
+
+
 # ---------------------------------------------------------------------------
 # Commands.  Each takes a RunConfig and returns a process exit code.
 
@@ -169,15 +173,15 @@ def cmd_simulate(config: RunConfig) -> int:
     out = _resolve_out(p, "endpoints.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "y", "n", "is_singular"])
-        for i in range(cols.x.size):
-            writer.writerow([
-                _fmt(cols.x[i]),
-                _fmt(cols.y[i]),
-                int(cols.n[i]),
-                "true" if cols.is_singular[i] else "false",
-            ])
+        # The rows csv.writer would write with _fmt, built in chunks.
+        fh.write("x,y,n,is_singular\n")
+        for lo in range(0, cols.x.size, _CSV_CHUNK):
+            rows = slice(lo, lo + _CSV_CHUNK)
+            fh.writelines(
+                f"{x!r},{y!r},{n},{'true' if s else 'false'}\n"
+                for x, y, n, s in zip(cols.x[rows].tolist(), cols.y[rows].tolist(),
+                                      cols.n[rows].tolist(), cols.is_singular[rows].tolist())
+            )
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), config,
                     {"rows": int(cols.x.size)})
     print(f"wrote {cols.x.size} endpoints to {out}")
@@ -190,6 +194,9 @@ def _density_evaluator(p: dict):
     rows counted in the sidecar."""
     law_name = p["law"]
     c, t = p["c"], p["t"]
+    # Per-point evaluation errors become nan rows, so a bad speed or
+    # horizon must be rejected before any point is evaluated.
+    _require_speed_horizon(c, t)
     ct = c * t
     radial_support = lambda r: 0.0 <= r < ct  # noqa: E731
     line_support = lambda x: -ct < x < ct  # noqa: E731
@@ -321,6 +328,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
+    return value
+
+
 def _rate_text(text: str) -> str:
     parse_rate(text)  # validate early so bad grammar is a usage error
     return text
@@ -346,8 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--c", type=float, default=1.0, help="speed")
     sim.add_argument("--t", type=float, default=1.0, help="time horizon")
     sim.add_argument("--samples", type=_positive_int, required=True)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--workers", type=_positive_int, default=1)
+    sim.add_argument("--seed", type=_nonnegative_int, default=0,
+                     help="sample i draws from numpy's default_rng((seed, i))")
+    sim.add_argument("--workers", type=_positive_int, default=1,
+                     help="accepted for compatibility; has no effect (sampling "
+                          "is vectorized in one process)")
     sim.add_argument("--instants-mode", dest="instants_mode",
                      choices=["order-statistics", "rate-weighted"],
                      default="order-statistics",
@@ -380,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--c", type=float, default=1.0)
     ver.add_argument("--t", type=float, default=1.0)
     ver.add_argument("--samples", type=_positive_int, default=100_000)
-    ver.add_argument("--seed", type=int, default=20260815)
+    ver.add_argument("--seed", type=_nonnegative_int, default=20260815)
     ver.add_argument("--negative-control", dest="negative_control", action="store_true",
                      help="run deliberately broken configurations; they must fail")
     ver.add_argument("--out", default=None, help="report JSON path")

@@ -411,6 +411,7 @@ class CountDistribution:
 
     _BLOCK = 512
     _MAX_TERMS = 2_000_000
+    _TAIL = 1e-13
 
     def __init__(self, spec, t: float):
         self.spec = spec
@@ -418,7 +419,7 @@ class CountDistribution:
         self._log_weight, self.log_normalizer, self.lam = _log_terms_and_normalizer(spec, t)
         self._probs = np.empty(0)
         self._cum = np.empty(0)
-        self._grow_until(lambda: self._cum.size and self._cum[-1] >= 1.0 - 1e-13)
+        self._grow_until(lambda: self._cum.size and self._cum[-1] >= 1.0 - self._TAIL)
 
     def _grow_until(self, done) -> None:
         while not done():
@@ -435,9 +436,9 @@ class CountDistribution:
             base = self._cum[-1] if self._cum.size else 0.0
             self._probs = np.concatenate([self._probs, p_new])
             self._cum = np.concatenate([self._cum, base + np.cumsum(p_new)])
-            if p_new[-1] == 0.0 and lw_new[-1] < lw_new[0] and self._cum[-1] < 1.0 - 1e-13:
-                # Past the peak and the tail has underflowed: whatever
-                # mass is missing cannot be represented; stop growing.
+            if p_new[-1] == 0.0 and lw_new[-1] < lw_new[0]:
+                # Past the peak and the tail has underflowed: no further
+                # block can add representable mass; stop growing.
                 break
 
     @property
@@ -457,25 +458,35 @@ class CountDistribution:
         return float(self._cum[n])
 
     def sample(self, u: float) -> int:
-        if not (0.0 < u < 1.0):
-            raise DomainError(f"sampling uniform must lie in (0, 1), got {u}")
-        if u > self._cum[-1]:
-            self._grow_until(lambda: self._cum[-1] >= u)
-            if u > self._cum[-1]:
+        """One inverse-CDF draw; see :meth:`sample_many`."""
+        return int(self.sample_many(np.array([u], dtype=float))[0])
+
+    def sample_many(self, us: np.ndarray) -> np.ndarray:
+        """Smallest n with CDF(n) ≥ u for each uniform u in (0, 1).
+
+        A u above the whole representable table (grown until its tail
+        underflowed) maps to the last n with positive mass when the mass
+        the table misses is at most 1e-13, and raises otherwise.
+        """
+        us = np.asarray(us, dtype=float)
+        outside = ~((us > 0.0) & (us < 1.0))
+        if outside.any():
+            raise DomainError(f"sampling uniforms must lie in (0, 1), got {us[outside][0]}")
+        if not us.size:
+            return np.empty(0, dtype=np.int64)
+        top = float(us.max())
+        if top > self._cum[-1]:
+            self._grow_until(lambda: self._cum[-1] >= top)
+        draws = np.searchsorted(self._cum, us, side="left").astype(np.int64)
+        if top > self._cum[-1]:
+            if 1.0 - self._cum[-1] > self._TAIL:
                 raise ConvergenceError(
-                    f"could not cover u={u} within the representable tail",
+                    f"could not cover u={top} within the representable tail",
                     float(self._cum[-1]),
                     self._probs.size,
                 )
-        return int(np.searchsorted(self._cum, u, side="left"))
-
-    def sample_many(self, us: np.ndarray) -> np.ndarray:
-        us = np.asarray(us, dtype=float)
-        if us.size and (us.min() <= 0.0 or us.max() >= 1.0):
-            raise DomainError("sampling uniforms must lie in (0, 1)")
-        if us.size and us.max() > self._cum[-1]:
-            self._grow_until(lambda: self._cum[-1] >= us.max())
-        return np.searchsorted(self._cum, us, side="left").astype(np.int64)
+            np.minimum(draws, np.flatnonzero(self._probs)[-1], out=draws)
+        return draws
 
 
 @lru_cache(maxsize=64)

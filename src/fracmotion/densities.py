@@ -71,8 +71,8 @@ _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 
 
 def _require_speed_horizon(c: float, t: float) -> None:
-    if not (c > 0.0 and t > 0.0):
-        raise DomainError(f"need c > 0 and t > 0, got c={c}, t={t}")
+    if not (0.0 < c < math.inf and 0.0 < t < math.inf):
+        raise DomainError(f"need finite c > 0 and t > 0, got c={c}, t={t}")
 
 
 def conditional_density(n: int, c: float, t: float, r: float) -> float:

@@ -14,8 +14,11 @@ useful exploratory device for strongly inhomogeneous rates but does *not*
 reproduce the closed-form endpoint law and is flagged as such.
 
 Endpoint batches are reproducible bit-for-bit: sample ``i`` draws from its
-own ``numpy`` substream seeded by ``(seed, i)``, so results do not depend on
-how the batch is split across workers.
+own ``numpy`` substream ``default_rng((seed, i))``, exactly as
+:func:`sample_trajectory` would consume it.  The batch sampler recomputes
+those streams for many ``i`` at once in numpy integer arithmetic instead of
+building one generator per sample, so it runs in one thread; the
+``worker_count`` argument is kept for compatibility and has no effect.
 
 Flight-model endpoints (random flights with Dirichlet displacement weights)
 have an analytically invertible radial CDF, so their radii are sampled by
@@ -25,8 +28,8 @@ direct inversion.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -130,21 +133,26 @@ def endpoint_from_path(
     """Recompute the displacement from instants and directions.
 
     Segment ``k`` runs from ``s_k`` to ``s_{k+1}`` (with ``s_0 = 0`` and
-    ``s_{n+1} = t``) in direction ``angles[k]``.
+    ``s_{n+1} = t``) in direction ``angles[k]``.  The arithmetic order is
+    the batch sampler's: ``c * t * cos`` for a path without switches,
+    otherwise ``c`` times the left-to-right sum of ``seg * cos``, so a
+    replayed substream reproduces its batch row bit for bit for any ``c``.
     """
     if len(angles) != len(change_times) + 1:
         raise DomainError(
             f"need one angle per segment: {len(change_times)} change times "
             f"require {len(change_times) + 1} angles, got {len(angles)}"
         )
+    if not change_times:
+        return c * t * math.cos(angles[0]), c * t * math.sin(angles[0])
     edges = [0.0, *change_times, t]
     x = 0.0
     y = 0.0
     for k, theta in enumerate(angles):
         seg = edges[k + 1] - edges[k]
-        x += c * seg * math.cos(theta)
-        y += c * seg * math.sin(theta)
-    return x, y
+        x += seg * math.cos(theta)
+        y += seg * math.sin(theta)
+    return c * x, c * y
 
 
 def _rate_weighted_instant(spec: CountingSpec, t: float, v: float) -> float:
@@ -206,55 +214,240 @@ class EndpointArrays(NamedTuple):
     is_singular: np.ndarray
 
 
-def _fill_endpoints(
-    cfg: MotionConfig,
-    dist,
-    seed: int,
-    lo: int,
-    hi: int,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    ns: np.ndarray,
-    sing: np.ndarray,
-) -> None:
-    c = cfg.c
-    t = cfg.t
-    order_stats = cfg.instants_mode == "order-statistics"
-    cos = math.cos
-    sin = math.sin
-    for i in range(lo, hi):
-        rng = np.random.default_rng((seed, i))
-        n = dist.sample(rng.random())
-        if n == 0:
-            theta = _TWO_PI * rng.random()
-            xs[i] = c * t * cos(theta)
-            ys[i] = c * t * sin(theta)
-            ns[i] = 0
-            sing[i] = True
-            continue
-        vs = sorted(rng.random(n).tolist())
-        if order_stats:
-            times = [t * v for v in vs]
-        else:
-            times = [_rate_weighted_instant(cfg.count_spec, t, v) for v in vs]
-        angs = rng.random(n + 1)
-        x = 0.0
-        y = 0.0
-        prev = 0.0
-        for k in range(n):
-            seg = times[k] - prev
-            theta = _TWO_PI * angs[k]
-            x += seg * cos(theta)
-            y += seg * sin(theta)
-            prev = times[k]
-        theta = _TWO_PI * angs[n]
-        seg = t - prev
-        x += seg * cos(theta)
-        y += seg * sin(theta)
-        xs[i] = c * x
-        ys[i] = c * y
-        ns[i] = n
-        sing[i] = False
+# ---------------------------------------------------------------------------
+# Bulk substreams.
+#
+# Sample i of a batch draws from np.random.default_rng((seed, i)): numpy's
+# SeedSequence hashes the entropy words of seed and i into a PCG64 state
+# (O'Neill 2014, XSL-RR 128/64), and random() maps each 64-bit output to a
+# double.  _Substreams recomputes that chain for many i at once in uint64
+# arithmetic, so a batch needs no generator object per sample.  A 128-bit
+# value is a (hi, lo) pair of uint64 arrays.
+
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = (2549297995355413924 << 64) | 4865540595714422341
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _entropy_words(value: int) -> list[int]:
+    """The uint32 words numpy makes of a nonnegative integer, low word first."""
+    words = [value & _M32]
+    value >>= 32
+    while value:
+        words.append(value & _M32)
+        value >>= 32
+    return words
+
+
+def _seed_sequence_state(entropy: list) -> list:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)`` for entropy
+    given as a list of equally shaped uint32 arrays (pool size 4)."""
+    hash_const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _HASH_MULT_A) & _M32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _HASH_INIT_B
+    words = []
+    for k in range(8):
+        value = pool[k % 4] ^ hash_const
+        hash_const = (hash_const * _HASH_MULT_B) & _M32
+        value = value * hash_const
+        words.append((value ^ (value >> 16)).astype(np.uint64))
+    return [words[2 * j] | (words[2 * j + 1] << 32) for j in range(4)]
+
+
+def _mul128(hi: np.ndarray, lo: np.ndarray, a: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``(hi, lo) * a mod 2**128`` for ``a`` given by its limbs ``(a0, a1,
+    a_lo, a_hi)``: bits 0-31, 32-63, 0-63 and 64-127.  The high half of
+    ``lo * a_lo`` is built from 32-bit limbs, so no product overflows."""
+    a0, a1, a_lo, a_hi = a
+    x0 = lo & _M32
+    x1 = lo >> 32
+    high = x0 * a0
+    high >>= 32
+    high += x1 * a0
+    mid = high & _M32
+    high >>= 32
+    mid += x0 * a1
+    mid >>= 32
+    high += mid
+    high += x1 * a1
+    high += hi * a_lo
+    high += lo * a_hi
+    return high, lo * a_lo
+
+
+def _add128(hi: np.ndarray, lo: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray) -> None:
+    """``(hi, lo) += (b_hi, b_lo) mod 2**128`` in place."""
+    lo += b_lo
+    hi += b_hi
+    hi += lo < b_lo
+
+
+def _limbs(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """The :func:`_mul128` limbs of 128-bit integers given as uint64 halves."""
+    return lo & _M32, lo >> 32, lo, hi
+
+
+def _jump(k: int) -> tuple[int, int]:
+    """``(M**k, S_k)`` mod 2**128, ``M`` the PCG64 multiplier and
+    ``S_k = sum_{j<k} M**j``: ``k`` steps ``x -> M * x + inc`` take a state
+    ``x`` to ``M**k * x + S_k * inc``."""
+    mult, shift = 1, 0
+    m, s = _PCG_MULT, 1  # (M**j, S_j) for j = 2**bit
+    while k:
+        if k & 1:
+            mult, shift = (mult * m) & _M128, (shift * m + s) & _M128
+        s = (s * (m + 1)) & _M128
+        m = (m * m) & _M128
+        k >>= 1
+    return mult, shift
+
+
+_WINDOW = 1 << 12  # draws of a stream read off one jumped-to state
+
+
+@lru_cache(maxsize=1)
+def _window_table() -> tuple[tuple, tuple]:
+    """Limbs of :func:`_jump` for ``k = 1 .. _WINDOW``."""
+    halves = np.empty((4, _WINDOW), dtype=np.uint64)
+    mult, shift = 1, 0
+    for k in range(_WINDOW):
+        mult = (mult * _PCG_MULT) & _M128
+        shift = (shift * _PCG_MULT + 1) & _M128
+        halves[:, k] = mult & _M64, mult >> 64, shift & _M64, shift >> 64
+    return _limbs(halves[0], halves[1]), _limbs(halves[2], halves[3])
+
+
+def _advance(x_hi, x_lo, inc_hi, inc_lo, mult: tuple, shift: tuple):
+    """``mult * x + shift * inc mod 2**128``: the states ``x`` advanced by
+    the steps whose :func:`_jump` limbs are ``(mult, shift)``."""
+    hi, lo = _mul128(x_hi, x_lo, mult)
+    _add128(hi, lo, *_mul128(inc_hi, inc_lo, shift))
+    return hi, lo
+
+
+def _to_uniform(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG64's XSL-RR output of each state, mapped to [0, 1) as ``random()``
+    does."""
+    folded = hi ^ lo
+    rot = hi >> 58
+    out = folded >> rot
+    out |= folded << (64 - rot)  # numpy shifts by 64 to 0, as rot = 0 needs
+    out >>= 11
+    return out * (1.0 / 9007199254740992.0)
+
+
+class _Substreams:
+    """The generators ``np.random.default_rng((seed, i))`` for an array of
+    indices ``i``, each in its freshly seeded state."""
+
+    def __init__(self, seed: int, indices: np.ndarray):
+        indices = np.asarray(indices, dtype=np.uint64)
+        seed_words = [np.full(indices.shape, w, dtype=np.uint32) for w in _entropy_words(seed)]
+        s = [np.empty_like(indices) for _ in range(4)]
+        # An index of 2**32 or more is two entropy words, which changes the
+        # mixing, so such indices are seeded apart from the rest.
+        wide = indices > _M32
+        for part in (~wide, wide):
+            if part.any():
+                idx = indices[part]
+                words = [(idx & _M32).astype(np.uint32)]
+                if idx[0] > _M32:
+                    words.append((idx >> 32).astype(np.uint32))
+                entropy = [w[part] for w in seed_words] + words
+                for out, value in zip(s, _seed_sequence_state(entropy)):
+                    out[part] = value
+        # PCG64 seeding sets inc = (s2:s3) << 1 | 1, then steps from 0, adds
+        # (s0:s1) and steps again.  Keep the state x = (s0:s1) + inc, from
+        # which the seeded state is one step and draw k is k + 2 steps.
+        self.inc_hi = (s[2] << 1) | (s[3] >> 63)
+        self.inc_lo = (s[3] << 1) | 1
+        self.x_hi, self.x_lo = s[0], s[1]
+        _add128(self.x_hi, self.x_lo, self.inc_hi, self.inc_lo)
+
+    def uniforms(self, start: int, count: int, rows: np.ndarray | None = None) -> np.ndarray:
+        """Draws ``start .. start + count - 1`` of the streams ``rows`` (all
+        by default), as a ``(len(rows), count)`` array of doubles."""
+        x = self.x_hi, self.x_lo
+        inc_hi, inc_lo = self.inc_hi, self.inc_lo
+        if rows is not None:
+            x, inc_hi, inc_lo = (x[0][rows], x[1][rows]), inc_hi[rows], inc_lo[rows]
+        # Lay the longer of the two axes innermost, so that numpy's inner
+        # loops stay long for many short streams and for few long ones.
+        draws_inner = min(count, _WINDOW) > inc_hi.size
+        if draws_inner:
+            x, inc_hi, inc_lo = (x[0][:, None], x[1][:, None]), inc_hi[:, None], inc_lo[:, None]
+        table = _window_table()
+        windows = []
+        for first in range(0, count, _WINDOW):
+            width = min(_WINDOW, count - first)
+            # Draw k is k + 2 steps past x.  Read the window's states off the
+            # table from x itself while its steps are in the table, else
+            # from x jumped to one step before the window.
+            steps = start + first + 2
+            if steps + width - 1 <= _WINDOW:
+                base, offset = x, steps - 1
+            else:
+                jump = (_limbs(np.uint64(v & _M64), np.uint64(v >> 64)) for v in _jump(steps - 1))
+                base, offset = _advance(*x, inc_hi, inc_lo, *jump), 0
+            window = slice(offset, offset + width)
+            mult, shift = (
+                tuple(limb[window] if draws_inner else limb[window, None] for limb in part)
+                for part in table
+            )
+            u = _to_uniform(*_advance(*base, inc_hi, inc_lo, mult, shift))
+            windows.append(u if draws_inner else u.T)
+        return windows[0] if len(windows) == 1 else np.concatenate(windows, axis=1)
+
+
+_BLOCK = 1 << 12  # samples seeded together
+_DRAW_BUDGET = 1 << 14  # uniforms drawn at once within a block
+
+
+def _endpoints(cfg: MotionConfig, n: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints of paths with ``n`` switches from their uniforms (one row
+    per path: ``n`` instants, then ``n + 1`` directions), in the arithmetic
+    order of :func:`endpoint_from_path`."""
+    theta = _TWO_PI * u[:, n:]
+    if n == 0:
+        ct = cfg.c * cfg.t
+        return ct * np.cos(theta[:, 0]), ct * np.sin(theta[:, 0])
+    v = np.sort(u[:, :n], axis=1)
+    if cfg.instants_mode == "order-statistics":
+        times = cfg.t * v
+    else:
+        times = np.array(
+            [_rate_weighted_instant(cfg.count_spec, cfg.t, s) for s in v.ravel().tolist()]
+        ).reshape(v.shape)
+    seg = np.diff(times, axis=1, prepend=0.0, append=cfg.t)
+    # Row sums accumulate left to right like the scalar loop; its leading
+    # 0.0 turns a -0.0 total into 0.0, hence the + 0.0.
+    x = np.cumsum(seg * np.cos(theta), axis=1)[:, -1] + 0.0
+    y = np.cumsum(seg * np.sin(theta), axis=1)[:, -1] + 0.0
+    return cfg.c * x, cfg.c * y
 
 
 def endpoint_arrays(
@@ -262,32 +455,36 @@ def endpoint_arrays(
 ) -> EndpointArrays:
     """Column-oriented endpoint batch; see :func:`batch_endpoints`.
 
-    Output is identical for every ``worker_count`` because sample ``i``
-    always draws from the substream seeded by ``(seed, i)``.
+    Sample ``i`` is the path :func:`sample_trajectory` draws from
+    ``np.random.default_rng((seed, i))``, bit for bit.  The streams are
+    generated in bulk, blocks of samples at a time, so memory stays bounded
+    by the block size and the longest single path.  ``worker_count`` is
+    validated for compatibility and has no effect.
     """
     if n_samples <= 0:
         raise DomainError(f"n_samples must be positive, got {n_samples}")
     if worker_count < 1:
         raise DomainError(f"worker_count must be >= 1, got {worker_count}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     dist = count_distribution(cfg.count_spec, cfg.t)
     xs = np.empty(n_samples)
     ys = np.empty(n_samples)
     ns = np.empty(n_samples, dtype=np.int64)
-    sing = np.empty(n_samples, dtype=bool)
-    bounds = np.linspace(0, n_samples, worker_count + 1).astype(int)
-    if worker_count == 1:
-        _fill_endpoints(cfg, dist, seed, 0, n_samples, xs, ys, ns, sing)
-    else:
-        with ThreadPoolExecutor(max_workers=worker_count) as pool:
-            futures = [
-                pool.submit(
-                    _fill_endpoints, cfg, dist, seed, bounds[w], bounds[w + 1], xs, ys, ns, sing
-                )
-                for w in range(worker_count)
-            ]
-            for fut in futures:
-                fut.result()
-    return EndpointArrays(x=xs, y=ys, n=ns, is_singular=sing)
+    for lo in range(0, n_samples, _BLOCK):
+        streams = _Substreams(seed, np.arange(lo, min(lo + _BLOCK, n_samples), dtype=np.uint64))
+        counts = dist.sample_many(streams.uniforms(0, 1)[:, 0])
+        ns[lo:lo + counts.size] = counts
+        order = np.argsort(counts, kind="stable")
+        for rows in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
+            n = int(counts[rows[0]])
+            per_chunk = max(1, _DRAW_BUDGET // (2 * n + 1))
+            for first in range(0, rows.size, per_chunk):
+                chunk = rows[first:first + per_chunk]
+                x, y = _endpoints(cfg, n, streams.uniforms(1, 2 * n + 1, chunk))
+                xs[lo + chunk] = x
+                ys[lo + chunk] = y
+    return EndpointArrays(x=xs, y=ys, n=ns, is_singular=ns == 0)
 
 
 def batch_endpoints(
@@ -295,9 +492,7 @@ def batch_endpoints(
 ) -> list[PlanarSample]:
     """Draw ``n_samples`` endpoints, deterministic in ``(cfg, n_samples, seed)``.
 
-    The batch is split into ``worker_count`` contiguous slices processed
-    concurrently and reassembled in index order; the result is bit-for-bit
-    independent of ``worker_count``.
+    A list view of :func:`endpoint_arrays`; ``worker_count`` has no effect.
     """
     cols = endpoint_arrays(cfg, n_samples, seed, worker_count)
     return [

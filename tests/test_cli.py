@@ -162,6 +162,14 @@ def test_simulate_invalid_order_is_usage_error(tmp_path, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_negative_seed_is_usage_error(tmp_path, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--samples", "10", "--seed", "-1",
+              "--out", str(tmp_path / "x.out")])
+    assert excinfo.value.code == EXIT_USAGE
+
+
 def test_out_dir_env_var_sets_default_location(tmp_path, monkeypatch):
     monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
     assert main(["simulate", "--samples", "50"]) == EXIT_OK
@@ -228,6 +236,15 @@ def test_density_const_form_needs_constant_rate(tmp_path):
     rc = main(["density", "--law", "planar-const", "--rate", "power:1,1",
                "--out", str(tmp_path / "x.csv")])
     assert rc == EXIT_USAGE
+
+
+@pytest.mark.parametrize("law", ["planar", "planar-const", "line", "line-classical", "flight"])
+@pytest.mark.parametrize("flag,value", [("--c", "inf"), ("--t", "inf"), ("--c", "-1")])
+def test_density_bad_speed_or_horizon_is_usage_error(tmp_path, law, flag, value):
+    out = tmp_path / "bad.csv"
+    rc = main(["density", "--law", law, flag, value, "--grid-points", "5", "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

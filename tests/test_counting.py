@@ -9,6 +9,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+from fracmotion import counting
 from fracmotion.counting import (
     CountDistribution,
     FlightCountSpec,
@@ -340,6 +341,38 @@ def test_count_distribution_huge_normalizer():
     dist = count_distribution(const_spec(0.3, 20.0), 1.0)
     assert abs(dist.cdf(dist.support_size - 1) - 1.0) <= 1e-10
     assert dist.sample(0.5) > 10000
+
+
+def test_uniform_above_representable_table_gives_last_positive_count():
+    # At alpha=0.5, Lambda=1 the table's CDF ends at 0.9999999999999997: a
+    # uniform above it must not grow the table to its size cap, and both
+    # sampling methods must give the same draw.
+    dist = CountDistribution(const_spec(0.5, 1.0), 1.0)
+    u = float(np.nextafter(1.0, 0.0))
+    n = dist.sample(u)
+    assert dist.support_size < 10_000
+    assert dist.pmf(n) > 0.0
+    assert dist.pmf(n + 1) == 0.0
+    assert dist.sample_many(np.array([0.5, u])).tolist() == [dist.sample(0.5), n]
+
+
+def test_uniform_beyond_a_short_table_raises_in_both_methods(monkeypatch):
+    # A table whose mass falls short of one by more than 1e-13 cannot
+    # place the top uniforms.
+    exact = counting._log_terms_and_normalizer
+
+    def short_by_1e9(spec, t):
+        log_weight, log_norm, lam = exact(spec, t)
+        return log_weight, log_norm + 1e-9, lam
+
+    monkeypatch.setattr(counting, "_log_terms_and_normalizer", short_by_1e9)
+    dist = CountDistribution(const_spec(0.5, 1.0), 1.0)
+    u = 1.0 - 1e-12
+    with pytest.raises(ConvergenceError):
+        dist.sample(u)
+    with pytest.raises(ConvergenceError):
+        dist.sample_many(np.array([0.5, u]))
+    assert dist.sample_many(np.array([0.5])).tolist() == [dist.sample(0.5)]
 
 
 def test_zero_rate_all_mass_at_zero():

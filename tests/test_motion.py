@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+from fracmotion import motion
 from fracmotion.counting import FlightCountSpec, FracPoissonSpec, RateFunction
 from fracmotion.motion import (
     MotionConfig,
     PlanarSample,
     Trajectory,
+    _Substreams,
     batch_endpoints,
     conditioned_endpoints,
     endpoint_arrays,
@@ -167,6 +170,98 @@ def test_batch_agrees_with_stream_sampler_per_substream():
         traj = sample_trajectory(cfg, iter(lambda: float(rng.random()), 2.0))
         assert traj.endpoint == (cols.x[i], cols.y[i])
         assert traj.n_changes == cols.n[i]
+
+
+def replay(cfg: MotionConfig, seed: int, i: int) -> Trajectory:
+    rng = np.random.default_rng((seed, i))
+    return sample_trajectory(cfg, iter(lambda: float(rng.random()), 2.0))
+
+
+def assert_rows_replay(cfg: MotionConfig, cols, seed: int, rows) -> None:
+    for i in rows:
+        traj = replay(cfg, seed, int(i))
+        assert traj.endpoint == (cols.x[i], cols.y[i]), i
+        assert traj.n_changes == cols.n[i], i
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5]
+INDICES = [0, 1, 2**32 - 1, 2**32, 2**33 + 7]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_bulk_substreams_match_default_rng(seed):
+    # Seeds and indices of 2**32 or more are several entropy words each.
+    # Draws past the jump table's window are reached by jumping ahead.
+    window = motion._WINDOW
+    expected = [np.random.default_rng((seed, i)).random(2 * window + 5) for i in INDICES]
+    streams = _Substreams(seed, np.array(INDICES, dtype=np.uint64))
+    assert np.array_equal(streams.uniforms(0, 40), [e[:40] for e in expected])
+    assert np.array_equal(streams.uniforms(33, 7, np.array([4, 0, 3])),
+                          [expected[r][33:40] for r in (4, 0, 3)])
+    assert np.array_equal(streams.uniforms(window - 5, window + 10, np.array([1, 2])),
+                          [expected[r][window - 5:] for r in (1, 2)])
+
+
+@pytest.mark.parametrize("c,t", [(0.7, 1.0), (3.3, 0.6)])
+def test_batch_replays_bit_for_bit_for_any_speed(c, t):
+    cfg = const_cfg(alpha=0.5, lam=1.0, c=c, t=t)
+    cols = endpoint_arrays(cfg, 2000, seed=31)
+    assert_rows_replay(cfg, cols, 31, range(2000))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        const_cfg(alpha=0.5, lam=10.0),
+        const_cfg(alpha=1.0, lam=2.0, c=1.3),
+        MotionConfig(c=0.9, t=1.5, instants_mode="rate-weighted",
+                     count_spec=FracPoissonSpec(0.7, RateFunction.power(3.0, 0.5))),
+    ],
+    ids=["dense-const10", "alpha1", "rate-weighted-power"],
+)
+def test_batch_replays_bit_for_bit(cfg):
+    cols = endpoint_arrays(cfg, 150, seed=8)
+    assert_rows_replay(cfg, cols, 8, range(150))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_batch_rows_do_not_depend_on_batch_size(offset):
+    cfg = const_cfg(alpha=0.5, lam=1.0, c=0.7)
+    n = motion._BLOCK + offset
+    cols = endpoint_arrays(cfg, n, seed=12)
+    single = endpoint_arrays(cfg, 1, seed=12)
+    assert (single.x[0], single.y[0], single.n[0]) == (cols.x[0], cols.y[0], cols.n[0])
+    assert_rows_replay(cfg, cols, 12, [0, n - 2, n - 1])
+
+
+def test_batch_does_not_depend_on_block_and_draw_budget(monkeypatch):
+    cfg = const_cfg(alpha=0.5, lam=10.0, c=1.7)
+    base = endpoint_arrays(cfg, 300, seed=4)
+    monkeypatch.setattr(motion, "_BLOCK", 37)
+    monkeypatch.setattr(motion, "_DRAW_BUDGET", 500)
+    small = endpoint_arrays(cfg, 300, seed=4)
+    for f in base._fields:
+        assert np.array_equal(getattr(base, f), getattr(small, f))
+
+
+def test_batch_peak_allocation_is_bounded():
+    # 1e5 paths of about 200 switches draw 4e7 uniforms; blocks and the draw
+    # budget keep the working set to about the 2.5 MB of output columns.
+    cfg = const_cfg(alpha=0.5, lam=10.0)
+    endpoint_arrays(cfg, 1, seed=0)  # build the count table outside the trace
+    tracemalloc.start()
+    try:
+        cols = endpoint_arrays(cfg, 100_000, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cols.n.mean() > 150
+    assert peak < 8e6
+
+
+def test_batch_rejects_negative_seed():
+    with pytest.raises(DomainError):
+        endpoint_arrays(const_cfg(), 10, seed=-1)
 
 
 def test_batch_singular_samples_sit_on_circle():
