@@ -194,8 +194,8 @@ def _density_evaluator(p: dict):
     rows counted in the sidecar."""
     law_name = p["law"]
     c, t = p["c"], p["t"]
-    # Per-point evaluation errors become nan rows, so a bad speed or
-    # horizon must be rejected before any point is evaluated.
+    # A bad speed or horizon could put every point outside the support,
+    # so reject it before any point is evaluated.
     _require_speed_horizon(c, t)
     ct = c * t
     radial_support = lambda r: 0.0 <= r < ct  # noqa: E731
@@ -209,8 +209,10 @@ def _density_evaluator(p: dict):
         if lam.kind != "constant":
             raise DomainError("the single-series planar form needs a constant rate")
         lam0 = lam.params[0]
+        # The law's own test: c²t² − r² can round to 0 for r just below ct.
+        const_support = lambda r: 0.0 <= r and c * c * t * t - r * r > 0.0  # noqa: E731
         return ("r", lambda r: planar_density_const_rate(p["alpha"], lam0, c, t, r, 0.0),
-                None, radial_support)
+                None, const_support)
     if law_name == "line":
         spec = FracPoissonSpec(alpha=p["alpha"], rate=parse_rate(p["rate"]))
         law = line_law(spec, c, t, method=p.get("method", "series"))
@@ -234,23 +236,14 @@ def cmd_density(config: RunConfig) -> int:
     p = config.params
     coord_name, evaluate, singular_weight, in_support = _density_evaluator(p)
     grid = np.linspace(p["grid_min"], p["grid_max"], p["grid_points"])
+    values = [evaluate(float(v)) if in_support(float(v)) else math.nan for v in grid]
+    nan_rows = sum(math.isnan(val) for val in values)
     out = _resolve_out(p, "density.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
-    nan_rows = 0
     with out.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([coord_name, "density"])
-        for v in grid:
-            if in_support(float(v)):
-                try:
-                    val = evaluate(float(v))
-                except DomainError:
-                    val = math.nan
-            else:
-                val = math.nan
-            if math.isnan(val):
-                nan_rows += 1
-            writer.writerow([_fmt(v), _fmt(val)])
+        writer.writerows([_fmt(v), _fmt(val)] for v, val in zip(grid, values))
     sidecar = {
         "law": p["law"],
         "singular_weight": singular_weight,

@@ -21,12 +21,13 @@ a cached cumulative table that extends itself on demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import xlogy
 
 from .specfun import (
     ConvergenceError,
@@ -34,6 +35,7 @@ from .specfun import (
     MLParams,
     log_gamma_pos,
     log_mittag_leffler,
+    positive_series,
 )
 
 __all__ = [
@@ -68,12 +70,13 @@ class RateFunction:
     values)`` for a step rate (value ``values[i]`` on the segment ending
     at ``breakpoints[i]``, zero after the last breakpoint), or
     ``from_callable(fn)`` for anything else (cumulative then falls back
-    to adaptive quadrature with absolute tolerance 1e-10).
+    to adaptive quadrature with absolute tolerance 1e-10; callable rates
+    are equal only when they wrap the same callable).
     """
 
     kind: str
     params: tuple = ()
-    fn: Callable[[float], float] | None = field(default=None, compare=False)
+    fn: Callable[[float], float] | None = None
 
     @classmethod
     def constant(cls, lam: float) -> "RateFunction":
@@ -257,28 +260,22 @@ def _log_ml_cached(alpha: float, beta: float, z: float) -> float:
 
 def _state_dependent_log_terms(spec: StateDependentSpec, lam: float, max_terms: int = 200000):
     """Log of the state-dependent summands q_j = Λ^j / (Γ(α_j j + 1) E_{α_j,1}(Λ)),
-    truncated once the running term drops below 1e-12 of the partial sum
-    while decreasing, past the explicit α vector."""
+    truncated by :func:`~fracmotion.specfun.positive_series` at rel_tol
+    1e-12, past the explicit α vector."""
     if lam == 0.0:
         return np.array([0.0] + [-np.inf] * (len(spec.alphas) - 1))
     log_lam = math.log(lam)
-    logs = []
-    partial = 0.0
-    prev = math.inf
-    j = 0
-    while j < max_terms:
-        a_j = spec.alpha_at(j)
-        lq = j * log_lam - log_gamma_pos(a_j * j + 1.0) - _log_ml_cached(a_j, 1.0, lam)
-        logs.append(lq)
-        term = math.exp(lq)
-        partial += term
-        if j >= len(spec.alphas) and term < prev and term < 1e-12 * partial:
-            return np.array(logs)
-        prev = term
-        j += 1
-    raise ConvergenceError(
-        f"state-dependent normalizer did not converge in {max_terms} terms", partial, max_terms
-    )
+    alphas = np.array(spec.alphas)
+    log_mls = np.array([_log_ml_cached(a, 1.0, lam) for a in spec.alphas])
+
+    def log_terms(j):
+        i = np.minimum(j, alphas.size - 1)
+        return j * log_lam - log_gamma_pos(alphas[i] * j + 1.0) - log_mls[i]
+
+    kept = positive_series(lambda j: np.exp(log_terms(j)), 1e-12, max_terms,
+                           f"state-dependent normalizer at Lambda={lam}",
+                           first_stop=alphas.size)
+    return log_terms(np.arange(kept.size))
 
 
 def _log_terms_and_normalizer(spec, t: float):
@@ -348,43 +345,35 @@ def flight_count_pmf(spec: FlightCountSpec, t: float, n: int) -> float:
 def weighted_pmf(weights: Callable[[int], float], lambda_t: float, n: int) -> float:
     """Weighted-Poisson pmf w(n)·p(n) / Σ_k w(k)p(k) with p = Poisson(lambda_t).
 
-    The normalizer is summed until the running term falls below 1e-15 of
-    the partial sum (once past the Poisson bulk); a zero normalizer or a
-    sum that fails to settle raises.
+    The normalizer is summed by :func:`~fracmotion.specfun.positive_series`
+    at rel_tol 1e-15, past k = lambda_t; ``weights`` may be called up to
+    one block of indices past the last kept term. A negative or non-finite
+    weight (kept or at n), a zero normalizer or an unsettled sum raises.
     """
-    if lambda_t < 0.0:
-        raise DomainError(f"lambda_t must be >= 0, got {lambda_t}")
+    if not 0.0 <= lambda_t < math.inf:
+        raise DomainError(f"lambda_t must be finite and >= 0, got {lambda_t}")
     n = _require_count(n)
 
-    def weighted_term(k: int) -> float:
-        w = float(weights(k))
-        if w < 0.0:
-            raise DomainError(f"weight w({k}) = {w} is negative")
-        if w == 0.0:
-            return 0.0
-        if lambda_t == 0.0:
-            return w if k == 0 else 0.0
-        return w * math.exp(k * math.log(lambda_t) - lambda_t - log_gamma_pos(k + 1.0))
+    def weighted_terms(k):
+        w = np.array([float(weights(i)) for i in k.tolist()])
+        p = np.exp(xlogy(k, lambda_t) - lambda_t - log_gamma_pos(k + 1.0))
+        # A negative or non-finite weight gives a NaN term, which the
+        # kernel rejects once it is kept.
+        return np.where((w >= 0.0) & (w < math.inf), w * p, np.nan)
 
-    max_terms = 100000
-    terms = []
-    partial = 0.0
-    prev = math.inf
-    for k in range(max_terms):
-        term = weighted_term(k)
-        if not math.isfinite(term):
-            raise DomainError(f"weighted normalizer term at k={k} is not finite")
-        terms.append(term)
-        partial += term
-        if k > lambda_t and term <= prev and (term == 0.0 or term < 1e-15 * partial):
-            break
-        prev = term
-    else:
-        raise ConvergenceError("weighted normalizer did not settle", partial, max_terms)
-    normalizer = math.fsum(terms)
-    if normalizer <= 0.0:
-        raise DomainError("weighted normalizer is zero")
-    return weighted_term(n) / normalizer
+    try:
+        kept = positive_series(weighted_terms, 1e-15, 100000,
+                               f"weighted normalizer at lambda_t={lambda_t}",
+                               first_stop=math.floor(lambda_t) + 1)
+    except ConvergenceError as exc:
+        if exc.partial_sum == 0.0:
+            raise DomainError("weighted normalizer is zero") from exc
+        raise
+    normalizer = math.fsum(kept)
+    term = float(weighted_terms(np.array([n]))[0])
+    if not term >= 0.0:
+        raise DomainError(f"weighted term at n={n} is {term}")
+    return term / normalizer
 
 
 def pgf(spec: FracPoissonSpec, t: float, u: float) -> float:

@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .counting import (
     FlightCountSpec,
     FracPoissonSpec,
@@ -38,13 +40,13 @@ from .counting import (
     cumulative_rate,
 )
 from .specfun import (
-    ConvergenceError,
     DomainError,
     MLParams,
     SeriesControl,
     WrightSeriesSpec,
     log_gamma_pos,
     log_mittag_leffler,
+    positive_series,
     wright_series,
 )
 
@@ -155,25 +157,19 @@ def planar_law(spec: FracPoissonSpec, c: float, t: float) -> PlanarLaw:
 def mixture_density(spec: FracPoissonSpec, c: float, t: float, r: float,
                     rel_tol: float = 1e-14, max_terms: int = 500) -> float:
     """Term-by-term mixture Σ_{n≥1} f_n(r)·P{N=n}: the independent
-    cross-check for the collapsed form in :func:`planar_law`. Stops when
-    a term falls below ``rel_tol`` of the partial sum (cap ``max_terms``)."""
+    cross-check for the collapsed form in :func:`planar_law`. Summed by
+    :func:`~fracmotion.specfun.positive_series` (``rel_tol``, ``max_terms``)."""
     _require_speed_horizon(c, t)
     if not (0.0 <= r < c * t):
         raise DomainError(f"radius must lie in [0, ct), got {r}")
     dist = count_distribution(spec, t)
-    terms = []
-    partial = 0.0
-    prev = math.inf
-    for n in range(1, max_terms + 1):
-        term = conditional_density(n, c, t, r) * dist.pmf(n)
-        terms.append(term)
-        partial += term
-        if term < prev and term < rel_tol * partial:
-            return math.fsum(terms)
-        prev = term
-    raise ConvergenceError(
-        f"mixture series did not settle in {max_terms} terms", math.fsum(terms), max_terms
-    )
+
+    # Scalar arithmetic per term: the verify report compares this sum with
+    # the closed form at the level of single ulps.
+    def terms(k):
+        return [conditional_density(n, c, t, r) * dist.pmf(n) for n in (k + 1).tolist()]
+
+    return math.fsum(positive_series(terms, rel_tol, max_terms, f"planar mixture at r={r}"))
 
 
 def planar_density_const_rate(alpha: float, lam: float, c: float, t: float,
@@ -259,26 +255,18 @@ def line_density(spec: FracPoissonSpec, c: float, t: float, x: float,
         raise DomainError(f"unknown line-density method {method!r}")
     log_arg = math.log(lam * w / ct)
     log_prefix = -_LOG_SQRT_PI - math.log(w) - log_norm
-    terms = []
-    partial = 0.0
-    prev = math.inf
-    max_terms = 100000
-    for k in range(max_terms):
-        log_term = (
+
+    def terms(k):
+        return np.exp(
             log_prefix
             + k * log_arg
             + log_gamma_pos(k / 2.0 + 1.0)
             - log_gamma_pos((k + 1.0) / 2.0)
             - log_gamma_pos(alpha * k + 1.0)
         )
-        term = math.exp(log_term)
-        terms.append(term)
-        partial += term
-        if k > 4 and term < prev and term < 1e-14 * partial:
-            return math.fsum(terms)
-        prev = term
-    raise ConvergenceError(
-        f"projection series did not settle in {max_terms} terms", math.fsum(terms), max_terms
+
+    return math.fsum(
+        positive_series(terms, 1e-14, 100000, f"projection series at x={x}", first_stop=5)
     )
 
 
@@ -301,18 +289,14 @@ def classical_line_density(lam: float, c: float, t: float, x: float) -> float:
     if lam == 0.0:
         return 1.0 / (math.pi * w)
     log_arg = math.log(lam * w / (2.0 * c))
-    terms = []
-    partial = 0.0
-    prev = math.inf
-    for k in range(100000):
-        log_term = -lam * t + k * log_arg - 2.0 * log_gamma_pos((k + 1.0) / 2.0) - math.log(w)
-        term = math.exp(log_term)
-        terms.append(term)
-        partial += term
-        if k > 4 and term < prev and term < 1e-14 * partial:
-            return math.fsum(terms)
-        prev = term
-    raise ConvergenceError("projected classical series did not settle", math.fsum(terms), 100000)
+
+    def terms(k):
+        return np.exp(-lam * t + k * log_arg - 2.0 * log_gamma_pos((k + 1.0) / 2.0) - math.log(w))
+
+    return math.fsum(
+        positive_series(terms, 1e-14, 100000, f"projected classical series at x={x}",
+                        first_stop=5)
+    )
 
 
 def flight_exponent(d: int, n: int, variant: str) -> float:
@@ -378,16 +362,11 @@ def flight_mixture_density(spec: FlightCountSpec, c: float, t: float, r: float,
     if not (0.0 <= r < c * t):
         raise DomainError(f"radius must lie in [0, ct), got {r}")
     dist = count_distribution(spec, t)
-    terms = []
-    partial = 0.0
-    prev = math.inf
-    for n in range(max_terms):
-        term = flight_marginal(spec.d, n, c, t, r, variant=variant) * dist.pmf(n)
-        terms.append(term)
-        partial += term
-        if n > 2 and term < prev and term < rel_tol * partial:
-            return math.fsum(terms)
-        prev = term
-    raise ConvergenceError(
-        f"flight mixture did not settle in {max_terms} terms", math.fsum(terms), max_terms
+
+    def terms(k):
+        return [flight_marginal(spec.d, n, c, t, r, variant=variant) * dist.pmf(n)
+                for n in k.tolist()]
+
+    return math.fsum(
+        positive_series(terms, rel_tol, max_terms, f"flight mixture at r={r}", first_stop=3)
     )

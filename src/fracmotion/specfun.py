@@ -10,9 +10,17 @@ function
 the generalized Wright series with Gamma-ratio coefficients, and the
 Bessel function J_nu of real order. Arguments are restricted to z >= 0:
 on that domain the Mittag-Leffler and Wright series have positive terms,
-so plain ascending summation with a term-ratio stopping rule gives a
-result whose error is controlled by the last retained term. The Bessel
-series alternates and therefore carries an explicit cancellation guard.
+so plain ascending summation gives a result whose error is controlled by
+the last retained term. The Bessel series alternates and therefore
+carries an explicit cancellation guard.
+
+Every positive series of the package -- these two, the planar, line and
+flight mixtures in ``densities`` and the normalizers in ``counting`` --
+is summed by one kernel, :func:`positive_series`, with one stop rule:
+keep terms up to the first index k >= ``first_stop`` whose term is no
+larger than its predecessor and no larger than ``rel_tol`` times the
+running sum, once that sum is positive, then add the kept terms with
+``math.fsum``. Terms are evaluated a block of indices at a time.
 
 Gamma values come from a fixed-coefficient Lanczos approximation rather
 than the platform libm, so results are reproducible across systems. The
@@ -41,6 +49,7 @@ __all__ = [
     "mittag_leffler",
     "log_mittag_leffler",
     "wright_series",
+    "positive_series",
     "bessel_j",
 ]
 
@@ -82,6 +91,57 @@ class SeriesControl:
 
 
 _DEFAULT_CONTROL = SeriesControl()
+
+# Indices per call of a series' term function, and the largest term a
+# series may keep (a margin below the double range).
+_SERIES_BLOCK = 64
+_MAX_TERM = math.exp(709.0)
+
+
+def positive_series(terms, rel_tol: float, max_terms: int, what: str,
+                    first_stop: int = 0) -> np.ndarray:
+    """Kept prefix of the nonnegative series sum_k terms(k), for ``math.fsum``.
+
+    ``terms`` maps an array of consecutive indices to their terms and sees
+    blocks of ``_SERIES_BLOCK`` indices, so up to one block past the last
+    kept term. With running sums formed left to right, the last kept term
+    is the first at k >= ``first_stop`` that is <= its predecessor and <=
+    ``rel_tol`` times a positive running sum. Only kept terms are checked:
+    negative or NaN raises ``DomainError``, above e^709
+    ``RangeOverflowError``. Without a stop in ``max_terms`` terms,
+    ``ConvergenceError`` carries their sum and ``terms_used == max_terms``.
+    ``what`` names the series and its argument in every message.
+    """
+    kept = []
+    running = 0.0
+    prev = math.inf
+    for lo in range(0, max_terms, _SERIES_BLOCK):
+        k = np.arange(lo, min(lo + _SERIES_BLOCK, max_terms))
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = np.asarray(terms(k), dtype=float)
+            sums = np.cumsum(np.concatenate(([running], block)))[1:]
+        # A zero running sum means the terms so far underflowed on the
+        # rising side of the series; that is not convergence.
+        stop = ((block <= np.concatenate(([prev], block[:-1]))) & (block <= rel_tol * sums)
+                & (sums > 0.0))
+        stop[: max(first_stop - lo, 0)] = False
+        hit = np.flatnonzero(stop)
+        block = block[: hit[0] + 1] if hit.size else block
+        bad = np.flatnonzero(~((block >= 0.0) & (block <= _MAX_TERM)))
+        if bad.size:
+            value = block[bad[0]]
+            if value > _MAX_TERM:
+                raise RangeOverflowError(f"{what} exceeds double range at term {lo + bad[0]}")
+            raise DomainError(f"{what} has an invalid term {value} at k={lo + bad[0]}")
+        kept.append(block)
+        if hit.size:
+            return np.concatenate(kept)
+        running, prev = sums[-1], block[-1]
+    raise ConvergenceError(
+        f"{what} did not converge in {max_terms} terms",
+        math.fsum(np.concatenate(kept)) if kept else 0.0,
+        max_terms,
+    )
 
 
 class MLParams(NamedTuple):
@@ -185,8 +245,7 @@ def log_gamma_pos(x):
         out[big] = _LOG_SQRT_TWO_PI + (z + 0.5) * np.log(t) - t + np.log(a)
     if np.any(small):
         xs = arr[small]
-        refl = np.array([log_gamma_pos(1.0 - v) for v in xs])
-        out[small] = np.log(math.pi / np.sin(math.pi * xs)) - refl
+        out[small] = np.log(math.pi / np.sin(math.pi * xs)) - log_gamma_pos(1.0 - xs)
     return float(out[0]) if scalar else out
 
 
@@ -200,12 +259,12 @@ def _as_ml_params(params) -> MLParams:
 def mittag_leffler(params, z: float, ctl: SeriesControl | None = None) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z), z >= 0.
 
-    Ascending series with per-term evaluation through ``log_gamma_pos``
-    (terms never overflow individually while the value is representable)
-    and exactly-rounded compensated summation. Stops once the current
-    term drops below ``ctl.rel_tol`` times the partial sum on the
-    decaying side of the term profile; the result then carries a
-    relative error no worse than about ten times ``rel_tol``.
+    Ascending series with terms evaluated in the log domain through
+    ``log_gamma_pos`` (terms never overflow individually while the value
+    is representable), summed by :func:`positive_series` under
+    ``ctl.rel_tol`` and ``ctl.max_terms`` and added with exactly-rounded
+    compensated summation; the result carries a relative error no worse
+    than about ten times ``rel_tol``.
 
     Raises ``RangeOverflowError`` when the value itself exceeds double
     range (use :func:`log_mittag_leffler` there) and ``ConvergenceError``
@@ -218,29 +277,14 @@ def mittag_leffler(params, z: float, ctl: SeriesControl | None = None) -> float:
     if z < 0.0:
         raise DomainError(f"mittag_leffler requires z >= 0, got {z}")
     first = 1.0 / gamma_pos(params.beta)
-    if z == 0.0:
-        return first
-    lnz = math.log(z)
-    terms = [first]
-    partial = first
-    prev = first
-    for k in range(1, ctl.max_terms + 1):
-        e = k * lnz - log_gamma_pos(params.alpha * k + params.beta)
-        if e > 709.0:
-            raise RangeOverflowError(
-                f"E_{{{params.alpha},{params.beta}}}({z}) exceeds double range"
-            )
-        term = math.exp(e)
-        terms.append(term)
-        partial += term
-        if term < prev and term < ctl.rel_tol * partial:
-            return math.fsum(terms)
-        prev = term
-    raise ConvergenceError(
-        f"Mittag-Leffler series did not converge in {ctl.max_terms} terms",
-        math.fsum(terms),
-        ctl.max_terms,
-    )
+    lnz = math.log(z) if z > 0.0 else -math.inf
+
+    def terms(k):
+        log_terms = k * lnz - log_gamma_pos(params.alpha * k + params.beta)
+        return np.where(k == 0, first, np.exp(log_terms))
+
+    what = f"Mittag-Leffler series E_{{{params.alpha},{params.beta}}}({z})"
+    return math.fsum(positive_series(terms, ctl.rel_tol, ctl.max_terms, what))
 
 
 def log_mittag_leffler(params, z: float, tail_nats: float = 60.0) -> float:
@@ -274,16 +318,18 @@ def log_mittag_leffler(params, z: float, tail_nats: float = 60.0) -> float:
     return float(m + math.log(math.fsum(np.exp(lt - m))))
 
 
-def _signed_log_gamma(x: float):
-    """(sign, ln|Gamma(x)|) for real non-pole x, via reflection for x < 0."""
-    if x > 0.0:
-        return 1.0, log_gamma_pos(x)
-    if x == math.floor(x):
-        raise DomainError(f"Gamma pole at {x}")
+def _signed_log_gamma(x):
+    """(sign, ln|Gamma(x)|) arrays for real x, via reflection for x < 0;
+    the log is NaN at the poles x = 0, -1, -2, ..."""
+    pos = x > 0.0
+    s = np.sin(math.pi * x)
+    sign = np.where(pos | (s > 0.0), 1.0, -1.0)
+    log = np.full(x.shape, np.nan)
+    log[pos] = log_gamma_pos(x[pos])
     # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-    s = math.sin(math.pi * x)
-    sign = 1.0 if s > 0.0 else -1.0
-    return sign, math.log(math.pi / abs(s)) - log_gamma_pos(1.0 - x)
+    refl = ~pos & (x != np.floor(x))
+    log[refl] = np.log(math.pi / np.abs(s[refl])) - log_gamma_pos(1.0 - x[refl])
+    return sign, log
 
 
 def wright_series(spec: WrightSeriesSpec, z: float, ctl: SeriesControl | None = None) -> float:
@@ -292,9 +338,10 @@ def wright_series(spec: WrightSeriesSpec, z: float, ctl: SeriesControl | None = 
         sum_k [prod_j Gamma(a_j + A_j k) / prod_j Gamma(b_j + B_j k)] z^k / k!
 
     for z >= 0. Terms are formed in the log domain so the Gamma products
-    never overflow individually. Same stopping rule and error behaviour
-    as :func:`mittag_leffler`. A denominator argument landing on a Gamma
-    pole raises ``DomainError``.
+    never overflow individually; their magnitudes are summed by
+    :func:`positive_series`, with the same stopping rule and error
+    behaviour as :func:`mittag_leffler`. A Gamma argument landing on a
+    pole within the kept terms raises ``DomainError``.
     """
     if ctl is None:
         ctl = _DEFAULT_CONTROL
@@ -311,8 +358,8 @@ def wright_series(spec: WrightSeriesSpec, z: float, ctl: SeriesControl | None = 
         raise DomainError(f"wright_series requires z >= 0, got {z}")
 
     def term_log(k):
-        sign = 1.0
-        e = -log_gamma_pos(float(k + 1))
+        sign = np.ones(k.shape)
+        e = -log_gamma_pos(k + 1.0)
         for a, A in upper:
             s, l = _signed_log_gamma(a + A * k)
             sign *= s
@@ -323,30 +370,13 @@ def wright_series(spec: WrightSeriesSpec, z: float, ctl: SeriesControl | None = 
             e -= l
         return sign, e
 
-    sign0, e0 = term_log(0)
-    first = sign0 * math.exp(e0)
-    if z == 0.0:
-        return first
-    lnz = math.log(z)
-    terms = [first]
-    abs_partial = abs(first)
-    prev = abs(first)
-    for k in range(1, ctl.max_terms + 1):
-        sign, e = term_log(k)
-        e += k * lnz
-        if e > 709.0:
-            raise RangeOverflowError(f"Wright series value exceeds double range at term {k}")
-        mag = math.exp(e)
-        terms.append(sign * mag)
-        abs_partial += mag
-        if mag < prev and mag < ctl.rel_tol * abs_partial:
-            return math.fsum(terms)
-        prev = mag
-    raise ConvergenceError(
-        f"Wright series did not converge in {ctl.max_terms} terms",
-        math.fsum(terms),
-        ctl.max_terms,
-    )
+    lnz = math.log(z) if z > 0.0 else -math.inf
+
+    def terms(k):
+        return np.exp(term_log(k)[1] + np.where(k == 0, 0.0, k * lnz))
+
+    mags = positive_series(terms, ctl.rel_tol, ctl.max_terms, f"Wright series at z={z}")
+    return math.fsum(term_log(np.arange(mags.size))[0] * mags)
 
 
 _LD_EPS = float(np.finfo(np.longdouble).eps)

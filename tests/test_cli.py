@@ -211,6 +211,32 @@ def test_density_marks_out_of_support_rows_nan(tmp_path, capsys):
     assert "outside the support" in capsys.readouterr().err
 
 
+def test_density_per_point_domain_error_is_usage_error(tmp_path):
+    # alpha is checked by the law at each point; a bad value must not
+    # turn into nan rows.
+    out = tmp_path / "bad.csv"
+    rc = main(["density", "--law", "planar-const", "--alpha", "1.5", "--grid-points", "5",
+               "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("law", ["planar", "planar-const", "line", "line-classical", "flight"])
+def test_density_grid_may_end_just_below_ct(tmp_path, law):
+    # At c = 3.3, t = 7.3 the planar-const law's c²t² − r² rounds to 0 at
+    # r = nextafter(ct, 0); that point is outside its support, not an error.
+    c, t = 3.3, 7.3
+    out = tmp_path / "edge.csv"
+    rc = main(["density", "--law", law, "--c", str(c), "--t", str(t), "--grid-min", "0",
+               "--grid-max", repr(math.nextafter(c * t, 0.0)), "--grid-points", "4",
+               "--out", str(out)])
+    assert rc == EXIT_OK
+    values = [float(row[1]) for row in read_csv(out)[1:]]
+    assert all(math.isfinite(v) for v in values[:-1])
+    meta = json.loads((tmp_path / "edge.csv.meta.json").read_text())
+    assert meta["nan_rows"] == sum(math.isnan(v) for v in values) <= 1
+
+
 def test_density_classical_line(tmp_path):
     out = tmp_path / "line.csv"
     rc = main(["density", "--law", "line-classical", "--rate", "const:2",

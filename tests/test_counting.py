@@ -97,6 +97,18 @@ def test_rate_json_round_trip():
         rate_to_json(RateFunction.from_callable(math.exp))
 
 
+def test_callable_rates_do_not_share_count_tables():
+    slow = RateFunction.from_callable(lambda s: 1.0)
+    fast = RateFunction.from_callable(lambda s: 5.0)
+    assert slow != fast
+    assert slow == RateFunction.from_callable(slow.fn)
+    slow_table = count_distribution(FracPoissonSpec(0.5, slow), 1.0)
+    fast_table = count_distribution(FracPoissonSpec(0.5, fast), 1.0)
+    assert fast_table is not slow_table
+    # P{N=0} = 1/E_{1/2,1}(5), about 6.9e-12 (the rate-1 table has 0.1996).
+    assert fast_table.pmf(0) == pytest.approx(pmf(const_spec(0.5, 5.0), 1.0, 0), rel=1e-8)
+
+
 # ---------------------------------------------------------------------------
 # pmf of the base family
 
@@ -186,6 +198,21 @@ def test_weighted_pmf_rejects_bad_weights():
         weighted_pmf(lambda k: 0.0, 1.0, 0)
     with pytest.raises(DomainError):
         weighted_pmf(lambda k: -1.0, 1.0, 0)
+    with pytest.raises(DomainError):
+        weighted_pmf(lambda k: 1.0 if k < 3 else math.nan, 1.0, 0)
+    for lambda_t in (math.inf, math.nan, -1.0):
+        with pytest.raises(DomainError):
+            weighted_pmf(lambda k: 1.0, lambda_t, 0)
+
+
+def test_weighted_pmf_ignores_weights_past_the_stop():
+    # At lambda_t = 1 the normalizer settles near k = 18; the invalid
+    # weights from k = 40 on are evaluated only as block overshoot.
+    w = lambda k: 1.0 if k < 40 else -1.0
+    for n in range(6):
+        assert weighted_pmf(w, 1.0, n) == pytest.approx(
+            scipy.stats.poisson.pmf(n, 1.0), rel=1e-13
+        )
 
 
 # ---------------------------------------------------------------------------

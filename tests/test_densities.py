@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 
-from fracmotion.counting import FlightCountSpec, FracPoissonSpec, RateFunction
+from fracmotion.counting import (
+    FlightCountSpec,
+    FracPoissonSpec,
+    RateFunction,
+    count_distribution,
+)
 from fracmotion.densities import (
     classical_line_density,
     classical_planar_density,
@@ -25,7 +30,13 @@ from fracmotion.densities import (
     planar_law,
     projection_wright_spec,
 )
-from fracmotion.specfun import DomainError, MLParams, mittag_leffler, wright_series
+from fracmotion.specfun import (
+    ConvergenceError,
+    DomainError,
+    MLParams,
+    mittag_leffler,
+    wright_series,
+)
 
 E1 = math.e  # E_{1,1}(1)
 
@@ -121,6 +132,40 @@ def test_planar_closed_form_equals_mixture(alpha, lam):
     for r in np.linspace(0.0, 0.995, 25):
         mix = mixture_density(spec, 1.0, 1.0, float(r))
         assert law.ac_density(float(r), 0.0) == pytest.approx(mix, rel=1e-12)
+
+
+def scalar_mixture(spec, c, t, r, rel_tol=1e-14, max_terms=500):
+    """The per-term loop that ``mixture_density`` summed before the
+    shared series kernel: same terms, same stop rule."""
+    dist = count_distribution(spec, t)
+    terms, partial, prev = [], 0.0, math.inf
+    for n in range(1, max_terms + 1):
+        term = conditional_density(n, c, t, r) * dist.pmf(n)
+        terms.append(term)
+        partial += term
+        if term <= prev and term <= rel_tol * partial:
+            return math.fsum(terms)
+        prev = term
+    raise AssertionError("reference mixture did not settle")
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_mixture_density_is_bit_identical_to_scalar_loop(alpha):
+    # The verify suite's law-agreement configurations.
+    spec = const_spec(alpha, 1.0)
+    for r in np.linspace(0.0, 0.995, 40):
+        assert mixture_density(spec, 1.0, 1.0, float(r)) == scalar_mixture(spec, 1.0, 1.0, float(r))
+
+
+def test_underflowed_leading_terms_do_not_end_a_series():
+    # At alpha = 0.2, Lambda = 5 the count law peaks near n = 15 000, so
+    # the leading terms of both series underflow to zero. The line series
+    # must sum on to the peak (value from the per-term loop it replaced);
+    # the 500-term planar mixture cannot reach it and must say so.
+    spec = const_spec(0.2, 5.0)
+    assert line_density(spec, 1.0, 1.0, 0.0) == pytest.approx(49.86658804615229, rel=1e-13)
+    with pytest.raises(ConvergenceError):
+        mixture_density(spec, 1.0, 1.0, 0.3)
 
 
 @pytest.mark.parametrize("alpha,lam", [(0.5, 1.0), (1.0, 2.0), (0.7, 0.5)])

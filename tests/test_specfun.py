@@ -11,6 +11,7 @@ import csv
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,8 +27,10 @@ from fracmotion.specfun import (
     log_gamma_pos,
     log_mittag_leffler,
     mittag_leffler,
+    positive_series,
     wright_series,
 )
+from fracmotion.specfun import _SERIES_BLOCK as BLOCK
 
 ORACLE_PATH = Path(__file__).parent / "data" / "specfun_oracle.csv"
 
@@ -257,3 +260,112 @@ def test_bessel_three_term_recurrence(nu, x):
     rhs = 2.0 * nu / x * bessel_j(nu, x)
     scale = abs(bessel_j(nu - 1.0, x)) + abs(bessel_j(nu + 1.0, x)) + abs(rhs)
     assert abs(lhs - rhs) <= 1e-11 * max(scale, 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# The positive-series kernel
+
+
+def reference_stop(values, rel_tol, first_stop=0):
+    """Number of kept terms under the kernel's rule, by a plain scalar
+    loop; None when the sequence never stops."""
+    partial = 0.0
+    prev = math.inf
+    for k, term in enumerate(values):
+        partial += term
+        if k >= first_stop and term <= prev and term <= rel_tol * partial and partial > 0.0:
+            return k + 1
+        prev = term
+    return None
+
+
+def series_of(values):
+    arr = np.asarray(values, dtype=float)
+    return lambda k: arr[k]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    digits=st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                              st.integers(min_value=0, max_value=18)),
+                    min_size=3 * BLOCK, max_size=3 * BLOCK),
+    rel_tol=st.sampled_from([1e-2, 1e-6, 1e-12]),
+    first_stop=st.integers(min_value=0, max_value=2 * BLOCK),
+)
+def test_kernel_matches_scalar_loop(digits, rel_tol, first_stop):
+    values = [m * 10.0 ** -e for m, e in digits]
+    n_kept = reference_stop(values, rel_tol, first_stop)
+    if n_kept is None:
+        with pytest.raises(ConvergenceError) as exc:
+            positive_series(series_of(values), rel_tol, len(values), "test", first_stop)
+        assert exc.value.terms_used == len(values)
+        assert exc.value.partial_sum == math.fsum(values)
+        return
+    kept = positive_series(series_of(values), rel_tol, len(values), "test", first_stop)
+    assert kept.size == n_kept
+    assert math.fsum(kept) == math.fsum(values[:n_kept])
+
+
+@settings(deadline=None)
+@given(
+    stop=st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1]),
+    leading=st.lists(st.floats(min_value=1.0, max_value=2.0), min_size=3 * BLOCK,
+                     max_size=3 * BLOCK),
+    garbage=st.sampled_from([-1.0, math.nan, math.inf, 1e308]),
+)
+def test_kernel_stops_at_block_edges_and_ignores_the_overshoot(stop, leading, garbage):
+    # Terms in [1, 2] never satisfy the rule at rel_tol 1e-3 over fewer
+    # than 500 terms; a zero at ``stop`` does. Everything past it is
+    # invalid and must neither be kept nor validated.
+    values = leading[:stop] + [0.0] + [garbage] * (3 * BLOCK - stop - 1)
+    assert reference_stop(values, 1e-3) == stop + 1
+    kept = positive_series(series_of(values), 1e-3, len(values), "test")
+    assert kept.tolist() == values[: stop + 1]
+    assert math.fsum(kept) == math.fsum(leading[:stop])
+
+
+def test_kernel_does_not_stop_on_leading_zeros():
+    # Underflowed terms on the rising side of a series are not convergence.
+    values = [0.0] * (BLOCK + 5) + [1.0, 2.0, 1.0, 1e-9] + [0.0] * BLOCK
+    kept = positive_series(series_of(values), 1e-6, len(values), "test", first_stop=5)
+    assert kept.size == reference_stop(values, 1e-6, 5) == BLOCK + 9
+    assert math.fsum(kept) == 4.0 + 1e-9
+
+
+def test_kernel_term_cap_raises_with_partial_sum():
+    with pytest.raises(ConvergenceError, match="flat series did not converge in 150 terms") as exc:
+        positive_series(lambda k: np.ones(k.size), 1e-12, 150, "flat series")
+    assert exc.value.terms_used == 150
+    assert exc.value.partial_sum == 150.0
+
+
+@pytest.mark.parametrize("bad,error", [(-1.0, DomainError), (math.nan, DomainError),
+                                       (1e308, RangeOverflowError),
+                                       (math.inf, RangeOverflowError)])
+@pytest.mark.parametrize("at", [0, BLOCK - 1, BLOCK, BLOCK + 3])
+def test_kernel_validates_kept_terms(bad, error, at):
+    values = [1.0] * (3 * BLOCK)
+    values[at] = bad
+    with pytest.raises(error, match=f"k={at}|term {at}"):
+        positive_series(series_of(values), 1e-12, len(values), "test")
+
+
+def test_mittag_leffler_matches_scalar_term_loop():
+    # The kernel keeps exactly the terms the per-term loop kept.
+    for alpha, beta, z in [(0.5, 1.0, 3.0), (0.9, 0.7, 25.0), (0.2, 2.0, 1.5), (1.0, 1.0, 40.0)]:
+        lnz = math.log(z)
+        values = [1.0 / gamma_pos(beta)] + [
+            math.exp(k * lnz - log_gamma_pos(alpha * k + beta)) for k in range(1, 2000)
+        ]
+        n_kept = reference_stop(values, 1e-12)
+        assert mittag_leffler(MLParams(alpha, beta), z) == pytest.approx(
+            math.fsum(values[:n_kept]), rel=4e-16
+        )
+
+
+def test_wright_series_keeps_term_signs():
+    # Gamma(-1/2 + k) is negative at k = 0 only: the first term is -2 sqrt(pi).
+    spec = WrightSeriesSpec(upper=((-0.5, 1.0),), lower=())
+    assert wright_series(spec, 0.0) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-13)
+    terms = [math.gamma(-0.5 + k) * 0.5**k / math.factorial(k) for k in range(80)]
+    assert wright_series(spec, 0.5) == pytest.approx(math.fsum(terms), rel=1e-12)
