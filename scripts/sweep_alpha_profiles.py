@@ -42,11 +42,12 @@ def main() -> int:
         with out.open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["r", "planar_density", "line_density"])
-            for r in radii:
+            planar = law.ac_density(radii, 0.0)
+            for r, dens in zip(radii.tolist(), planar.tolist()):
                 writer.writerow([
-                    repr(float(r)),
-                    repr(law.ac_density(float(r), 0.0)),
-                    repr(line_density(spec, args.c, args.t, float(r))),
+                    repr(r),
+                    repr(dens),
+                    repr(line_density(spec, args.c, args.t, r)),
                 ])
         summary.append((alpha, law.singular_weight))
         print(f"alpha={alpha:.2f}: singular weight {law.singular_weight:.6f} "

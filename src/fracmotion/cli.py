@@ -190,16 +190,17 @@ def cmd_simulate(config: RunConfig) -> int:
 
 def _density_evaluator(p: dict):
     """(coordinate header, evaluator, singular weight or None, support
-    predicate) for a law name.  Points failing the predicate become ``nan``
-    rows counted in the sidecar."""
+    predicate) for a law name.  The evaluator maps an array of in-support
+    points to their densities, the predicate maps the grid to a boolean
+    array; points failing it become ``nan`` rows counted in the sidecar."""
     law_name = p["law"]
     c, t = p["c"], p["t"]
     # A bad speed or horizon could put every point outside the support,
     # so reject it before any point is evaluated.
     _require_speed_horizon(c, t)
     ct = c * t
-    radial_support = lambda r: 0.0 <= r < ct  # noqa: E731
-    line_support = lambda x: -ct < x < ct  # noqa: E731
+    radial_support = lambda r: (0.0 <= r) & (r < ct)  # noqa: E731
+    line_support = lambda x: (-ct < x) & (x < ct)  # noqa: E731
     if law_name == "planar":
         spec = FracPoissonSpec(alpha=p["alpha"], rate=parse_rate(p["rate"]))
         law = planar_law(spec, c, t)
@@ -210,19 +211,20 @@ def _density_evaluator(p: dict):
             raise DomainError("the single-series planar form needs a constant rate")
         lam0 = lam.params[0]
         # The law's own test: c²t² − r² can round to 0 for r just below ct.
-        const_support = lambda r: 0.0 <= r and c * c * t * t - r * r > 0.0  # noqa: E731
+        const_support = lambda r: (0.0 <= r) & (c * c * t * t - r * r > 0.0)  # noqa: E731
         return ("r", lambda r: planar_density_const_rate(p["alpha"], lam0, c, t, r, 0.0),
                 None, const_support)
     if law_name == "line":
         spec = FracPoissonSpec(alpha=p["alpha"], rate=parse_rate(p["rate"]))
         law = line_law(spec, c, t, method=p.get("method", "series"))
-        return "x", law.density, None, line_support
+        return "x", _per_point(law.density), None, line_support
     if law_name == "line-classical":
         lam = parse_rate(p["rate"])
         if lam.kind != "constant":
             raise DomainError("the classical line form needs a constant rate")
         lam0 = lam.params[0]
-        return "x", lambda x: classical_line_density(lam0, c, t, x), None, line_support
+        return ("x", _per_point(lambda x: classical_line_density(lam0, c, t, x)), None,
+                line_support)
     if law_name == "flight":
         from .counting import FlightCountSpec
 
@@ -231,13 +233,20 @@ def _density_evaluator(p: dict):
     raise DomainError(f"unknown law {law_name!r}")
 
 
+def _per_point(density):
+    """Array evaluator for a law that takes one point at a time."""
+    return lambda xs: np.array([density(x) for x in xs.tolist()], dtype=float)
+
+
 def cmd_density(config: RunConfig) -> int:
     """Dump a law on a grid: ``coord,density`` CSV plus sidecar JSON."""
     p = config.params
     coord_name, evaluate, singular_weight, in_support = _density_evaluator(p)
     grid = np.linspace(p["grid_min"], p["grid_max"], p["grid_points"])
-    values = [evaluate(float(v)) if in_support(float(v)) else math.nan for v in grid]
-    nan_rows = sum(math.isnan(val) for val in values)
+    inside = in_support(grid)
+    values = np.full(grid.size, math.nan)
+    values[inside] = evaluate(grid[inside])
+    nan_rows = int(np.count_nonzero(np.isnan(values)))
     out = _resolve_out(p, "density.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:

@@ -376,17 +376,22 @@ def weighted_pmf(weights: Callable[[int], float], lambda_t: float, n: int) -> fl
     return term / normalizer
 
 
-def pgf(spec: FracPoissonSpec, t: float, u: float) -> float:
-    """Probability generating function E_{α,1}(u·Λ(t)) / E_{α,1}(Λ(t))."""
+def pgf(spec: FracPoissonSpec, t: float, u):
+    """Probability generating function E_{α,1}(u·Λ(t)) / E_{α,1}(Λ(t)) at
+    a scalar u or an array of u, every one in [0, 1]."""
     _require_time(t)
-    u = float(u)
-    if not (0.0 <= u <= 1.0):
-        raise DomainError(f"pgf requires u in [0, 1], got {u}")
+    u = np.asarray(u, dtype=float)
+    inside = (0.0 <= u) & (u <= 1.0)
+    if not np.all(inside):
+        raise DomainError(f"pgf requires u in [0, 1], got {float(u[~inside].flat[0])}")
     lam = cumulative_rate(spec.rate, t)
-    if lam == 0.0:
-        return 1.0
-    p = MLParams(spec.alpha, 1.0)
-    return math.exp(log_mittag_leffler(p, u * lam) - log_mittag_leffler(p, lam))
+    out = np.ones(u.shape)
+    if lam > 0.0:
+        p = MLParams(spec.alpha, 1.0)
+        log_norm = log_mittag_leffler(p, lam)
+        out.flat = [math.exp(v - log_norm)
+                    for v in log_mittag_leffler(p, u.ravel() * lam).tolist()]
+    return out if out.ndim else float(out)
 
 
 class CountDistribution:

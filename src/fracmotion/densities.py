@@ -22,7 +22,12 @@ it.
 
 Projection onto a line and the random-flight marginals (with their own
 Mittag-Leffler mixture law) complete the family. Evaluators compute in
-the log domain wherever normalizers can leave double range.
+the log domain wherever normalizers can leave double range. The
+Mittag-Leffler closed forms take arrays of points and evaluate them with
+one array call of ``log_mittag_leffler``; every value keeps the bits of its
+one-point call, because the ``math.log``/``math.exp`` around the
+Mittag-Leffler value stay per-point Python operations (numpy's differ in
+the last ulp). The mixtures and the line laws take one point at a time.
 """
 
 from __future__ import annotations
@@ -93,9 +98,10 @@ def conditional_density(n: int, c: float, t: float, r: float) -> float:
 @dataclass(frozen=True)
 class PlanarLaw:
     """Unconditional planar law: an absolutely continuous density on the
-    open disk of radius ct plus a singular weight on its boundary circle."""
+    open disk of radius ct plus a singular weight on its boundary circle.
+    ``ac_density(x, y)`` takes scalars (giving a float) or arrays."""
 
-    ac_density: Callable[[float, float], float]
+    ac_density: Callable
     singular_weight: float
     c: float
     t: float
@@ -122,29 +128,36 @@ def planar_law(spec: FracPoissonSpec, c: float, t: float) -> PlanarLaw:
 
     The a.c. part evaluates the collapsed mixture
     Λ E_{α,α}((Λ/ct)w) / (2πα ct E_{α,1}(Λ) w) and returns 0 outside the
-    open disk; the singular weight is P{N=0} = 1/E_{α,1}(Λ).
+    open disk; it takes scalars or arrays (broadcast together) and makes
+    one Mittag-Leffler call per call. The singular weight is
+    P{N=0} = 1/E_{α,1}(Λ).
     """
     _require_speed_horizon(c, t)
     alpha = spec.alpha
     lam = cumulative_rate(spec.rate, t)
     ct = c * t
     if lam == 0.0:
-        return PlanarLaw(ac_density=lambda x, y: 0.0, singular_weight=1.0, c=c, t=t)
+        def no_density(x, y):
+            out = np.zeros(np.broadcast(x, y).shape)
+            return out if out.ndim else float(out)
+
+        return PlanarLaw(ac_density=no_density, singular_weight=1.0, c=c, t=t)
     log_norm = log_mittag_leffler(MLParams(alpha, 1.0), lam)
     log_lam = math.log(lam)
 
-    def ac_density(x: float, y: float) -> float:
+    def ac_density(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
         w2 = ct * ct - (x * x + y * y)
-        if w2 <= 0.0:
-            return 0.0
-        w = math.sqrt(w2)
-        log_value = (
-            log_lam
-            + log_mittag_leffler(MLParams(alpha, alpha), lam * w / ct)
-            - math.log(_TWO_PI * alpha * ct * w)
-            - log_norm
-        )
-        return math.exp(log_value)
+        out = np.zeros(w2.shape)
+        inside = w2 > 0.0
+        w = np.sqrt(w2[inside])
+        log_ml = log_mittag_leffler(MLParams(alpha, alpha), lam * w / ct)
+        out[inside] = [
+            math.exp(log_lam + lm - math.log(_TWO_PI * alpha * ct * wi) - log_norm)
+            for lm, wi in zip(log_ml.tolist(), w.tolist())
+        ]
+        return out if out.ndim else float(out)
 
     return PlanarLaw(
         ac_density=ac_density,
@@ -172,10 +185,11 @@ def mixture_density(spec: FracPoissonSpec, c: float, t: float, r: float,
     return math.fsum(positive_series(terms, rel_tol, max_terms, f"planar mixture at r={r}"))
 
 
-def planar_density_const_rate(alpha: float, lam: float, c: float, t: float,
-                              x: float, y: float) -> float:
+def planar_density_const_rate(alpha: float, lam: float, c: float, t: float, x, y):
     """The constant-rate expression
-    λ E_{α,1}((λ/c)w) / (2πc E_{α,1}(λt) w), w = √(c²t² − x² − y²).
+    λ E_{α,1}((λ/c)w) / (2πc E_{α,1}(λt) w), w = √(c²t² − x² − y²),
+    at scalar or array points (broadcast together), every one of which
+    must lie in the open disk.
 
     At α = 1 this is exactly the classical damped-wave density; for
     α < 1 it differs from the mixture law (see the verification
@@ -186,19 +200,24 @@ def planar_density_const_rate(alpha: float, lam: float, c: float, t: float,
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     if lam < 0.0:
         raise DomainError(f"rate must be >= 0, got {lam}")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     w2 = c * c * t * t - (x * x + y * y)
-    if w2 <= 0.0:
-        raise DomainError(f"point ({x}, {y}) lies outside the open disk of radius {c * t}")
-    if lam == 0.0:
-        return 0.0
-    w = math.sqrt(w2)
-    log_value = (
-        math.log(lam)
-        + log_mittag_leffler(MLParams(alpha, 1.0), lam * w / c)
-        - math.log(_TWO_PI * c * w)
-        - log_mittag_leffler(MLParams(alpha, 1.0), lam * t)
-    )
-    return math.exp(log_value)
+    outside = w2 <= 0.0
+    if np.any(outside):
+        xb, yb = (float(v[outside].flat[0]) for v in np.broadcast_arrays(x, y))
+        raise DomainError(f"point ({xb}, {yb}) lies outside the open disk of radius {c * t}")
+    out = np.zeros(w2.shape)
+    if lam > 0.0:
+        w = np.sqrt(w2.ravel())
+        log_ml = log_mittag_leffler(MLParams(alpha, 1.0), lam * w / c)
+        log_norm = log_mittag_leffler(MLParams(alpha, 1.0), lam * t)
+        log_lam = math.log(lam)
+        out.flat = [
+            math.exp(log_lam + lm - math.log(_TWO_PI * c * wi) - log_norm)
+            for lm, wi in zip(log_ml.tolist(), w.tolist())
+        ]
+    return out if out.ndim else float(out)
 
 
 def classical_planar_density(lam: float, c: float, t: float, x: float, y: float) -> float:
@@ -324,31 +343,38 @@ def flight_marginal(d: int, n: int, c: float, t: float, r: float, variant: str =
     return a * (ct * ct - r * r) ** (a - 1.0) / (math.pi * ct ** (2.0 * a))
 
 
-def flight_unconditional(spec: FlightCountSpec, c: float, t: float, r: float) -> float:
+def flight_unconditional(spec: FlightCountSpec, c: float, t: float, r):
     """Unconditional planar flight law (Y-projection): with γ = d/2 − 1
     and Q = (c²t² − r²)^γ / (ct)^{2γ},
 
-        (c²t² − r²)^{γ−1} / (π (ct)^{2γ}) · E_{γ,γ}(ΛQ) / E_{γ,γ+1}(Λ).
+        (c²t² − r²)^{γ−1} / (π (ct)^{2γ}) · E_{γ,γ}(ΛQ) / E_{γ,γ+1}(Λ),
+
+    at a scalar radius or an array of radii, every one in [0, ct).
     """
     _require_speed_horizon(c, t)
-    if not (0.0 <= r < c * t):
-        raise DomainError(f"radius must lie in [0, ct), got {r}")
+    r = np.asarray(r, dtype=float)
+    inside = (0.0 <= r) & (r < c * t)
+    if not np.all(inside):
+        raise DomainError(f"radius must lie in [0, ct), got {float(r[~inside].flat[0])}")
     gamma_order = spec.d / 2.0 - 1.0
     lam = cumulative_rate(spec.rate, t)
     ct = c * t
-    w2 = ct * ct - r * r
-    q = w2**gamma_order / ct ** (2.0 * gamma_order)
+    radii = r.ravel().tolist()
     if lam == 0.0:
         # Only the n = 0 conditional survives.
-        return flight_marginal(spec.d, 0, c, t, r, variant="Y")
-    log_value = (
-        (gamma_order - 1.0) * math.log(w2)
-        - math.log(math.pi)
-        - 2.0 * gamma_order * math.log(ct)
-        + log_mittag_leffler(MLParams(gamma_order, gamma_order), lam * q)
-        - log_mittag_leffler(MLParams(gamma_order, gamma_order + 1.0), lam)
-    )
-    return math.exp(log_value)
+        out = np.array([flight_marginal(spec.d, 0, c, t, ri, variant="Y") for ri in radii])
+    else:
+        w2 = [ct * ct - ri * ri for ri in radii]
+        q = np.array([v**gamma_order / ct ** (2.0 * gamma_order) for v in w2])
+        log_ml = log_mittag_leffler(MLParams(gamma_order, gamma_order), lam * q)
+        log_norm = log_mittag_leffler(MLParams(gamma_order, gamma_order + 1.0), lam)
+        out = np.array([
+            math.exp((gamma_order - 1.0) * math.log(v) - math.log(math.pi)
+                     - 2.0 * gamma_order * math.log(ct) + lm - log_norm)
+            for v, lm in zip(w2, log_ml.tolist())
+        ])
+    out = out.reshape(r.shape)
+    return out if out.ndim else float(out)
 
 
 def flight_mixture_density(spec: FlightCountSpec, c: float, t: float, r: float,

@@ -96,6 +96,9 @@ _DEFAULT_CONTROL = SeriesControl()
 # series may keep (a margin below the double range).
 _SERIES_BLOCK = 64
 _MAX_TERM = math.exp(709.0)
+# Log-terms held at once by log_mittag_leffler: rows of similar window
+# length go together up to this many elements (a longer window goes alone).
+_ML_CHUNK = 1 << 15
 
 
 def positive_series(terms, rel_tol: float, max_terms: int, what: str,
@@ -287,35 +290,64 @@ def mittag_leffler(params, z: float, ctl: SeriesControl | None = None) -> float:
     return math.fsum(positive_series(terms, ctl.rel_tol, ctl.max_terms, what))
 
 
-def log_mittag_leffler(params, z: float, tail_nats: float = 60.0) -> float:
-    """ln E_{alpha,beta}(z) for z >= 0, stable at any magnitude.
+def log_mittag_leffler(params, z, tail_nats: float = 60.0):
+    """ln E_{alpha,beta}(z) for z >= 0 (a scalar or an array), stable at
+    any magnitude.
 
-    Locates the peak term index from alpha*n + beta ~ z^(1/alpha),
-    extends the range until log-terms fall ``tail_nats`` below the peak,
-    then evaluates a vectorized log-sum-exp. Used wherever normalizing
+    For each point, locates the peak term index from alpha*n + beta ~
+    z^(1/alpha) and doubles the window [0, n_hi) until log-terms at n_hi
+    fall ``tail_nats`` below the peak; the points still growing are doubled
+    together. The z-independent row ln Gamma(alpha*n + beta) is evaluated
+    once, up to the longest window, and each point's log-terms then go
+    through a log-sum-exp added with ``math.fsum``. Points are processed in
+    chunks of similar window length holding at most ``_ML_CHUNK`` terms, so
+    memory stays bounded by the longest single window. Every point's value
+    equals the one-point call bit for bit. Used wherever normalizing
     constants grow beyond double range.
     """
     params = _as_ml_params(params)
-    z = float(z)
-    if z < 0.0:
-        raise DomainError(f"log_mittag_leffler requires z >= 0, got {z}")
-    if z == 0.0:
-        return -log_gamma_pos(params.beta)
     alpha, beta = params.alpha, params.beta
-    lnz = math.log(z)
+    z_arr = np.asarray(z, dtype=float)
+    if np.any(z_arr < 0.0):
+        raise DomainError(
+            f"log_mittag_leffler requires z >= 0, got {z_arr[z_arr < 0.0].flat[0]}")
+    zs = z_arr.ravel()
+    out = np.full(zs.size, -log_gamma_pos(beta))
+    pos = np.flatnonzero(zs != 0.0)
+    zp = zs[pos].tolist()
+    lnz = np.array([math.log(v) for v in zp])
+    n_peak = np.array([max(0.0, (v ** (1.0 / alpha) - beta) / alpha) for v in zp])
 
-    def log_term(n):
-        return n * lnz - log_gamma_pos(alpha * n + beta)
+    def log_term(n, ln):
+        return n * ln - log_gamma_pos(alpha * n + beta)
 
-    n_peak = max(0.0, (z ** (1.0 / alpha) - beta) / alpha)
-    lt_peak = log_term(n_peak)
-    n_hi = max(16.0, 2.0 * n_peak + 16.0)
-    while log_term(n_hi) > lt_peak - tail_nats:
-        n_hi *= 2.0
-    n = np.arange(int(n_hi) + 2, dtype=float)
-    lt = n * lnz - log_gamma_pos(alpha * n + beta)
-    m = lt.max()
-    return float(m + math.log(math.fsum(np.exp(lt - m))))
+    floor = log_term(n_peak, lnz) - tail_nats
+    n_hi = np.maximum(16.0, 2.0 * n_peak + 16.0)
+    growing = np.arange(pos.size)
+    while growing.size:
+        growing = growing[log_term(n_hi[growing], lnz[growing]) > floor[growing]]
+        n_hi[growing] *= 2.0
+    width = np.array([int(v) + 2 for v in n_hi.tolist()], dtype=np.int64)
+    n = np.arange(width.max(initial=0), dtype=float)
+    row = log_gamma_pos(alpha * n + beta)
+    order = np.argsort(width, kind="stable")
+    lo = 0
+    while lo < order.size:
+        hi = lo + 1
+        while hi < order.size and (hi + 1 - lo) * width[order[hi]] <= _ML_CHUNK:
+            hi += 1
+        idx = order[lo:hi]
+        span = width[idx[-1]]
+        lt = n[:span] * lnz[idx, None] - row[:span]
+        lt[n[:span] >= width[idx, None]] = -np.inf
+        m = lt.max(axis=1)
+        lt -= m[:, None]
+        np.exp(lt, out=lt)
+        # A memoryview hands fsum one Python float at a time.
+        out[pos[idx]] = [mi + math.log(math.fsum(memoryview(t))) for mi, t in zip(m.tolist(), lt)]
+        lo = hi
+    out = out.reshape(z_arr.shape)
+    return out if out.ndim else float(out)
 
 
 def _signed_log_gamma(x):

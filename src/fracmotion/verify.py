@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -219,10 +220,21 @@ def caputo_l1(values: Sequence[float], grid: CaputoGrid, alpha: float) -> np.nda
 # inverse-square-root edge singularity of the planar laws).
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once
+    per process (``leggauss`` solves an eigenvalue problem each call)."""
+    nodes, wts = leggauss(n_nodes)
+    nodes.flags.writeable = False
+    wts.flags.writeable = False
+    return nodes, wts
+
+
 def disk_mass(radial_density: Callable[[np.ndarray], np.ndarray], c: float, t: float,
               n_nodes: int = 256) -> float:
-    """``2*pi * integral_0^{ct} r * f(r) dr`` by Gauss-Legendre in phi."""
-    phi, wts = leggauss(n_nodes)
+    """``2*pi * integral_0^{ct} r * f(r) dr`` by Gauss-Legendre in phi;
+    ``radial_density`` is called once, on the array of all nodes."""
+    phi, wts = _gauss_legendre(n_nodes)
     phi = 0.25 * math.pi * (phi + 1.0)
     wts = 0.25 * math.pi * wts
     r = c * t * np.sin(phi)
@@ -233,18 +245,17 @@ def disk_mass(radial_density: Callable[[np.ndarray], np.ndarray], c: float, t: f
 
 def _bin_masses(radial_density: Callable[[np.ndarray], np.ndarray], c: float, t: float,
                 edges: np.ndarray, n_nodes: int = 32) -> np.ndarray:
-    """Per-bin masses of ``2*pi*r*f(r)`` over consecutive ``edges`` in r."""
-    x, wts = leggauss(n_nodes)
+    """Per-bin masses of ``2*pi*r*f(r)`` over consecutive ``edges`` in r;
+    ``radial_density`` is called once, on the (bins, n_nodes) array of all
+    nodes."""
+    x, wts = _gauss_legendre(n_nodes)
     phi_edges = np.arcsin(np.clip(edges / (c * t), 0.0, 1.0))
-    masses = np.empty(edges.size - 1)
-    for k in range(edges.size - 1):
-        a, b = phi_edges[k], phi_edges[k + 1]
-        phi = 0.5 * (b - a) * x + 0.5 * (a + b)
-        w = 0.5 * (b - a) * wts
-        r = c * t * np.sin(phi)
-        vals = np.asarray(radial_density(r), dtype=float)
-        masses[k] = np.sum(w * 2.0 * math.pi * r * vals * c * t * np.cos(phi))
-    return masses
+    a, b = phi_edges[:-1, None], phi_edges[1:, None]
+    phi = 0.5 * (b - a) * x + 0.5 * (a + b)
+    w = 0.5 * (b - a) * wts
+    r = c * t * np.sin(phi)
+    vals = np.asarray(radial_density(r), dtype=float)
+    return np.sum(w * 2.0 * math.pi * r * vals * c * t * np.cos(phi), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +299,12 @@ def eigenfunction_residual(
     if lam == 0.0:
         g[1:] = 1.0
     else:
-        log_norm = float(log_mittag_leffler(MLParams(alpha, 1.0), lam * t))
+        log_norm = log_mittag_leffler(MLParams(alpha, 1.0), lam * t)
         limit0 = lam / (2.0 * math.pi * c) * math.exp(-log_norm)
-        for m in range(1, w.size):
-            ws = w[m] ** alpha
-            r = math.sqrt(max(0.0, (c * t) ** 2 - ws * ws))
-            g[m] = ws * planar_density_const_rate(alpha, lam, c, t, r, 0.0) / limit0
+        # Scalar ** per node: numpy's power differs in the last ulp.
+        ws = np.array([wm**alpha for wm in w[1:]])
+        r = np.array([math.sqrt(max(0.0, (c * t) ** 2 - v * v)) for v in ws.tolist()])
+        g[1:] = ws * planar_density_const_rate(alpha, lam, c, t, r, 0.0) / limit0
     deriv = caputo_l1(g, grid, alpha)
     target = eigenvalue_factor * (lam / c) * g
     cut = w >= _BOUNDARY_CUT * w[-1]
@@ -335,7 +346,7 @@ def pgf_ode_residual(
     d_alpha = alpha if derivative_alpha is None else derivative_alpha
     lam = cumulative_rate(spec.rate, t)
     u = grid.nodes
-    h_vals = np.array([pgf(spec, t, float(ui) ** alpha) for ui in u])
+    h_vals = pgf(spec, t, np.array([float(ui) ** alpha for ui in u]))
     deriv = caputo_l1(h_vals, grid, d_alpha)
     target = lam * h_vals
     cut = u >= _BOUNDARY_CUT * u[-1]
@@ -359,6 +370,10 @@ def pgf_ode_residual(
 
 # ---------------------------------------------------------------------------
 # Telegraph PDE residual.
+
+
+# Grid points per band of rows in telegraph_residual.
+_TELEGRAPH_BAND = 1 << 16
 
 
 def _classical_grid(lam: float, c: float, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -405,32 +420,49 @@ def telegraph_residual(
         density = lambda xx, yy, tt: _classical_grid(lam, c, tt, xx, yy)  # noqa: E731
     if cone_margin is None:
         cone_margin = max(5.0 * h * max(1.0, c), 0.05 * c * t)
+    if cone_margin < 5.0 * h * max(1.0, c):
+        raise DomainError("cone margin must keep points >= 5 grid steps inside the support")
     half = c * t
     n_side = int(math.floor(half / h))
     axis = h * np.arange(-n_side, n_side + 1)
-    x = axis[:, None]
+    n = axis.size
     y = axis[None, :]
-    p_mid = density(x, y, t)
-    p_lo = density(x, y, t - h)
-    p_hi = density(x, y, t + h)
-    p_tt = (p_hi - 2.0 * p_mid + p_lo) / (h * h)
-    p_t = (p_hi - p_lo) / (2.0 * h)
-    lap = np.full_like(p_mid, np.nan)
-    lap[1:-1, 1:-1] = (
-        p_mid[2:, 1:-1] + p_mid[:-2, 1:-1] + p_mid[1:-1, 2:] + p_mid[1:-1, :-2]
-        - 4.0 * p_mid[1:-1, 1:-1]
-    ) / (h * h)
-    resid = p_tt + 2.0 * lam * p_t - c * c * lap
-    r = np.sqrt(x * x + y * y)
-    if cone_margin < 5.0 * h * max(1.0, c):
-        raise DomainError("cone margin must keep points >= 5 grid steps inside the support")
-    mask = r <= c * (t - h) - cone_margin
-    excluded = int(np.count_nonzero(~mask))
-    vals = resid[mask]
-    scale = np.abs(c * c * lap[mask])
-    if np.any(np.isnan(vals)):
-        raise DomainError("stencil touched the support boundary inside the mask")
-    statistic = float(np.nanmax(np.abs(vals)) / np.nanmax(scale))
+    interior = excluded = 0
+    resid_max, scale_max = [], []
+    # Rows in bands, each with a one-row halo of p_mid for the Laplacian.
+    rows = max(1, _TELEGRAPH_BAND // n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        halo_lo, halo_hi = max(lo - 1, 0), min(hi + 1, n)
+        x = axis[lo:hi, None]
+        p_mid = density(axis[halo_lo:halo_hi, None], y, t)
+        p_lo = density(x, y, t - h)
+        p_hi = density(x, y, t + h)
+        lap = np.full_like(p_mid, np.nan)
+        lap[1:-1, 1:-1] = (
+            p_mid[2:, 1:-1] + p_mid[:-2, 1:-1] + p_mid[1:-1, 2:] + p_mid[1:-1, :-2]
+            - 4.0 * p_mid[1:-1, 1:-1]
+        ) / (h * h)
+        # Drop the halo rows; a band at the grid's edge keeps its NaN row.
+        lap = lap[lo - halo_lo:hi - halo_lo]
+        p_tt = (p_hi - 2.0 * p_mid[lo - halo_lo:hi - halo_lo] + p_lo) / (h * h)
+        p_t = (p_hi - p_lo) / (2.0 * h)
+        resid = p_tt + 2.0 * lam * p_t - c * c * lap
+        r = np.sqrt(x * x + y * y)
+        mask = r <= c * (t - h) - cone_margin
+        inside = int(np.count_nonzero(mask))
+        interior += inside
+        excluded += mask.size - inside
+        if not inside:
+            continue
+        vals = resid[mask]
+        if np.any(np.isnan(vals)):
+            raise DomainError("stencil touched the support boundary inside the mask")
+        resid_max.append(np.nanmax(np.abs(vals)))
+        scale_max.append(np.nanmax(np.abs(c * c * lap[mask])))
+    if not interior:
+        raise DomainError("cone margin leaves no interior points")
+    statistic = float(np.nanmax(resid_max) / np.nanmax(scale_max))
     tol = 100.0 * h * h
     return CheckResult(
         name=name,
@@ -442,7 +474,7 @@ def telegraph_residual(
             "c": c,
             "t": t,
             "h": h,
-            "interior_points": int(np.count_nonzero(mask)),
+            "interior_points": interior,
             "excluded_points": excluded,
             "cone_margin": cone_margin,
         },
@@ -454,12 +486,8 @@ def telegraph_residual(
 
 
 def _radial_profile(law: PlanarLaw) -> Callable[[np.ndarray], np.ndarray]:
-    """The law's absolutely continuous part as a vectorized function of r."""
-
-    def profile(r: np.ndarray) -> np.ndarray:
-        return np.array([law.ac_density(float(v), 0.0) for v in np.atleast_1d(r)])
-
-    return profile
+    """The law's absolutely continuous part as a function of an array of r."""
+    return lambda r: law.ac_density(r, 0.0)
 
 
 def _as_arrays(samples) -> EndpointArrays:
@@ -629,17 +657,15 @@ def law_agreement(
         radii = c * t * np.linspace(0.0, 0.995, 40)
     law = planar_law(spec, c, t)
     lam_is_const = spec.rate.kind == "constant"
-    max_rel_closed = 0.0
-    max_rel_const = 0.0
-    for r in np.asarray(radii, dtype=float):
-        closed = law.ac_density(float(r), 0.0)
-        mix = mixture_density(spec, c, t, float(r))
-        if mix > 0.0:
-            max_rel_closed = max(max_rel_closed, abs(closed - mix) / mix)
-            if lam_is_const:
-                lam0 = spec.rate.params[0]
-                const_form = planar_density_const_rate(spec.alpha, lam0, c, t, float(r), 0.0)
-                max_rel_const = max(max_rel_const, abs(const_form - mix) / mix)
+    radii = np.asarray(radii, dtype=float)
+    mix = np.array([mixture_density(spec, c, t, r) for r in radii.tolist()])
+    pos = mix > 0.0
+    closed = law.ac_density(radii[pos], 0.0)
+    max_rel_closed = float(np.max(np.abs(closed - mix[pos]) / mix[pos], initial=0.0))
+    if lam_is_const:
+        lam0 = spec.rate.params[0]
+        const_form = planar_density_const_rate(spec.alpha, lam0, c, t, radii[pos], 0.0)
+        max_rel_const = float(np.max(np.abs(const_form - mix[pos]) / mix[pos], initial=0.0))
     mass = disk_mass(_radial_profile(law), c, t)
     mass_err = abs(mass + law.singular_weight - 1.0)
     tol = 1e-10

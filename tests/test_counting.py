@@ -313,6 +313,19 @@ def test_pgf_monotone_and_convex():
 def test_pgf_validation():
     with pytest.raises(DomainError):
         pgf(const_spec(0.5, 1.0), 1.0, 1.5)
+    with pytest.raises(DomainError, match="got -0.25"):
+        pgf(const_spec(0.5, 1.0), 1.0, np.array([0.5, -0.25, 1.0]))
+
+
+@pytest.mark.parametrize("alpha,lam", [(0.5, 1.0), (0.3, 4.0), (1.0, 2.0), (0.7, 0.0)])
+def test_pgf_array_matches_point_calls(alpha, lam):
+    spec = const_spec(alpha, lam)
+    u = np.linspace(0.0, 1.0, 33).reshape(3, 11)
+    got = pgf(spec, 1.1, u)
+    assert got.shape == u.shape
+    expected = [pgf(spec, 1.1, float(v)) for v in u.ravel()]
+    assert all(type(v) is float for v in expected)
+    assert got.ravel().view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
 
 
 # ---------------------------------------------------------------------------

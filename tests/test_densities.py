@@ -424,3 +424,55 @@ def test_line_density_positive_and_symmetric(alpha, lam, x):
 def test_flight_marginal_nonnegative(d, n, r):
     assert flight_marginal(d, n, 1.0, 1.0, r, "Y") >= 0.0
     assert flight_marginal(d, n, 1.0, 1.0, r, "X") >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# Array-valued evaluators equal their one-point calls bit for bit
+
+
+def same_bits(array_values, point_values):
+    return (np.asarray(array_values, dtype=float).view(np.int64).tolist()
+            == np.asarray(point_values, dtype=float).view(np.int64).tolist())
+
+
+@pytest.mark.parametrize("alpha,rate", [(0.5, RateFunction.constant(1.0)),
+                                        (0.2, RateFunction.constant(5.0)),
+                                        (1.0, RateFunction.power(2.0, 0.5)),
+                                        (0.7, RateFunction.constant(0.0))])
+def test_planar_ac_density_array_matches_point_calls(alpha, rate):
+    law = planar_law(FracPoissonSpec(alpha, rate), 1.3, 0.9)
+    # Points inside and outside the disk (radius 1.17), with a 2-D shape.
+    x = np.linspace(-1.4, 1.4, 24).reshape(4, 6)
+    y = 0.3
+    got = law.ac_density(x, y)
+    assert got.shape == x.shape
+    expected = [law.ac_density(float(v), y) for v in x.ravel()]
+    assert all(type(v) is float for v in expected)
+    assert same_bits(got.ravel(), expected)
+    assert np.all(got[np.hypot(x, y) >= 1.17] == 0.0)
+    assert law.ac_density(np.empty(0), 0.0).shape == (0,)
+
+
+@pytest.mark.parametrize("alpha,lam", [(0.5, 1.0), (0.8, 3.0), (1.0, 0.0)])
+def test_planar_const_rate_array_matches_point_calls(alpha, lam):
+    r = np.linspace(0.0, 1.15, 30)
+    got = planar_density_const_rate(alpha, lam, 1.3, 0.9, r, 0.2)
+    expected = [planar_density_const_rate(alpha, lam, 1.3, 0.9, float(v), 0.2) for v in r]
+    assert same_bits(got, expected)
+
+
+def test_planar_const_rate_rejects_any_point_outside_the_disk():
+    r = np.array([0.1, 0.5, 1.0, 0.2])
+    with pytest.raises(DomainError, match=r"\(1.0, 0.0\)"):
+        planar_density_const_rate(0.5, 1.0, 1.0, 1.0, r, 0.0)
+
+
+@pytest.mark.parametrize("d,lam", [(3, 2.0), (4, 1.0), (6, 0.5), (5, 0.0)])
+def test_flight_unconditional_array_matches_point_calls(d, lam):
+    spec = FlightCountSpec(d, RateFunction.constant(lam))
+    r = np.linspace(0.0, 0.999, 25)
+    got = flight_unconditional(spec, 1.0, 1.0, r)
+    expected = [flight_unconditional(spec, 1.0, 1.0, float(v)) for v in r]
+    assert same_bits(got, expected)
+    with pytest.raises(DomainError, match="got 1.0"):
+        flight_unconditional(spec, 1.0, 1.0, np.array([0.5, 1.0]))

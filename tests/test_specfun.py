@@ -369,3 +369,100 @@ def test_wright_series_keeps_term_signs():
     assert wright_series(spec, 0.0) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-13)
     terms = [math.gamma(-0.5 + k) * 0.5**k / math.factorial(k) for k in range(80)]
     assert wright_series(spec, 0.5) == pytest.approx(math.fsum(terms), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Array-valued log_mittag_leffler against the one-point implementation
+
+
+def reference_log_ml(params, z, tail_nats=60.0):
+    """The one-point log_mittag_leffler as it was before it took arrays,
+    frozen here as the bit-for-bit reference. Returns (value, doublings of
+    the window)."""
+    alpha, beta = params
+    if z == 0.0:
+        return -log_gamma_pos(beta), 0
+    lnz = math.log(z)
+
+    def log_term(n):
+        return n * lnz - log_gamma_pos(alpha * n + beta)
+
+    n_peak = max(0.0, (z ** (1.0 / alpha) - beta) / alpha)
+    lt_peak = log_term(n_peak)
+    n_hi = max(16.0, 2.0 * n_peak + 16.0)
+    doublings = 0
+    while log_term(n_hi) > lt_peak - tail_nats:
+        n_hi *= 2.0
+        doublings += 1
+    n = np.arange(int(n_hi) + 2, dtype=float)
+    lt = n * lnz - log_gamma_pos(alpha * n + beta)
+    m = lt.max()
+    return float(m + math.log(math.fsum(np.exp(lt - m)))), doublings
+
+
+ML_ORDERS = [(a, b) for a in (0.2, 0.5, 0.75, 1.0) for b in (a, 1.0)]
+ML_ZS = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-12, 0.01, 0.3, 1.0,
+         1.7, 2.5, 4.0, 5.0, 7.5]
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("alpha,beta", ML_ORDERS)
+def test_log_ml_array_is_bit_identical_to_one_point_reference(alpha, beta):
+    # At alpha = 0.2 the window grows like z^5: z = 7.5 already needs 250 000 terms.
+    zs = ML_ZS + ([12.0, 20.0, 60.0, 150.0] if alpha >= 0.5 else [])
+    expected = [reference_log_ml((alpha, beta), z) for z in zs]
+    assert any(d > 0 for _, d in expected)  # some windows double
+    got = log_mittag_leffler(MLParams(alpha, beta), np.array(zs))
+    assert bits(got) == bits([v for v, _ in expected])
+    for z, (value, _) in zip(zs, expected):
+        one = log_mittag_leffler(MLParams(alpha, beta), z)
+        assert type(one) is float and bits([one]) == bits([value])
+
+
+@pytest.fixture(scope="module")
+def many_points():
+    # 3 000 points of 18-60 terms each span several default chunks too.
+    zs = np.random.default_rng(3).random(3000) * 4.0
+    zs[::7] = 0.0
+    return zs, bits([reference_log_ml((0.5, 1.0), z)[0] for z in zs.tolist()])
+
+
+@pytest.mark.parametrize("chunk", [1, 17, 40, 1 << 15])
+def test_log_ml_chunking_does_not_change_bits(chunk, many_points, monkeypatch):
+    from fracmotion import specfun
+
+    zs, expected = many_points
+    monkeypatch.setattr(specfun, "_ML_CHUNK", chunk)
+    assert bits(log_mittag_leffler(MLParams(0.5, 1.0), zs)) == expected
+
+
+def test_log_ml_keeps_the_input_shape():
+    zs = np.array([[0.0, 2.0, 1e-310], [3.0, 0.0, 0.5]])
+    got = log_mittag_leffler(MLParams(0.75, 0.75), zs)
+    assert got.shape == zs.shape
+    assert bits(got.ravel()) == bits([reference_log_ml((0.75, 0.75), z)[0]
+                                      for z in zs.ravel().tolist()])
+    assert log_mittag_leffler(MLParams(0.5, 1.0), np.empty(0)).shape == (0,)
+
+
+def test_log_ml_rejects_any_negative_element():
+    with pytest.raises(DomainError, match="-0.5"):
+        log_mittag_leffler(MLParams(0.5, 1.0), np.array([1.0, 0.0, -0.5, 2.0]))
+
+
+def test_log_ml_memory_on_the_wide_alpha_02_windows():
+    # The alpha = 0.2, const:5 planar grid: z = 5 w with w in [0.95, 1]
+    # needs windows of about 78 000 terms per point.
+    import tracemalloc
+
+    z = 5.0 * np.sqrt(1.0 - np.linspace(0.0, 0.3, 20) ** 2)
+    tracemalloc.start()
+    try:
+        log_mittag_leffler(MLParams(0.2, 0.2), z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

@@ -211,6 +211,39 @@ def test_telegraph_rejects_thin_margin():
         telegraph_residual(1.0, 1.0, cone_margin=1.0 / 256.0)
 
 
+@pytest.mark.parametrize("negative", [False, True])
+def test_telegraph_bands_do_not_change_the_result(negative, monkeypatch):
+    from fracmotion import verify
+
+    squared = lambda x, y, t: verify._classical_grid(1.0, 1.0, t, x, y) ** 2  # noqa: E731
+    density = squared if negative else None
+    results = []
+    # One row per band, uneven bands, and the whole 257 x 257 grid at once.
+    for band in (1, 1000, 257 * 257):
+        monkeypatch.setattr(verify, "_TELEGRAPH_BAND", band)
+        check = telegraph_residual(1.0, 1.0, h=1.0 / 64.0, density=density)
+        results.append((check.statistic, check.details))
+    assert results[0] == results[1] == results[2]
+
+
+def test_telegraph_default_check_memory():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        check = telegraph_residual(1.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check.statistic == 4.982455980943118e-4
+    assert peak < 16e6
+
+
+def test_telegraph_margin_leaving_no_interior_is_rejected():
+    with pytest.raises(DomainError, match="no interior points"):
+        telegraph_residual(1.0, 1.0, cone_margin=10.0)
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo goodness of fit
 
@@ -308,6 +341,47 @@ def test_law_agreement_classical_forms_coincide():
     check = law_agreement(const_spec(1.0, 1.0), 1.0, 1.0)
     assert check.passed
     assert check.details["const_rate_form_max_rel_diff"] <= 1e-10
+
+
+def test_gauss_legendre_rule_is_cached_and_read_only():
+    from numpy.polynomial.legendre import leggauss
+
+    from fracmotion.verify import _gauss_legendre
+
+    nodes, wts = _gauss_legendre(32)
+    assert _gauss_legendre(32)[0] is nodes
+    assert not nodes.flags.writeable and not wts.flags.writeable
+    ref_nodes, ref_wts = leggauss(32)
+    assert nodes.tolist() == ref_nodes.tolist() and wts.tolist() == ref_wts.tolist()
+
+
+def test_bin_masses_match_a_per_bin_loop():
+    from numpy.polynomial.legendre import leggauss
+
+    from fracmotion.verify import _bin_masses
+
+    c, t = 1.3, 0.9
+    law = planar_law(const_spec(0.5, 1.0), c, t)
+    edges = np.linspace(0.0, c * t, 51)
+    calls = []
+
+    def profile(r):
+        calls.append(np.shape(r))
+        return law.ac_density(r, 0.0)
+
+    got = _bin_masses(profile, c, t, edges)
+    assert calls == [(50, 32)]
+    # The per-bin loop the masses were computed by before.
+    x, wts = leggauss(32)
+    phi_edges = np.arcsin(np.clip(edges / (c * t), 0.0, 1.0))
+    expected = []
+    for a, b in zip(phi_edges[:-1], phi_edges[1:]):
+        phi = 0.5 * (b - a) * x + 0.5 * (a + b)
+        w = 0.5 * (b - a) * wts
+        r = c * t * np.sin(phi)
+        vals = np.array([law.ac_density(float(v), 0.0) for v in r])
+        expected.append(np.sum(w * 2.0 * math.pi * r * vals * c * t * np.cos(phi)))
+    assert got.tolist() == expected
 
 
 def test_disk_mass_of_uniform_density():
