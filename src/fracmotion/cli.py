@@ -169,7 +169,7 @@ def cmd_simulate(config: RunConfig) -> int:
     spec = FracPoissonSpec(alpha=p["alpha"], rate=rate)
     cfg = MotionConfig(c=p["c"], t=p["t"], count_spec=spec,
                        instants_mode=p.get("instants_mode", "order-statistics"))
-    cols = endpoint_arrays(cfg, p["samples"], p["seed"], p.get("workers", 1))
+    cols = endpoint_arrays(cfg, p["samples"], p["seed"])
     out = _resolve_out(p, "endpoints.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
@@ -364,9 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--samples", type=_positive_int, required=True)
     sim.add_argument("--seed", type=_nonnegative_int, default=0,
                      help="sample i draws from numpy's default_rng((seed, i))")
-    sim.add_argument("--workers", type=_positive_int, default=1,
-                     help="accepted for compatibility; has no effect (sampling "
-                          "is vectorized in one process)")
     sim.add_argument("--instants-mode", dest="instants_mode",
                      choices=["order-statistics", "rate-weighted"],
                      default="order-statistics",

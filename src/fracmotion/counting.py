@@ -11,6 +11,9 @@ a weighted Poisson law with weights w(n) = n!/Γ(αn+1). Two relatives are
 provided: a state-dependent variant whose order α_j changes with the
 state j, and the flight-adapted distribution used by the projected
 random-flight motions, with pmf Λ^n / (Γ((n+1)(d/2−1)+1) · E_{d/2−1,d/2}(Λ)).
+The fractional and flight laws share one log-weight, n·ln Λ − ln Γ(an + b),
+with (a, b) = (α, 1) or (d/2 − 1, d/2); ``pmf`` and ``count_distribution``
+take any of the three specs.
 
 All pmf evaluation runs in the log domain (log-weights minus a
 log-normalizer), so large Λ -- where E_{α,1}(Λ) overflows double
@@ -49,10 +52,7 @@ __all__ = [
     "count_distribution",
     "pmf",
     "weighted_pmf",
-    "state_dependent_pmf",
-    "flight_count_pmf",
     "pgf",
-    "sample_count",
     "rate_to_json",
     "rate_from_json",
 ]
@@ -124,10 +124,6 @@ class RateFunction:
                     return v
             return 0.0
         return float(self.fn(s))
-
-    def cumulative(self, t: float) -> float:
-        """Λ(t) = ∫₀ᵗ λ(s) ds."""
-        return cumulative_rate(self, t)
 
 
 def cumulative_rate(rate: RateFunction, t: float) -> float:
@@ -237,20 +233,19 @@ CountingSpec = Union[FracPoissonSpec, StateDependentSpec, FlightCountSpec]
 # ---------------------------------------------------------------------------
 # Log-domain pmf machinery.
 #
-# Every family below has pmf(n) = exp(log_weight(n) - log_normalizer),
-# with log_weight(n) = n·lnΛ − lnΓ(·) and the normalizer a Mittag-Leffler
-# value (or, for the state-dependent family, a truncated sum).
+# Every family below has pmf(n) = exp(log_weight(n) - log_normalizer).  The
+# fractional and flight families share one rule, P{N=n} = Λ^n / (Γ(an+b)
+# E_{a,b}(Λ)); the state-dependent normalizer is a truncated sum.
 
 
-def _log_weight_frac(alpha: float, log_lam: float, n) -> np.ndarray:
-    n = np.asarray(n, dtype=float)
-    return n * log_lam - log_gamma_pos(alpha * n + 1.0)
-
-
-def _log_weight_flight(d: int, log_lam: float, n) -> np.ndarray:
-    gamma_order = d / 2.0 - 1.0
-    n = np.asarray(n, dtype=float)
-    return n * log_lam - log_gamma_pos((n + 1.0) * gamma_order + 1.0)
+def _ml_params(spec) -> MLParams:
+    """(a, b) of the fractional (α, 1) or flight (γ, γ + 1), γ = d/2 − 1, law."""
+    if isinstance(spec, FracPoissonSpec):
+        return MLParams(spec.alpha, 1.0)
+    if isinstance(spec, FlightCountSpec):
+        gamma_order = spec.d / 2.0 - 1.0
+        return MLParams(gamma_order, gamma_order + 1.0)
+    raise DomainError(f"unsupported counting spec type {type(spec).__name__}")
 
 
 @lru_cache(maxsize=256)
@@ -279,63 +274,36 @@ def _state_dependent_log_terms(spec: StateDependentSpec, lam: float, max_terms: 
 
 
 def _log_terms_and_normalizer(spec, t: float):
-    """(callable n -> log-weight array, log normalizer, Λ(t)) for any of
-    the three counting specs."""
+    """(callable n -> log-weight array of the shape of n, log normalizer,
+    Λ(t)) for any of the three counting specs."""
     lam = cumulative_rate(spec.rate, t)
-    if isinstance(spec, FracPoissonSpec):
-        if lam == 0.0:
-            return (lambda n: np.where(np.asarray(n) == 0, 0.0, -np.inf)), 0.0, lam
-        log_lam = math.log(lam)
-        log_norm = _log_ml_cached(spec.alpha, 1.0, lam)
-        return (lambda n: _log_weight_frac(spec.alpha, log_lam, n)), log_norm, lam
-    if isinstance(spec, FlightCountSpec):
-        gamma_order = spec.d / 2.0 - 1.0
-        if lam == 0.0:
-            log_norm = -log_gamma_pos(gamma_order + 1.0)
-            return (
-                lambda n: np.where(
-                    np.asarray(n) == 0, -log_gamma_pos(gamma_order + 1.0), -np.inf
-                ),
-                log_norm,
-                lam,
-            )
-        log_lam = math.log(lam)
-        log_norm = _log_ml_cached(gamma_order, gamma_order + 1.0, lam)
-        return (lambda n: _log_weight_flight(spec.d, log_lam, n)), log_norm, lam
     if isinstance(spec, StateDependentSpec):
         logs = _state_dependent_log_terms(spec, lam)
         m = logs.max()
         log_norm = m + math.log(math.fsum(np.exp(logs - m)))
 
         def log_weight(n):
-            n = np.atleast_1d(np.asarray(n, dtype=int))
-            out = np.full(n.shape, -np.inf)
-            inside = n < len(logs)
-            out[inside] = logs[n[inside]]
-            return out
+            n = np.asarray(n, dtype=np.int64)
+            return np.where(n < logs.size, logs[np.minimum(n, logs.size - 1)], -np.inf)
 
         return log_weight, log_norm, lam
-    raise DomainError(f"unsupported counting spec type {type(spec).__name__}")
+    a, b = _ml_params(spec)
+    # math.log, not np.log: numpy's can differ in the last ulp.
+    log_lam = math.log(lam) if lam > 0.0 else -math.inf
+
+    def log_weight(n):
+        n = np.asarray(n, dtype=float)
+        # Λ^0 = 1 also at Λ = 0, where n·ln Λ is 0·(−inf).
+        with np.errstate(invalid="ignore"):
+            return np.where(n == 0, 0.0, n * log_lam) - log_gamma_pos(a * n + b)
+
+    return log_weight, _log_ml_cached(a, b, lam), lam
 
 
-def pmf(spec: FracPoissonSpec, t: float, n: int) -> float:
-    """P{N_α(t) = n} = Λ(t)^n / (Γ(αn+1) E_{α,1}(Λ(t)))."""
-    _require_time(t)
-    n = _require_count(n)
-    log_weight, log_norm, _ = _log_terms_and_normalizer(spec, t)
-    return min(1.0, float(np.exp(log_weight(n) - log_norm)))
-
-
-def state_dependent_pmf(spec: StateDependentSpec, t: float, j: int) -> float:
-    """The state-dependent pmf (each state j weighted by its own order α_j)."""
-    _require_time(t)
-    j = _require_count(j)
-    log_weight, log_norm, _ = _log_terms_and_normalizer(spec, t)
-    return min(1.0, float(np.exp(log_weight(j) - log_norm)[0]))
-
-
-def flight_count_pmf(spec: FlightCountSpec, t: float, n: int) -> float:
-    """P{N_d(t) = n} = Λ^n / (Γ((n+1)(d/2−1)+1) E_{d/2−1,d/2}(Λ))."""
+def pmf(spec: CountingSpec, t: float, n: int) -> float:
+    """P{N(t) = n} for any counting spec: Λ(t)^n / (Γ(an+b) E_{a,b}(Λ(t)))
+    with (a, b) = (α, 1) for the fractional law and (d/2 − 1, d/2) for the
+    flight law, or the state-dependent pmf (state j weighted by its own α_j)."""
     _require_time(t)
     n = _require_count(n)
     log_weight, log_norm, _ = _log_terms_and_normalizer(spec, t)
@@ -425,7 +393,7 @@ class CountDistribution:
                 )
             lo = self._probs.size
             n_new = np.arange(lo, lo + self._BLOCK)
-            lw_new = np.asarray(self._log_weight(n_new), dtype=float) - self.log_normalizer
+            lw_new = self._log_weight(n_new) - self.log_normalizer
             p_new = np.exp(lw_new)
             base = self._cum[-1] if self._cum.size else 0.0
             self._probs = np.concatenate([self._probs, p_new])
@@ -443,7 +411,7 @@ class CountDistribution:
         n = _require_count(n)
         if n < self._probs.size:
             return float(self._probs[n])
-        return float(np.exp(np.asarray(self._log_weight(n), dtype=float) - self.log_normalizer))
+        return float(np.exp(self._log_weight(n) - self.log_normalizer))
 
     def cdf(self, n: int) -> float:
         n = _require_count(n)
@@ -487,13 +455,6 @@ class CountDistribution:
 def count_distribution(spec, t: float) -> CountDistribution:
     """Cached table builder; specs are immutable, so sharing is safe."""
     return CountDistribution(spec, t)
-
-
-def sample_count(spec, t: float, uniforms) -> int:
-    """Inverse-CDF draw from any counting spec; consumes exactly one
-    uniform from the stream."""
-    dist = count_distribution(spec, t)
-    return dist.sample(float(next(uniforms)))
 
 
 def _require_time(t: float) -> None:

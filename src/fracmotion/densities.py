@@ -41,6 +41,7 @@ import numpy as np
 from .counting import (
     FlightCountSpec,
     FracPoissonSpec,
+    _ml_params,
     count_distribution,
     cumulative_rate,
 )
@@ -167,11 +168,11 @@ def planar_law(spec: FracPoissonSpec, c: float, t: float) -> PlanarLaw:
     )
 
 
-def mixture_density(spec: FracPoissonSpec, c: float, t: float, r: float,
-                    rel_tol: float = 1e-14, max_terms: int = 500) -> float:
+def mixture_density(spec: FracPoissonSpec, c: float, t: float, r: float) -> float:
     """Term-by-term mixture Σ_{n≥1} f_n(r)·P{N=n}: the independent
     cross-check for the collapsed form in :func:`planar_law`. Summed by
-    :func:`~fracmotion.specfun.positive_series` (``rel_tol``, ``max_terms``)."""
+    :func:`~fracmotion.specfun.positive_series` at rel_tol 1e-14, at most
+    500 terms."""
     _require_speed_horizon(c, t)
     if not (0.0 <= r < c * t):
         raise DomainError(f"radius must lie in [0, ct), got {r}")
@@ -182,7 +183,7 @@ def mixture_density(spec: FracPoissonSpec, c: float, t: float, r: float,
     def terms(k):
         return [conditional_density(n, c, t, r) * dist.pmf(n) for n in (k + 1).tolist()]
 
-    return math.fsum(positive_series(terms, rel_tol, max_terms, f"planar mixture at r={r}"))
+    return math.fsum(positive_series(terms, 1e-14, 500, f"planar mixture at r={r}"))
 
 
 def planar_density_const_rate(alpha: float, lam: float, c: float, t: float, x, y):
@@ -356,7 +357,8 @@ def flight_unconditional(spec: FlightCountSpec, c: float, t: float, r):
     inside = (0.0 <= r) & (r < c * t)
     if not np.all(inside):
         raise DomainError(f"radius must lie in [0, ct), got {float(r[~inside].flat[0])}")
-    gamma_order = spec.d / 2.0 - 1.0
+    norm_params = _ml_params(spec)
+    gamma_order = norm_params.alpha
     lam = cumulative_rate(spec.rate, t)
     ct = c * t
     radii = r.ravel().tolist()
@@ -367,7 +369,7 @@ def flight_unconditional(spec: FlightCountSpec, c: float, t: float, r):
         w2 = [ct * ct - ri * ri for ri in radii]
         q = np.array([v**gamma_order / ct ** (2.0 * gamma_order) for v in w2])
         log_ml = log_mittag_leffler(MLParams(gamma_order, gamma_order), lam * q)
-        log_norm = log_mittag_leffler(MLParams(gamma_order, gamma_order + 1.0), lam)
+        log_norm = log_mittag_leffler(norm_params, lam)
         out = np.array([
             math.exp((gamma_order - 1.0) * math.log(v) - math.log(math.pi)
                      - 2.0 * gamma_order * math.log(ct) + lm - log_norm)
@@ -378,12 +380,11 @@ def flight_unconditional(spec: FlightCountSpec, c: float, t: float, r):
 
 
 def flight_mixture_density(spec: FlightCountSpec, c: float, t: float, r: float,
-                           variant: str = "Y", rel_tol: float = 1e-14,
-                           max_terms: int = 200) -> float:
-    """Term-by-term mixture Σ_{n≥0} f^d(r; n)·P{N_d = n}; the independent
-    cross-check for :func:`flight_unconditional` (Y-variant) and the only
-    evaluation offered for the X-variant, whose collapsed form is not
-    available."""
+                           variant: str = "Y") -> float:
+    """Term-by-term mixture Σ_{n≥0} f^d(r; n)·P{N_d = n}, summed at rel_tol
+    1e-14 with at most 200 terms; the independent cross-check for
+    :func:`flight_unconditional` (Y-variant) and the only evaluation
+    offered for the X-variant, whose collapsed form is not available."""
     _require_speed_horizon(c, t)
     if not (0.0 <= r < c * t):
         raise DomainError(f"radius must lie in [0, ct), got {r}")
@@ -394,5 +395,5 @@ def flight_mixture_density(spec: FlightCountSpec, c: float, t: float, r: float,
                 for n in k.tolist()]
 
     return math.fsum(
-        positive_series(terms, rel_tol, max_terms, f"flight mixture at r={r}", first_stop=3)
+        positive_series(terms, 1e-14, 200, f"flight mixture at r={r}", first_stop=3)
     )

@@ -15,10 +15,9 @@ reproduce the closed-form endpoint law and is flagged as such.
 
 Endpoint batches are reproducible bit-for-bit: sample ``i`` draws from its
 own ``numpy`` substream ``default_rng((seed, i))``, exactly as
-:func:`sample_trajectory` would consume it.  The batch sampler recomputes
-those streams for many ``i`` at once in numpy integer arithmetic instead of
-building one generator per sample, so it runs in one thread; the
-``worker_count`` argument is kept for compatibility and has no effect.
+:func:`sample_trajectory` would consume it.  The batch sampler
+:func:`endpoint_arrays` recomputes those streams for many ``i`` at once in
+numpy integer arithmetic instead of building one generator per sample.
 
 Flight-model endpoints (random flights with Dirichlet displacement weights)
 have an analytically invertible radial CDF, so their radii are sampled by
@@ -46,13 +45,11 @@ from .specfun import DomainError
 __all__ = [
     "MotionConfig",
     "Trajectory",
-    "PlanarSample",
     "FlightSample",
     "EndpointArrays",
     "endpoint_from_path",
     "sample_trajectory",
     "sample_flight_radius",
-    "batch_endpoints",
     "endpoint_arrays",
     "conditioned_endpoints",
     "flight_radii_batch",
@@ -87,13 +84,6 @@ class MotionConfig:
             raise DomainError(
                 f"instants_mode must be one of {_INSTANT_MODES}, got {self.instants_mode!r}"
             )
-
-
-class PlanarSample(NamedTuple):
-    x: float
-    y: float
-    n: int
-    is_singular: bool
 
 
 class FlightSample(NamedTuple):
@@ -450,21 +440,17 @@ def _endpoints(cfg: MotionConfig, n: int, u: np.ndarray) -> tuple[np.ndarray, np
     return cfg.c * x, cfg.c * y
 
 
-def endpoint_arrays(
-    cfg: MotionConfig, n_samples: int, seed: int, worker_count: int = 1
-) -> EndpointArrays:
-    """Column-oriented endpoint batch; see :func:`batch_endpoints`.
+def endpoint_arrays(cfg: MotionConfig, n_samples: int, seed: int) -> EndpointArrays:
+    """Draw ``n_samples`` endpoints as columns, deterministic in
+    ``(cfg, n_samples, seed)``.
 
     Sample ``i`` is the path :func:`sample_trajectory` draws from
     ``np.random.default_rng((seed, i))``, bit for bit.  The streams are
     generated in bulk, blocks of samples at a time, so memory stays bounded
-    by the block size and the longest single path.  ``worker_count`` is
-    validated for compatibility and has no effect.
+    by the block size and the longest single path.
     """
     if n_samples <= 0:
         raise DomainError(f"n_samples must be positive, got {n_samples}")
-    if worker_count < 1:
-        raise DomainError(f"worker_count must be >= 1, got {worker_count}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     dist = count_distribution(cfg.count_spec, cfg.t)
@@ -485,20 +471,6 @@ def endpoint_arrays(
                 xs[lo + chunk] = x
                 ys[lo + chunk] = y
     return EndpointArrays(x=xs, y=ys, n=ns, is_singular=ns == 0)
-
-
-def batch_endpoints(
-    cfg: MotionConfig, n_samples: int, seed: int, worker_count: int = 1
-) -> list[PlanarSample]:
-    """Draw ``n_samples`` endpoints, deterministic in ``(cfg, n_samples, seed)``.
-
-    A list view of :func:`endpoint_arrays`; ``worker_count`` has no effect.
-    """
-    cols = endpoint_arrays(cfg, n_samples, seed, worker_count)
-    return [
-        PlanarSample(float(cols.x[i]), float(cols.y[i]), int(cols.n[i]), bool(cols.is_singular[i]))
-        for i in range(n_samples)
-    ]
 
 
 def conditioned_endpoints(

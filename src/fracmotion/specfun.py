@@ -99,6 +99,9 @@ _MAX_TERM = math.exp(709.0)
 # Log-terms held at once by log_mittag_leffler: rows of similar window
 # length go together up to this many elements (a longer window goes alone).
 _ML_CHUNK = 1 << 15
+# A log_mittag_leffler window ends where its log-terms fall this many nats
+# below the peak term (e^-60 is below a double's relative precision).
+_ML_TAIL_NATS = 60.0
 
 
 def positive_series(terms, rel_tol: float, max_terms: int, what: str,
@@ -290,13 +293,13 @@ def mittag_leffler(params, z: float, ctl: SeriesControl | None = None) -> float:
     return math.fsum(positive_series(terms, ctl.rel_tol, ctl.max_terms, what))
 
 
-def log_mittag_leffler(params, z, tail_nats: float = 60.0):
+def log_mittag_leffler(params, z):
     """ln E_{alpha,beta}(z) for z >= 0 (a scalar or an array), stable at
     any magnitude.
 
     For each point, locates the peak term index from alpha*n + beta ~
     z^(1/alpha) and doubles the window [0, n_hi) until log-terms at n_hi
-    fall ``tail_nats`` below the peak; the points still growing are doubled
+    fall 60 nats below the peak; the points still growing are doubled
     together. The z-independent row ln Gamma(alpha*n + beta) is evaluated
     once, up to the longest window, and each point's log-terms then go
     through a log-sum-exp added with ``math.fsum``. Points are processed in
@@ -321,7 +324,7 @@ def log_mittag_leffler(params, z, tail_nats: float = 60.0):
     def log_term(n, ln):
         return n * ln - log_gamma_pos(alpha * n + beta)
 
-    floor = log_term(n_peak, lnz) - tail_nats
+    floor = log_term(n_peak, lnz) - _ML_TAIL_NATS
     n_hi = np.maximum(16.0, 2.0 * n_peak + 16.0)
     growing = np.arange(pos.size)
     while growing.size:

@@ -40,7 +40,6 @@ from . import __version__
 from .counting import CountingSpec, FracPoissonSpec, cumulative_rate, pgf
 from .densities import (
     PlanarLaw,
-    classical_planar_density,
     mixture_density,
     planar_density_const_rate,
     planar_law,
@@ -230,11 +229,10 @@ def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, wts
 
 
-def disk_mass(radial_density: Callable[[np.ndarray], np.ndarray], c: float, t: float,
-              n_nodes: int = 256) -> float:
-    """``2*pi * integral_0^{ct} r * f(r) dr`` by Gauss-Legendre in phi;
-    ``radial_density`` is called once, on the array of all nodes."""
-    phi, wts = _gauss_legendre(n_nodes)
+def disk_mass(radial_density: Callable[[np.ndarray], np.ndarray], c: float, t: float) -> float:
+    """``2*pi * integral_0^{ct} r * f(r) dr`` by 256-node Gauss-Legendre in
+    phi; ``radial_density`` is called once, on the array of all nodes."""
+    phi, wts = _gauss_legendre(256)
     phi = 0.25 * math.pi * (phi + 1.0)
     wts = 0.25 * math.pi * wts
     r = c * t * np.sin(phi)
@@ -244,11 +242,11 @@ def disk_mass(radial_density: Callable[[np.ndarray], np.ndarray], c: float, t: f
 
 
 def _bin_masses(radial_density: Callable[[np.ndarray], np.ndarray], c: float, t: float,
-                edges: np.ndarray, n_nodes: int = 32) -> np.ndarray:
-    """Per-bin masses of ``2*pi*r*f(r)`` over consecutive ``edges`` in r;
-    ``radial_density`` is called once, on the (bins, n_nodes) array of all
-    nodes."""
-    x, wts = _gauss_legendre(n_nodes)
+                edges: np.ndarray) -> np.ndarray:
+    """Per-bin masses of ``2*pi*r*f(r)`` over consecutive ``edges`` in r by
+    32-node Gauss-Legendre per bin; ``radial_density`` is called once, on
+    the (bins, 32) array of all nodes."""
+    x, wts = _gauss_legendre(32)
     phi_edges = np.arcsin(np.clip(edges / (c * t), 0.0, 1.0))
     a, b = phi_edges[:-1, None], phi_edges[1:, None]
     phi = 0.5 * (b - a) * x + 0.5 * (a + b)
@@ -490,17 +488,7 @@ def _radial_profile(law: PlanarLaw) -> Callable[[np.ndarray], np.ndarray]:
     return lambda r: law.ac_density(r, 0.0)
 
 
-def _as_arrays(samples) -> EndpointArrays:
-    if isinstance(samples, EndpointArrays):
-        return samples
-    xs = np.array([s.x for s in samples])
-    ys = np.array([s.y for s in samples])
-    ns = np.array([s.n for s in samples], dtype=np.int64)
-    sing = np.array([s.is_singular for s in samples], dtype=bool)
-    return EndpointArrays(x=xs, y=ys, n=ns, is_singular=sing)
-
-
-def mc_gof(samples, law: PlanarLaw, bins: int = 50) -> list[CheckResult]:
+def mc_gof(cols: EndpointArrays, law: PlanarLaw, bins: int = 50) -> list[CheckResult]:
     """Three-way goodness of fit of an endpoint batch against a planar law.
 
     Entries: (i) binomial z-test of the singular mass, |z| <= 3;
@@ -509,7 +497,6 @@ def mc_gof(samples, law: PlanarLaw, bins: int = 50) -> list[CheckResult]:
     noted in details), p > 0.001; (iii) KS test of the angle against
     uniform, p > 0.001.
     """
-    cols = _as_arrays(samples)
     n_total = cols.x.size
     if n_total < 100_000:
         raise DomainError(f"goodness-of-fit needs >= 1e5 samples, got {n_total}")

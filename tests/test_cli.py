@@ -128,13 +128,6 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
     ) == manifest_without_timestamp(tmp_path / "b.csv.manifest.json")
 
 
-def test_simulate_worker_count_does_not_change_output(tmp_path):
-    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
-    assert simulate(serial, "--workers", "1") == EXIT_OK
-    assert simulate(pooled, "--workers", "4") == EXIT_OK
-    assert serial.read_bytes() == pooled.read_bytes()
-
-
 def test_simulate_fractional_order(tmp_path):
     out = tmp_path / "frac.csv"
     assert simulate(out, "--alpha", "0.5", "--rate", "power:1,1") == EXIT_OK

@@ -18,16 +18,20 @@ from fracmotion.counting import (
     StateDependentSpec,
     count_distribution,
     cumulative_rate,
-    flight_count_pmf,
     pgf,
     pmf,
     rate_from_json,
     rate_to_json,
-    sample_count,
-    state_dependent_pmf,
     weighted_pmf,
 )
-from fracmotion.specfun import ConvergenceError, DomainError, MLParams, mittag_leffler
+from fracmotion.specfun import (
+    ConvergenceError,
+    DomainError,
+    MLParams,
+    log_gamma_pos,
+    log_mittag_leffler,
+    mittag_leffler,
+)
 
 ALPHA_GRID = (0.3, 0.5, 0.7, 1.0)
 LAMBDA_GRID = (0.1, 1.0, 5.0, 20.0)
@@ -223,13 +227,13 @@ def test_state_dependent_constant_orders_reduce_to_base():
     sd = StateDependentSpec((0.5,), RateFunction.constant(1.0))
     base = const_spec(0.5, 1.0)
     for j in range(8):
-        assert state_dependent_pmf(sd, 1.0, j) == pytest.approx(pmf(base, 1.0, j), rel=1e-10)
+        assert pmf(sd, 1.0, j) == pytest.approx(pmf(base, 1.0, j), rel=1e-10)
 
 
 def test_state_dependent_all_one_is_poisson():
     sd = StateDependentSpec((1.0, 1.0), RateFunction.constant(2.0))
     for j in range(8):
-        assert state_dependent_pmf(sd, 1.0, j) == pytest.approx(
+        assert pmf(sd, 1.0, j) == pytest.approx(
             scipy.stats.poisson.pmf(j, 2.0), rel=1e-10
         )
 
@@ -237,17 +241,17 @@ def test_state_dependent_all_one_is_poisson():
 def test_state_dependent_mixed_orders_against_series_oracle():
     # alpha_0 = 1, alpha_j = 0.5 beyond; frozen 200-term 50-digit reference.
     sd = StateDependentSpec((1.0, 0.5), RateFunction.constant(1.0))
-    assert state_dependent_pmf(sd, 1.0, 0) == pytest.approx(
+    assert pmf(sd, 1.0, 0) == pytest.approx(
         0.3149011083683383573142941, rel=1e-10
     )
-    assert state_dependent_pmf(sd, 1.0, 1) == pytest.approx(
+    assert pmf(sd, 1.0, 1) == pytest.approx(
         0.1928299221108632029615303, rel=1e-10
     )
 
 
 def test_state_dependent_normalization():
     sd = StateDependentSpec((1.0, 0.3, 0.7), RateFunction.constant(5.0))
-    total = math.fsum(state_dependent_pmf(sd, 1.0, j) for j in range(400))
+    total = math.fsum(pmf(sd, 1.0, j) for j in range(400))
     assert abs(total - 1.0) <= 1e-10
 
 
@@ -258,17 +262,17 @@ def test_state_dependent_normalization():
 def test_flight_count_d4_closed_form():
     spec = FlightCountSpec(4, RateFunction.constant(1.0))
     # 1 / (Gamma(2) E_{1,2}(1)) = 1/(e-1)
-    assert flight_count_pmf(spec, 1.0, 0) == pytest.approx(1.0 / (math.e - 1.0), rel=1e-12)
+    assert pmf(spec, 1.0, 0) == pytest.approx(1.0 / (math.e - 1.0), rel=1e-12)
     # d=4 pmf is Lambda^n/(n+1)! times the normalizer
     for n in range(6):
         expected = 1.0 / (math.factorial(n + 1) * (math.e - 1.0))
-        assert flight_count_pmf(spec, 1.0, n) == pytest.approx(expected, rel=1e-12)
+        assert pmf(spec, 1.0, n) == pytest.approx(expected, rel=1e-12)
 
 
 def test_flight_count_d3_derived_point():
     spec = FlightCountSpec(3, RateFunction.constant(2.0))
     # 2 / (Gamma(2) E_{0.5,1.5}(2)); frozen 50-digit reference.
-    assert flight_count_pmf(spec, 1.0, 1) == pytest.approx(
+    assert pmf(spec, 1.0, 1) == pytest.approx(
         0.03705731411651382665642842, rel=1e-11
     )
 
@@ -278,6 +282,98 @@ def test_flight_count_d3_derived_point():
 def test_flight_count_normalization(d, lam):
     dist = count_distribution(FlightCountSpec(d, RateFunction.constant(lam)), 1.0)
     assert abs(dist.cdf(dist.support_size - 1) - 1.0) <= 1e-10
+
+
+def test_state_dependent_table_pmf_past_its_support():
+    dist = count_distribution(StateDependentSpec((0.5, 0.7), RateFunction.constant(1.0)), 1.0)
+    assert dist.support_size < 600
+    assert dist.pmf(600) == 0.0
+
+
+@pytest.mark.parametrize("spec", [
+    const_spec(0.5, 0.0),
+    StateDependentSpec((0.5, 0.7), RateFunction.constant(0.0)),
+    FlightCountSpec(3, RateFunction.constant(0.0)),
+    FlightCountSpec(6, RateFunction.constant(0.0)),
+], ids=["fractional", "state-dependent", "flight-d3", "flight-d6"])
+def test_pmf_at_zero_rate(spec):
+    assert pmf(spec, 1.0, 0) == 1.0
+    assert pmf(spec, 1.0, 1) == 0.0
+    assert pmf(spec, 1.0, 7) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# One log-weight for the fractional and flight laws against the two it
+# replaced, frozen here as the bit-for-bit reference.
+
+
+def reference_log_terms(spec, t: float):
+    """(log-weight, log-normalizer) of the fractional and flight laws as
+    each family computed them with its own function and Lambda = 0 branch."""
+    lam = cumulative_rate(spec.rate, t)
+    if isinstance(spec, FracPoissonSpec):
+        if lam == 0.0:
+            return (lambda n: np.where(np.asarray(n) == 0, 0.0, -np.inf)), 0.0
+        log_lam = math.log(lam)
+
+        def log_weight_frac(n):
+            n = np.asarray(n, dtype=float)
+            return n * log_lam - log_gamma_pos(spec.alpha * n + 1.0)
+
+        return log_weight_frac, log_mittag_leffler(MLParams(spec.alpha, 1.0), lam)
+    gamma_order = spec.d / 2.0 - 1.0
+    if lam == 0.0:
+        return (lambda n: np.where(np.asarray(n) == 0, -log_gamma_pos(gamma_order + 1.0),
+                                   -np.inf)), -log_gamma_pos(gamma_order + 1.0)
+    log_lam = math.log(lam)
+
+    def log_weight_flight(n):
+        n = np.asarray(n, dtype=float)
+        return n * log_lam - log_gamma_pos((n + 1.0) * gamma_order + 1.0)
+
+    return log_weight_flight, log_mittag_leffler(MLParams(gamma_order, gamma_order + 1.0), lam)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+# E_{0.2,1}(50) needs a window of about 3e9 terms, so alpha = 0.2 stops at
+# Lambda = 5 in place of 50.
+MERGED_LOG_WEIGHT_SPECS = [
+    const_spec(alpha, lam)
+    for alpha in (0.2, 0.5, 1.0)
+    for lam in (0.0, 1e-3, 1.0, 5.0 if alpha == 0.2 else 50.0)
+] + [
+    FlightCountSpec(d, RateFunction.constant(lam))
+    for d in range(3, 9)
+    for lam in (0.0, 1e-3, 1.0, 50.0)
+]
+
+
+def _spec_id(spec):
+    order = f"alpha={spec.alpha}" if isinstance(spec, FracPoissonSpec) else f"d={spec.d}"
+    return f"{order}-lam={spec.rate.params[0]}"
+
+
+@pytest.mark.parametrize("spec", MERGED_LOG_WEIGHT_SPECS, ids=_spec_id)
+def test_merged_log_weight_matches_per_family_reference(spec):
+    ref_weight, ref_norm = reference_log_terms(spec, 1.0)
+    log_weight, log_norm, lam = counting._log_terms_and_normalizer(spec, 1.0)
+    # Only the fractional law at Lambda = 0 moved its normalizer: from 0.0
+    # to -ln Gamma(1), the Lanczos value 8.9e-16, which its weight at n = 0
+    # carries too, so the normalized log-weights still agree.
+    if lam > 0.0 or isinstance(spec, FlightCountSpec):
+        assert _bits([log_norm]) == _bits([ref_norm])
+    n = np.arange(100_000)
+    # 0 * ln(Lambda) may be -0.0 in the reference; array_equal takes it as 0.0.
+    assert np.array_equal(log_weight(n) - log_norm, ref_weight(n) - ref_norm)
+    for k in (0, 1, 2, 7, 100, 1000, 99_999):
+        ref = min(1.0, float(np.exp(ref_weight(k) - ref_norm)))
+        assert _bits([pmf(spec, 1.0, k)]) == _bits([ref])
+    dist = CountDistribution(spec, 1.0)
+    table = [dist.pmf(k) for k in range(dist.support_size)]
+    assert _bits(table) == _bits(np.exp(ref_weight(np.arange(dist.support_size)) - ref_norm))
 
 
 def test_flight_spec_validation():
@@ -335,14 +431,15 @@ def test_pgf_array_matches_point_calls(alpha, lam):
 def test_sample_count_inverse_cdf_definition():
     spec = const_spec(0.5, 1.0)
     p0 = pmf(spec, 1.0, 0)
-    assert sample_count(spec, 1.0, iter([p0 * 0.5])) == 0
-    assert sample_count(spec, 1.0, iter([p0 * 1.01])) == 1
+    dist = count_distribution(spec, 1.0)
+    assert dist.sample(p0 * 0.5) == 0
+    assert dist.sample(p0 * 1.01) == 1
 
 
 def test_sample_count_is_deterministic():
     spec = const_spec(0.7, 2.0)
-    draws_a = [sample_count(spec, 1.0, iter([u])) for u in (0.1, 0.5, 0.9, 0.999)]
-    draws_b = [sample_count(spec, 1.0, iter([u])) for u in (0.1, 0.5, 0.9, 0.999)]
+    draws_a = [count_distribution(spec, 1.0).sample(u) for u in (0.1, 0.5, 0.9, 0.999)]
+    draws_b = [CountDistribution(spec, 1.0).sample(u) for u in (0.1, 0.5, 0.9, 0.999)]
     assert draws_a == draws_b
 
 

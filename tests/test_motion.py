@@ -14,10 +14,8 @@ from fracmotion import motion
 from fracmotion.counting import FlightCountSpec, FracPoissonSpec, RateFunction
 from fracmotion.motion import (
     MotionConfig,
-    PlanarSample,
     Trajectory,
     _Substreams,
-    batch_endpoints,
     conditioned_endpoints,
     endpoint_arrays,
     endpoint_from_path,
@@ -136,27 +134,14 @@ def test_motion_config_validation():
 # Endpoint batches
 
 
-def test_batch_deterministic_and_worker_invariant():
+def test_batch_deterministic():
     cfg = const_cfg(lam=1.0)
-    base = endpoint_arrays(cfg, 3000, seed=5, worker_count=1)
-    again = endpoint_arrays(cfg, 3000, seed=5, worker_count=1)
-    split = endpoint_arrays(cfg, 3000, seed=5, worker_count=4)
+    base = endpoint_arrays(cfg, 3000, seed=5)
+    again = endpoint_arrays(cfg, 3000, seed=5)
     for f in base._fields:
         assert np.array_equal(getattr(base, f), getattr(again, f))
-        assert np.array_equal(getattr(base, f), getattr(split, f))
     other = endpoint_arrays(cfg, 3000, seed=6)
     assert not np.array_equal(base.x, other.x)
-
-
-def test_batch_list_matches_arrays():
-    cfg = const_cfg(lam=1.0)
-    cols = endpoint_arrays(cfg, 50, seed=9)
-    listed = batch_endpoints(cfg, 50, seed=9, worker_count=3)
-    assert all(isinstance(s, PlanarSample) for s in listed)
-    for i, s in enumerate(listed):
-        assert (s.x, s.y, s.n, s.is_singular) == (
-            cols.x[i], cols.y[i], cols.n[i], cols.is_singular[i]
-        )
 
 
 def test_batch_agrees_with_stream_sampler_per_substream():
@@ -282,8 +267,6 @@ def test_batch_zero_rate_is_all_singular():
 def test_batch_validation():
     with pytest.raises(DomainError):
         endpoint_arrays(const_cfg(), 0, seed=1)
-    with pytest.raises(DomainError):
-        endpoint_arrays(const_cfg(), 10, seed=1, worker_count=0)
 
 
 def test_singular_fraction_within_3_sigma():

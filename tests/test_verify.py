@@ -10,7 +10,7 @@ import pytest
 
 from fracmotion.counting import FracPoissonSpec, RateFunction
 from fracmotion.densities import planar_law
-from fracmotion.motion import MotionConfig, batch_endpoints, conditioned_endpoints, endpoint_arrays
+from fracmotion.motion import MotionConfig, conditioned_endpoints, endpoint_arrays
 from fracmotion.specfun import DomainError, MLParams, mittag_leffler
 from fracmotion.verify import (
     CaputoGrid,
@@ -267,17 +267,6 @@ def test_mc_gof_merges_thin_bins(classical_batch):
     entries = {e.name: e for e in mc_gof(classical_batch, law, bins=2000)}
     assert entries["mc-radial-chi2"].details["bins_merged"] > 0
     assert entries["mc-radial-chi2"].passed
-
-
-def test_mc_gof_accepts_sample_lists(classical_batch):
-    law = planar_law(const_spec(1.0, 1.0), 1.0, 1.0)
-    listed = batch_endpoints(
-        MotionConfig(c=1.0, t=1.0, count_spec=const_spec(1.0, 1.0)), 100_000, seed=314
-    )
-    from_list = mc_gof(listed, law)
-    from_cols = mc_gof(classical_batch, law)
-    for a, b in zip(from_list, from_cols):
-        assert a.statistic == pytest.approx(b.statistic, rel=1e-12)
 
 
 def test_mc_gof_requires_enough_samples():
