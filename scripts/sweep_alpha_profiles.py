@@ -43,12 +43,9 @@ def main() -> int:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["r", "planar_density", "line_density"])
             planar = law.ac_density(radii, 0.0)
-            for r, dens in zip(radii.tolist(), planar.tolist()):
-                writer.writerow([
-                    repr(r),
-                    repr(dens),
-                    repr(line_density(spec, args.c, args.t, r)),
-                ])
+            line = line_density(spec, args.c, args.t, radii)
+            for r, dens, ld in zip(radii.tolist(), planar.tolist(), line.tolist()):
+                writer.writerow([repr(r), repr(dens), repr(ld)])
         summary.append((alpha, law.singular_weight))
         print(f"alpha={alpha:.2f}: singular weight {law.singular_weight:.6f} "
               f"-> {out}")

@@ -44,7 +44,7 @@ from .densities import (
     _require_speed_horizon,
     classical_line_density,
     flight_unconditional,
-    line_law,
+    line_density,
     planar_density_const_rate,
     planar_law,
 )
@@ -167,8 +167,7 @@ def cmd_simulate(config: RunConfig) -> int:
     p = config.params
     rate = parse_rate(p["rate"])
     spec = FracPoissonSpec(alpha=p["alpha"], rate=rate)
-    cfg = MotionConfig(c=p["c"], t=p["t"], count_spec=spec,
-                       instants_mode=p.get("instants_mode", "order-statistics"))
+    cfg = MotionConfig(c=p["c"], t=p["t"], count_spec=spec)
     cols = endpoint_arrays(cfg, p["samples"], p["seed"])
     out = _resolve_out(p, "endpoints.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -216,26 +215,20 @@ def _density_evaluator(p: dict):
                 None, const_support)
     if law_name == "line":
         spec = FracPoissonSpec(alpha=p["alpha"], rate=parse_rate(p["rate"]))
-        law = line_law(spec, c, t, method=p.get("method", "series"))
-        return "x", _per_point(law.density), None, line_support
+        method = p.get("method", "series")
+        return "x", lambda x: line_density(spec, c, t, x, method=method), None, line_support
     if law_name == "line-classical":
         lam = parse_rate(p["rate"])
         if lam.kind != "constant":
             raise DomainError("the classical line form needs a constant rate")
         lam0 = lam.params[0]
-        return ("x", _per_point(lambda x: classical_line_density(lam0, c, t, x)), None,
-                line_support)
+        return "x", lambda x: classical_line_density(lam0, c, t, x), None, line_support
     if law_name == "flight":
         from .counting import FlightCountSpec
 
         spec = FlightCountSpec(d=p["d"], rate=parse_rate(p["rate"]))
         return "r", lambda r: flight_unconditional(spec, c, t, r), None, radial_support
     raise DomainError(f"unknown law {law_name!r}")
-
-
-def _per_point(density):
-    """Array evaluator for a law that takes one point at a time."""
-    return lambda xs: np.array([density(x) for x in xs.tolist()], dtype=float)
 
 
 def cmd_density(config: RunConfig) -> int:
@@ -364,11 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--samples", type=_positive_int, required=True)
     sim.add_argument("--seed", type=_nonnegative_int, default=0,
                      help="sample i draws from numpy's default_rng((seed, i))")
-    sim.add_argument("--instants-mode", dest="instants_mode",
-                     choices=["order-statistics", "rate-weighted"],
-                     default="order-statistics",
-                     help="switch-instant placement; rate-weighted is exploratory "
-                          "and does not reproduce the closed-form law")
     sim.add_argument("--out", default=None, help="CSV path")
 
     den = sub.add_parser("density", help="dump a closed-form law on a grid")

@@ -53,8 +53,6 @@ __all__ = [
     "pmf",
     "weighted_pmf",
     "pgf",
-    "rate_to_json",
-    "rate_from_json",
 ]
 
 _QUAD_ABS_TOL = 1e-10
@@ -159,29 +157,6 @@ def cumulative_rate(rate: RateFunction, t: float) -> float:
     return value
 
 
-def rate_to_json(rate: RateFunction) -> dict:
-    """JSON object {kind, ...} for the declarative rate kinds."""
-    if rate.kind == "constant":
-        return {"kind": "constant", "rate": rate.params[0]}
-    if rate.kind == "power":
-        return {"kind": "power", "a": rate.params[0], "b": rate.params[1]}
-    if rate.kind == "piecewise":
-        bp, vals = rate.params
-        return {"kind": "piecewise", "breakpoints": list(bp), "values": list(vals)}
-    raise DomainError("callable rates are not serializable")
-
-
-def rate_from_json(obj: dict) -> RateFunction:
-    kind = obj.get("kind")
-    if kind == "constant":
-        return RateFunction.constant(obj["rate"])
-    if kind == "power":
-        return RateFunction.power(obj["a"], obj["b"])
-    if kind == "piecewise":
-        return RateFunction.piecewise(obj["breakpoints"], obj["values"])
-    raise DomainError(f"unknown rate kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class FracPoissonSpec:
     """Order α ∈ (0,1] plus a rate function: the fractional counting law."""
@@ -209,9 +184,6 @@ class StateDependentSpec:
         if any(not (0.0 < a <= 1.0) for a in alphas):
             raise DomainError(f"every alpha_j must lie in (0, 1], got {alphas}")
         object.__setattr__(self, "alphas", alphas)
-
-    def alpha_at(self, j: int) -> float:
-        return self.alphas[j] if j < len(self.alphas) else self.alphas[-1]
 
 
 @dataclass(frozen=True)
@@ -344,10 +316,13 @@ def weighted_pmf(weights: Callable[[int], float], lambda_t: float, n: int) -> fl
     return term / normalizer
 
 
-def pgf(spec: FracPoissonSpec, t: float, u):
-    """Probability generating function E_{α,1}(u·Λ(t)) / E_{α,1}(Λ(t)) at
-    a scalar u or an array of u, every one in [0, 1]."""
+def pgf(spec: CountingSpec, t: float, u):
+    """Probability generating function E_{a,b}(u·Λ(t)) / E_{a,b}(Λ(t)) at
+    a scalar u or an array of u, every one in [0, 1], with (a, b) = (α, 1)
+    for the fractional law and (d/2 − 1, d/2) for the flight law. The
+    state-dependent law has no such closed form and raises DomainError."""
     _require_time(t)
+    p = _ml_params(spec)
     u = np.asarray(u, dtype=float)
     inside = (0.0 <= u) & (u <= 1.0)
     if not np.all(inside):
@@ -355,7 +330,6 @@ def pgf(spec: FracPoissonSpec, t: float, u):
     lam = cumulative_rate(spec.rate, t)
     out = np.ones(u.shape)
     if lam > 0.0:
-        p = MLParams(spec.alpha, 1.0)
         log_norm = log_mittag_leffler(p, lam)
         out.flat = [math.exp(v - log_norm)
                     for v in log_mittag_leffler(p, u.ravel() * lam).tolist()]

@@ -21,13 +21,15 @@ the verification harness quantifies the difference rather than hiding
 it.
 
 Projection onto a line and the random-flight marginals (with their own
-Mittag-Leffler mixture law) complete the family. Evaluators compute in
-the log domain wherever normalizers can leave double range. The
-Mittag-Leffler closed forms take arrays of points and evaluate them with
-one array call of ``log_mittag_leffler``; every value keeps the bits of its
-one-point call, because the ``math.log``/``math.exp`` around the
-Mittag-Leffler value stay per-point Python operations (numpy's differ in
-the last ulp). The mixtures and the line laws take one point at a time.
+Mittag-Leffler mixture law) complete the family; the planar and line laws
+take a fractional spec only. Evaluators compute in the log domain wherever
+normalizers can leave double range. Every closed form takes scalars or
+arrays of points and computes its normalizers once per call, and every
+value keeps the bits of its one-point call: the Mittag-Leffler forms make
+one array call of ``log_mittag_leffler`` but keep the ``math.log``/
+``math.exp`` around each value per point (numpy's differ in the last ulp),
+and the line laws sum one series per point. The mixtures take one point at
+a time.
 """
 
 from __future__ import annotations
@@ -58,14 +60,12 @@ from .specfun import (
 
 __all__ = [
     "PlanarLaw",
-    "LineLaw",
     "conditional_density",
     "planar_law",
     "planar_density_const_rate",
     "classical_planar_density",
     "mixture_density",
     "line_density",
-    "line_law",
     "classical_line_density",
     "projection_wright_spec",
     "flight_exponent",
@@ -81,6 +81,14 @@ _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 def _require_speed_horizon(c: float, t: float) -> None:
     if not (0.0 < c < math.inf and 0.0 < t < math.inf):
         raise DomainError(f"need finite c > 0 and t > 0, got c={c}, t={t}")
+
+
+def _frac_alpha(spec, law: str) -> float:
+    """α of a fractional spec: the planar and line laws need one."""
+    if isinstance(spec, FracPoissonSpec):
+        return spec.alpha
+    hint = "; use flight_unconditional" if isinstance(spec, FlightCountSpec) else ""
+    raise DomainError(f"{law} needs a FracPoissonSpec, got {type(spec).__name__}{hint}")
 
 
 def conditional_density(n: int, c: float, t: float, r: float) -> float:
@@ -112,17 +120,6 @@ class PlanarLaw:
             raise DomainError(f"singular weight must be a probability, got {self.singular_weight}")
 
 
-@dataclass(frozen=True)
-class LineLaw:
-    """Law of the one-dimensional projection: a density on (−ct, ct)
-    (the projected boundary atom is part of the density, so it carries
-    total mass one)."""
-
-    density: Callable[[float], float]
-    c: float
-    t: float
-
-
 def planar_law(spec: FracPoissonSpec, c: float, t: float) -> PlanarLaw:
     """Unconditional law of the planar motion whose direction changes are
     counted by ``spec``.
@@ -134,7 +131,7 @@ def planar_law(spec: FracPoissonSpec, c: float, t: float) -> PlanarLaw:
     P{N=0} = 1/E_{α,1}(Λ).
     """
     _require_speed_horizon(c, t)
-    alpha = spec.alpha
+    alpha = _frac_alpha(spec, "planar_law")
     lam = cumulative_rate(spec.rate, t)
     ct = c * t
     if lam == 0.0:
@@ -221,17 +218,19 @@ def planar_density_const_rate(alpha: float, lam: float, c: float, t: float, x, y
     return out if out.ndim else float(out)
 
 
-def classical_planar_density(lam: float, c: float, t: float, x: float, y: float) -> float:
+def classical_planar_density(lam: float, c: float, t: float, x, y):
     """Damped-wave (planar telegraph) density
-    (λ/2πc) e^{−λt + (λ/c)w} / w on the open disk."""
+    (λ/2πc) e^{−λt + (λ/c)w} / w at scalar or array points (broadcast
+    together); ``nan`` outside the open disk, which the telegraph
+    residual's stencil relies on to detect the support boundary."""
     _require_speed_horizon(c, t)
     if lam < 0.0:
         raise DomainError(f"rate must be >= 0, got {lam}")
-    w2 = c * c * t * t - (x * x + y * y)
-    if w2 <= 0.0:
-        raise DomainError(f"point ({x}, {y}) lies outside the open disk of radius {c * t}")
-    w = math.sqrt(w2)
-    return lam / (_TWO_PI * c) * math.exp(-lam * t + lam * w / c) / w
+    w2 = (c * t) ** 2 - x * x - y * y
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = np.sqrt(np.where(w2 > 0.0, w2, np.nan))
+        val = lam / (2.0 * math.pi * c) * np.exp(-lam * t + lam * w / c) / w
+    return val if np.ndim(val) else float(val)
 
 
 def projection_wright_spec(alpha: float) -> WrightSeriesSpec:
@@ -243,10 +242,22 @@ def projection_wright_spec(alpha: float) -> WrightSeriesSpec:
     )
 
 
-def line_density(spec: FracPoissonSpec, c: float, t: float, x: float,
-                 method: str = "series") -> float:
+def _on_line(c: float, t: float, x, density_at):
+    """``density_at(xi, w)``, w = √(c²t² − xi²), at a scalar x (giving a
+    float) or at every point of an array of x, each in (−ct, ct)."""
+    ct = c * t
+    x = np.asarray(x, dtype=float)
+    outside = ~(np.abs(x) < ct)
+    if np.any(outside):
+        raise DomainError(f"position must lie in (−ct, ct), got {float(x[outside].flat[0])}")
+    out = np.array([density_at(xi, math.sqrt(ct * ct - xi * xi)) for xi in x.ravel().tolist()])
+    out = out.reshape(x.shape)
+    return out if out.ndim else float(out)
+
+
+def line_density(spec: FracPoissonSpec, c: float, t: float, x, method: str = "series"):
     """Density of the projection of the planar motion onto a line,
-    evaluated at x ∈ (−ct, ct):
+    evaluated at a scalar x or an array of x, every one in (−ct, ct):
 
         (1/(√π E_{α,1}(Λ))) Σ_k (Λ/ct)^k [Γ(k/2+1)/Γ((k+1)/2)] w^{k−1} / Γ(αk+1)
 
@@ -254,69 +265,67 @@ def line_density(spec: FracPoissonSpec, c: float, t: float, x: float,
     boundary atom, so the series integrates to one on its own.
     ``method`` picks the explicit summation (``"series"``) or the
     compact generalized-Wright evaluation (``"wright"``); the two agree
-    to far better than 1e-10 and are cross-checked in the tests.
+    to far better than 1e-10 and are cross-checked in the tests. Λ and
+    ln E_{α,1}(Λ) are computed once per call, the series once per point.
     """
     _require_speed_horizon(c, t)
-    ct = c * t
-    if not abs(x) < ct:
-        raise DomainError(f"position must lie in (−ct, ct), got {x}")
-    alpha = spec.alpha
-    lam = cumulative_rate(spec.rate, t)
-    w = math.sqrt(ct * ct - x * x)
-    if lam == 0.0:
-        return 1.0 / (math.pi * w)
-    log_norm = log_mittag_leffler(MLParams(alpha, 1.0), lam)
-    if method == "wright":
-        value = wright_series(
-            projection_wright_spec(alpha), lam * w / ct, SeriesControl(rel_tol=1e-14)
-        )
-        return value * math.exp(-log_norm) / (math.sqrt(math.pi) * w)
-    if method != "series":
+    if method not in ("series", "wright"):
         raise DomainError(f"unknown line-density method {method!r}")
-    log_arg = math.log(lam * w / ct)
-    log_prefix = -_LOG_SQRT_PI - math.log(w) - log_norm
+    ct = c * t
+    alpha = _frac_alpha(spec, "line_density")
+    lam = cumulative_rate(spec.rate, t)
+    log_norm = log_mittag_leffler(MLParams(alpha, 1.0), lam)
+    wright_spec = projection_wright_spec(alpha)
 
-    def terms(k):
-        return np.exp(
-            log_prefix
-            + k * log_arg
-            + log_gamma_pos(k / 2.0 + 1.0)
-            - log_gamma_pos((k + 1.0) / 2.0)
-            - log_gamma_pos(alpha * k + 1.0)
+    def density_at(xi, w):
+        if lam == 0.0:
+            return 1.0 / (math.pi * w)
+        if method == "wright":
+            value = wright_series(wright_spec, lam * w / ct, SeriesControl(rel_tol=1e-14))
+            return value * math.exp(-log_norm) / (math.sqrt(math.pi) * w)
+        log_arg = math.log(lam * w / ct)
+        log_prefix = -_LOG_SQRT_PI - math.log(w) - log_norm
+
+        def terms(k):
+            return np.exp(
+                log_prefix
+                + k * log_arg
+                + log_gamma_pos(k / 2.0 + 1.0)
+                - log_gamma_pos((k + 1.0) / 2.0)
+                - log_gamma_pos(alpha * k + 1.0)
+            )
+
+        return math.fsum(
+            positive_series(terms, 1e-14, 100000, f"projection series at x={xi}", first_stop=5)
         )
 
-    return math.fsum(
-        positive_series(terms, 1e-14, 100000, f"projection series at x={x}", first_stop=5)
-    )
+    return _on_line(c, t, x, density_at)
 
 
-def line_law(spec: FracPoissonSpec, c: float, t: float, method: str = "series") -> LineLaw:
-    """Bundle :func:`line_density` at fixed (spec, c, t) into a LineLaw."""
-    return LineLaw(density=lambda x: line_density(spec, c, t, x, method=method), c=c, t=t)
-
-
-def classical_line_density(lam: float, c: float, t: float, x: float) -> float:
+def classical_line_density(lam: float, c: float, t: float, x):
     """Classical projected density at constant rate and α = 1:
     e^{−λt} Σ_k (λ/2c)^k w^{k−1} / Γ((k+1)/2)², an independent series
-    evaluation used to cross-check the general projection at α = 1."""
+    evaluation used to cross-check the general projection at α = 1.
+    Takes a scalar x or an array of x, every one in (−ct, ct)."""
     _require_speed_horizon(c, t)
     if lam < 0.0:
         raise DomainError(f"rate must be >= 0, got {lam}")
-    ct = c * t
-    if not abs(x) < ct:
-        raise DomainError(f"position must lie in (−ct, ct), got {x}")
-    w = math.sqrt(ct * ct - x * x)
-    if lam == 0.0:
-        return 1.0 / (math.pi * w)
-    log_arg = math.log(lam * w / (2.0 * c))
 
-    def terms(k):
-        return np.exp(-lam * t + k * log_arg - 2.0 * log_gamma_pos((k + 1.0) / 2.0) - math.log(w))
+    def density_at(xi, w):
+        if lam == 0.0:
+            return 1.0 / (math.pi * w)
+        log_arg = math.log(lam * w / (2.0 * c))
 
-    return math.fsum(
-        positive_series(terms, 1e-14, 100000, f"projected classical series at x={x}",
-                        first_stop=5)
-    )
+        def terms(k):
+            return np.exp(-lam * t + k * log_arg - 2.0 * log_gamma_pos((k + 1.0) / 2.0)
+                          - math.log(w))
+
+        return math.fsum(
+            positive_series(terms, 1e-14, 100000, f"projected classical series at x={xi}",
+                            first_stop=5)
+        )
+
+    return _on_line(c, t, x, density_at)
 
 
 def flight_exponent(d: int, n: int, variant: str) -> float:

@@ -8,10 +8,9 @@ waiting times between direction switches.
 
 Sampling an endpoint conditionally on ``n`` switches uses the order-statistic
 representation of the switch instants: ``n`` sorted uniforms on ``(0, t)``.
-This is exact for the law studied here; an alternative "rate-weighted" mode
-places the instants by inverting the cumulative rate instead, which is a
-useful exploratory device for strongly inhomogeneous rates but does *not*
-reproduce the closed-form endpoint law and is flagged as such.
+This is exact for every law studied here: given the count, the instants are
+uniform order statistics, and an inhomogeneous rate enters only through the
+count law at ``Lambda(t)``.
 
 Endpoint batches are reproducible bit-for-bit: sample ``i`` draws from its
 own ``numpy`` substream ``default_rng((seed, i))``, exactly as
@@ -20,8 +19,8 @@ own ``numpy`` substream ``default_rng((seed, i))``, exactly as
 numpy integer arithmetic instead of building one generator per sample.
 
 Flight-model endpoints (random flights with Dirichlet displacement weights)
-have an analytically invertible radial CDF, so their radii are sampled by
-direct inversion.
+have an analytically invertible radial CDF, so :func:`flight_radii_batch`
+samples their radii by direct inversion.
 """
 
 from __future__ import annotations
@@ -29,27 +28,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .counting import (
-    CountingSpec,
-    FlightCountSpec,
-    count_distribution,
-    cumulative_rate,
-)
+from .counting import CountingSpec, count_distribution
 from .densities import flight_exponent
 from .specfun import DomainError
 
 __all__ = [
     "MotionConfig",
     "Trajectory",
-    "FlightSample",
     "EndpointArrays",
     "endpoint_from_path",
     "sample_trajectory",
-    "sample_flight_radius",
     "endpoint_arrays",
     "conditioned_endpoints",
     "flight_radii_batch",
@@ -57,41 +49,24 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
-_INSTANT_MODES = ("order-statistics", "rate-weighted")
-
 
 @dataclass(frozen=True)
 class MotionConfig:
     """Speed, horizon and driving counting law for a planar motion.
 
-    ``instants_mode`` selects how switch instants are placed given the number
-    of switches: ``"order-statistics"`` (sorted uniforms; exact for the
-    endpoint law) or ``"rate-weighted"`` (instants at inverse cumulative-rate
-    quantiles; exploratory only, the closed-form endpoint law does not hold).
+    Given the number of switches, the switch instants are sorted uniforms on
+    ``(0, t)``, whatever the rate.
     """
 
     c: float
     t: float
     count_spec: CountingSpec
-    instants_mode: str = "order-statistics"
 
     def __post_init__(self) -> None:
         if not (self.c > 0.0 and math.isfinite(self.c)):
             raise DomainError(f"speed c must be finite and positive, got {self.c}")
         if not (self.t > 0.0 and math.isfinite(self.t)):
             raise DomainError(f"horizon t must be finite and positive, got {self.t}")
-        if self.instants_mode not in _INSTANT_MODES:
-            raise DomainError(
-                f"instants_mode must be one of {_INSTANT_MODES}, got {self.instants_mode!r}"
-            )
-
-
-class FlightSample(NamedTuple):
-    radius: float
-    angle: float
-    n: int
-    d: int
-    variant: str
 
 
 @dataclass(frozen=True)
@@ -145,19 +120,6 @@ def endpoint_from_path(
     return c * x, c * y
 
 
-def _rate_weighted_instant(spec: CountingSpec, t: float, v: float) -> float:
-    """Solve ``Lambda(s) = v * Lambda(t)`` for ``s`` by bisection."""
-    target = v * cumulative_rate(spec.rate, t)
-    lo, hi = 0.0, t
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if cumulative_rate(spec.rate, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def sample_trajectory(cfg: MotionConfig, uniforms: Iterator[float]) -> Trajectory:
     """Draw one full path, consuming ``1 + n + (n + 1)`` uniforms.
 
@@ -168,31 +130,9 @@ def sample_trajectory(cfg: MotionConfig, uniforms: Iterator[float]) -> Trajector
     n = dist.sample(next(uniforms))
     vs = [next(uniforms) for _ in range(n)]
     angles = tuple(_TWO_PI * next(uniforms) for _ in range(n + 1))
-    if cfg.instants_mode == "order-statistics":
-        times = tuple(cfg.t * v for v in sorted(vs))
-    else:
-        times = tuple(_rate_weighted_instant(cfg.count_spec, cfg.t, v) for v in sorted(vs))
+    times = tuple(cfg.t * v for v in sorted(vs))
     endpoint = endpoint_from_path(times, angles, cfg.c, cfg.t)
     return Trajectory(change_times=times, angles=angles, endpoint=endpoint, c=cfg.c, t=cfg.t)
-
-
-def sample_flight_radius(
-    d: int, n: int, c: float, t: float, variant: str, uniforms: Iterator[float]
-) -> FlightSample:
-    """Draw one flight endpoint in polar form by radial CDF inversion.
-
-    The radial CDF given ``n`` displacements is ``1 - (1 - r^2/(ct)^2)^a``
-    with ``a`` the marginal exponent, so ``r = ct * sqrt(1 - v^(1/a))`` maps
-    a uniform ``v`` to the radius (``v = 0`` gives ``r = ct``, ``v = 1``
-    gives ``r = 0``).  Consumes two uniforms: radius then angle.
-    """
-    a = flight_exponent(d, n, variant)
-    v = next(uniforms)
-    u_angle = next(uniforms)
-    if not (0.0 <= v <= 1.0 and 0.0 <= u_angle <= 1.0):
-        raise DomainError("uniform draws must lie in [0, 1]")
-    radius = c * t * math.sqrt(max(0.0, 1.0 - v ** (1.0 / a)))
-    return FlightSample(radius=radius, angle=_TWO_PI * u_angle, n=n, d=d, variant=variant)
 
 
 class EndpointArrays(NamedTuple):
@@ -425,13 +365,7 @@ def _endpoints(cfg: MotionConfig, n: int, u: np.ndarray) -> tuple[np.ndarray, np
     if n == 0:
         ct = cfg.c * cfg.t
         return ct * np.cos(theta[:, 0]), ct * np.sin(theta[:, 0])
-    v = np.sort(u[:, :n], axis=1)
-    if cfg.instants_mode == "order-statistics":
-        times = cfg.t * v
-    else:
-        times = np.array(
-            [_rate_weighted_instant(cfg.count_spec, cfg.t, s) for s in v.ravel().tolist()]
-        ).reshape(v.shape)
+    times = cfg.t * np.sort(u[:, :n], axis=1)
     seg = np.diff(times, axis=1, prepend=0.0, append=cfg.t)
     # Row sums accumulate left to right like the scalar loop; its leading
     # 0.0 turns a -0.0 total into 0.0, hence the + 0.0.

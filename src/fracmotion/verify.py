@@ -40,6 +40,7 @@ from . import __version__
 from .counting import CountingSpec, FracPoissonSpec, cumulative_rate, pgf
 from .densities import (
     PlanarLaw,
+    classical_planar_density,
     mixture_density,
     planar_density_const_rate,
     planar_law,
@@ -374,15 +375,6 @@ def pgf_ode_residual(
 _TELEGRAPH_BAND = 1 << 16
 
 
-def _classical_grid(lam: float, c: float, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized classical planar density; ``nan`` outside the open disk."""
-    w2 = (c * t) ** 2 - x * x - y * y
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w = np.sqrt(np.where(w2 > 0.0, w2, np.nan))
-        val = lam / (2.0 * math.pi * c) * np.exp(-lam * t + lam * w / c) / w
-    return val
-
-
 def telegraph_residual(
     lam: float,
     c: float,
@@ -415,7 +407,7 @@ def telegraph_residual(
             details={"status": "not-applicable", "reason": "lambda=0 has no smooth part"},
         )
     if density is None:
-        density = lambda xx, yy, tt: _classical_grid(lam, c, tt, xx, yy)  # noqa: E731
+        density = lambda xx, yy, tt: classical_planar_density(lam, c, tt, xx, yy)  # noqa: E731
     if cone_margin is None:
         cone_margin = max(5.0 * h * max(1.0, c), 0.05 * c * t)
     if cone_margin < 5.0 * h * max(1.0, c):
@@ -754,7 +746,7 @@ def run_negative_controls(seed: int = 20260815, n_samples: int = 100_000) -> Ver
     checks.append(
         pgf_ode_residual(FracPoissonSpec(alpha=0.5, rate=rate1), 1.0, derivative_alpha=0.75)
     )
-    squared = lambda xx, yy, tt: _classical_grid(1.0, 1.0, tt, xx, yy) ** 2  # noqa: E731
+    squared = lambda xx, yy, tt: classical_planar_density(1.0, 1.0, tt, xx, yy) ** 2  # noqa: E731
     checks.append(telegraph_residual(1.0, 1.0, density=squared))
     manifest = _default_manifest(seed, n_samples)
     manifest["negative_controls"] = True

@@ -155,6 +155,16 @@ def test_simulate_invalid_order_is_usage_error(tmp_path, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+def test_simulate_rejects_the_removed_instants_flag(tmp_path):
+    # Switch instants are always uniform order statistics; the flag that
+    # chose their placement is gone, whatever its value.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["simulate", "--samples", "10", "--instants-mode", "order-statistics",
+              "--out", str(tmp_path / "e.csv")])
+    assert excinfo.value.code == EXIT_USAGE
+    assert not (tmp_path / "e.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_negative_seed_is_usage_error(tmp_path, command):
     with pytest.raises(SystemExit) as excinfo:
@@ -204,7 +214,7 @@ def test_density_marks_out_of_support_rows_nan(tmp_path, capsys):
     assert "outside the support" in capsys.readouterr().err
 
 
-def test_density_per_point_domain_error_is_usage_error(tmp_path):
+def test_density_pointwise_domain_error_is_usage_error(tmp_path):
     # alpha is checked by the law at each point; a bad value must not
     # turn into nan rows.
     out = tmp_path / "bad.csv"

@@ -20,8 +20,6 @@ from fracmotion.counting import (
     cumulative_rate,
     pgf,
     pmf,
-    rate_from_json,
-    rate_to_json,
     weighted_pmf,
 )
 from fracmotion.specfun import (
@@ -87,18 +85,6 @@ def test_rate_validation():
         RateFunction.piecewise([1.0], [-0.5])
     with pytest.raises(DomainError):
         cumulative_rate(RateFunction.constant(1.0), -0.1)
-
-
-def test_rate_json_round_trip():
-    rates = [
-        RateFunction.constant(2.5),
-        RateFunction.power(2.0, 0.5),
-        RateFunction.piecewise([1.0, 3.0], [0.5, 2.0]),
-    ]
-    for rate in rates:
-        assert rate_from_json(rate_to_json(rate)) == rate
-    with pytest.raises(DomainError):
-        rate_to_json(RateFunction.from_callable(math.exp))
 
 
 def test_callable_rates_do_not_share_count_tables():
@@ -411,6 +397,18 @@ def test_pgf_validation():
         pgf(const_spec(0.5, 1.0), 1.0, 1.5)
     with pytest.raises(DomainError, match="got -0.25"):
         pgf(const_spec(0.5, 1.0), 1.0, np.array([0.5, -0.25, 1.0]))
+    with pytest.raises(DomainError):
+        pgf(StateDependentSpec((0.5, 0.7), RateFunction.constant(1.0)), 1.0, 0.5)
+
+
+@pytest.mark.parametrize("d,lam", [(3, 2.0), (4, 1.5), (7, 0.4), (5, 0.0)])
+def test_flight_pgf_is_the_generating_function_of_its_count_law(d, lam):
+    spec = FlightCountSpec(d, RateFunction.constant(lam))
+    dist = count_distribution(spec, 1.2)
+    n = np.arange(dist.support_size)
+    probs = np.array([dist.pmf(k) for k in n.tolist()])
+    for u in (0.0, 0.3, 0.75, 1.0):
+        assert pgf(spec, 1.2, u) == pytest.approx(math.fsum(u**n * probs), rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("alpha,lam", [(0.5, 1.0), (0.3, 4.0), (1.0, 2.0), (0.7, 0.0)])

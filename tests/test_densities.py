@@ -13,6 +13,7 @@ from fracmotion.counting import (
     FlightCountSpec,
     FracPoissonSpec,
     RateFunction,
+    StateDependentSpec,
     count_distribution,
 )
 from fracmotion.densities import (
@@ -24,7 +25,6 @@ from fracmotion.densities import (
     flight_mixture_density,
     flight_unconditional,
     line_density,
-    line_law,
     mixture_density,
     planar_density_const_rate,
     planar_law,
@@ -43,6 +43,11 @@ E1 = math.e  # E_{1,1}(1)
 
 def const_spec(alpha: float, lam: float) -> FracPoissonSpec:
     return FracPoissonSpec(alpha, RateFunction.constant(lam))
+
+
+def bits(values) -> list:
+    """The IEEE-754 bit patterns of ``values``, for bit-for-bit comparisons."""
+    return np.asarray(values, dtype=float).ravel().view(np.int64).tolist()
 
 
 def polar_mass(radial_density, c: float, t: float, n_nodes: int = 256) -> float:
@@ -115,6 +120,17 @@ def test_planar_singular_weight_is_reciprocal_normalizer():
     assert law.singular_weight == pytest.approx(expected, rel=1e-13)
     law1 = planar_law(const_spec(1.0, 1.0), 1.0, 1.0)
     assert law1.singular_weight == pytest.approx(1.0 / E1, rel=1e-14)
+
+
+def test_classical_planar_density_scalar_array_and_outside():
+    r = np.linspace(0.0, 1.5, 13)  # ct = 1.2 falls between grid points
+    got = classical_planar_density(2.0, 1.5, 0.8, r, 0.0)
+    inside = r < 1.2
+    assert np.all(np.isnan(got[~inside]))
+    expected = [classical_planar_density(2.0, 1.5, 0.8, float(v), 0.0) for v in r[inside]]
+    assert all(type(v) is float for v in expected)
+    assert bits(got[inside]) == bits(expected)
+    assert math.isnan(classical_planar_density(2.0, 1.5, 0.8, 0.9, -0.9))
 
 
 def test_planar_matches_classical_at_alpha_one():
@@ -268,8 +284,31 @@ def test_line_alpha_one_matches_classical_series():
 
 @pytest.mark.parametrize("alpha,lam", [(0.5, 1.0), (1.0, 2.0)])
 def test_line_density_integrates_to_one(alpha, lam):
-    law = line_law(const_spec(alpha, lam), 1.0, 1.0)
-    assert line_mass(law.density, 1.0, 1.0) == pytest.approx(1.0, abs=1e-8)
+    spec = const_spec(alpha, lam)
+    density = lambda x: line_density(spec, 1.0, 1.0, x)  # noqa: E731
+    assert line_mass(density, 1.0, 1.0) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("method", ["series", "wright"])
+@pytest.mark.parametrize("alpha,lam", [(0.5, 1.0), (0.7, 2.0), (1.0, 1.5), (0.6, 0.0)])
+def test_line_density_array_matches_point_calls(alpha, lam, method):
+    spec = FracPoissonSpec(alpha, RateFunction.power(lam, 0.5))
+    x = np.linspace(-1.25, 1.25, 24).reshape(4, 6)
+    got = line_density(spec, 1.3, 0.97, x, method=method)
+    assert got.shape == x.shape
+    expected = [line_density(spec, 1.3, 0.97, float(v), method=method) for v in x.ravel()]
+    assert all(type(v) is float for v in expected)
+    assert bits(got) == bits(expected)
+    assert line_density(spec, 1.3, 0.97, np.empty(0), method=method).shape == (0,)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 3.5])
+def test_classical_line_density_array_matches_point_calls(lam):
+    x = np.linspace(-1.1, 1.1, 25)
+    got = classical_line_density(lam, 0.8, 1.4, x)
+    expected = [classical_line_density(lam, 0.8, 1.4, float(v)) for v in x]
+    assert all(type(v) is float for v in expected)
+    assert bits(got) == bits(expected)
 
 
 def test_line_projection_consistent_with_planar_law():
@@ -306,6 +345,25 @@ def test_line_domain_errors():
         line_density(spec, 1.0, 1.0, -1.2)
     with pytest.raises(DomainError):
         line_density(spec, 1.0, 1.0, 0.5, method="quadrature")
+    with pytest.raises(DomainError, match="quadrature"):
+        line_density(const_spec(0.5, 0.0), 1.0, 1.0, 0.2, method="quadrature")
+    with pytest.raises(DomainError, match="got 1.0"):
+        line_density(spec, 1.0, 1.0, np.array([0.0, 1.0, 0.5]))
+    with pytest.raises(DomainError, match="got -1.5"):
+        classical_line_density(1.0, 1.0, 1.0, np.array([[0.2, -1.5]]))
+
+
+FLIGHT_SPEC = FlightCountSpec(4, RateFunction.constant(1.0))
+STATE_SPEC = StateDependentSpec((0.5, 0.7), RateFunction.constant(1.0))
+
+
+@pytest.mark.parametrize("spec", [FLIGHT_SPEC, STATE_SPEC], ids=["flight", "state-dependent"])
+def test_planar_and_line_densities_need_a_fractional_spec(spec):
+    hint = "flight_unconditional" if spec is FLIGHT_SPEC else "FracPoissonSpec"
+    with pytest.raises(DomainError, match=hint):
+        planar_law(spec, 1.0, 1.0)
+    with pytest.raises(DomainError, match=hint):
+        line_density(spec, 1.0, 1.0, 0.3)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from fracmotion.motion import (
     endpoint_arrays,
     endpoint_from_path,
     flight_radii_batch,
-    sample_flight_radius,
     sample_trajectory,
 )
 from fracmotion.specfun import DomainError
@@ -100,34 +99,11 @@ def test_angles_are_per_segment():
     assert list(traj.change_times) == sorted(traj.change_times)
 
 
-def test_rate_weighted_matches_order_statistics_for_constant_rate():
-    # Constant rate: inverse cumulative-rate placement is s = v·t, the same
-    # map order statistics use, so both modes coincide path by path.
-    cfg_a = const_cfg(lam=2.0)
-    cfg_b = const_cfg(lam=2.0, instants_mode="rate-weighted")
-    ta = sample_trajectory(cfg_a, stream(11))
-    tb = sample_trajectory(cfg_b, stream(11))
-    assert ta.change_times == pytest.approx(tb.change_times, abs=1e-10)
-    assert ta.endpoint == pytest.approx(tb.endpoint, abs=1e-10)
-
-
-def test_rate_weighted_skews_instants_for_increasing_rate():
-    # Λ(s)=s² on (0,1): the v-quantile sits at √v > v, so instants shift late.
-    # Count uniform 0.5 forces n=1 under Poisson(Λ(1)=1).
-    spec = FracPoissonSpec(1.0, RateFunction.power(2.0, 1.0))
-    cfg = MotionConfig(c=1.0, t=1.0, count_spec=spec, instants_mode="rate-weighted")
-    traj = sample_trajectory(cfg, iter([0.5, 0.25, 0.5, 0.5]))
-    assert traj.n_changes == 1
-    assert traj.change_times[0] == pytest.approx(math.sqrt(0.25), abs=1e-9)
-
-
 def test_motion_config_validation():
     with pytest.raises(DomainError):
         const_cfg(c=0.0)
     with pytest.raises(DomainError):
         const_cfg(t=-1.0)
-    with pytest.raises(DomainError):
-        const_cfg(instants_mode="poisson-bridge")
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +175,9 @@ def test_batch_replays_bit_for_bit_for_any_speed(c, t):
     [
         const_cfg(alpha=0.5, lam=10.0),
         const_cfg(alpha=1.0, lam=2.0, c=1.3),
-        MotionConfig(c=0.9, t=1.5, instants_mode="rate-weighted",
-                     count_spec=FracPoissonSpec(0.7, RateFunction.power(3.0, 0.5))),
+        MotionConfig(c=0.9, t=1.5, count_spec=FracPoissonSpec(0.7, RateFunction.power(3.0, 0.5))),
     ],
-    ids=["dense-const10", "alpha1", "rate-weighted-power"],
+    ids=["dense-const10", "alpha1", "power-rate"],
 )
 def test_batch_replays_bit_for_bit(cfg):
     cols = endpoint_arrays(cfg, 150, seed=8)
@@ -328,24 +303,40 @@ def test_conditioned_endpoints_validation():
 # Flight radius sampler
 
 
-def test_flight_radius_endpoint_uniforms():
-    s0 = sample_flight_radius(4, 1, 1.0, 1.0, "Y", iter([0.0, 0.25]))
-    assert s0.radius == pytest.approx(1.0, abs=0.0)
-    assert s0.angle == pytest.approx(math.pi / 2.0)
-    s1 = sample_flight_radius(4, 1, 1.0, 1.0, "Y", iter([1.0, 0.0]))
-    assert s1.radius == 0.0
-    assert (s1.n, s1.d, s1.variant) == (1, 4, "Y")
+def feed_uniforms(monkeypatch, values):
+    """Make the next ``default_rng(seed).random(n)`` return ``values``."""
+    class Fixed:
+        def random(self, n):
+            assert n == len(values)
+            return np.array(values, dtype=float)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Fixed())
 
 
-def test_flight_radius_median():
+def test_flight_radius_endpoint_uniforms(monkeypatch):
+    feed_uniforms(monkeypatch, [0.0, 1.0])
+    r = flight_radii_batch(4, 1, 1.0, 1.0, "Y", 2, seed=0)
+    assert r[0] == pytest.approx(1.0, abs=0.0)
+    assert r[1] == 0.0
+
+
+def test_flight_radius_median(monkeypatch):
     # v=1/2 → r = ct√(1 − 2^{-1/a}); a = 2 for d=4, n=1 (Y).
-    s = sample_flight_radius(4, 1, 2.0, 1.0, "Y", iter([0.5, 0.0]))
-    assert s.radius == pytest.approx(2.0 * math.sqrt(1.0 - 2.0 ** -0.5), rel=1e-14)
+    feed_uniforms(monkeypatch, [0.5])
+    r = flight_radii_batch(4, 1, 2.0, 1.0, "Y", 1, seed=0)
+    assert r[0] == pytest.approx(2.0 * math.sqrt(1.0 - 2.0 ** -0.5), rel=1e-14)
 
 
-def test_flight_radius_rejects_bad_uniforms():
-    with pytest.raises(DomainError):
-        sample_flight_radius(4, 1, 1.0, 1.0, "Y", iter([1.5, 0.5]))
+@pytest.mark.parametrize("d,n,variant", [(4, 1, "Y"), (5, 2, "Y"), (3, 0, "X"), (4, 3, "X")])
+def test_flight_radii_batch_is_the_inversion_map(d, n, variant):
+    from fracmotion.densities import flight_exponent
+
+    # r = ct sqrt(1 - v^(1/a)) on the uniforms of default_rng(seed), bit for bit.
+    c, t, seed = 2.0, 1.3, 9
+    a = flight_exponent(d, n, variant)
+    v = np.random.default_rng(seed).random(1000)
+    radii = flight_radii_batch(d, n, c, t, variant, 1000, seed)
+    assert np.array_equal(radii, c * t * np.sqrt(1 - v ** (1 / a)))
 
 
 @pytest.mark.parametrize("d,n,variant", [(5, 2, "Y"), (3, 0, "X"), (4, 3, "X")])
@@ -382,10 +373,10 @@ def test_trajectory_invariants_hold_for_any_seed(seed):
 
 @settings(max_examples=20, deadline=None)
 @given(
-    v=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=10_000),
     d=st.integers(min_value=3, max_value=6),
     n=st.integers(min_value=0, max_value=5),
 )
-def test_flight_radius_stays_in_closed_disk(v, d, n):
-    s = sample_flight_radius(d, n, 1.3, 0.7, "Y", iter([v, 0.5]))
-    assert 0.0 <= s.radius <= 1.3 * 0.7 + 1e-12
+def test_flight_radius_stays_in_closed_disk(seed, d, n):
+    radii = flight_radii_batch(d, n, 1.3, 0.7, "Y", 500, seed)
+    assert np.all((0.0 <= radii) & (radii <= 1.3 * 0.7 + 1e-12))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fracmotion.counting import FracPoissonSpec, RateFunction
-from fracmotion.densities import planar_law
+from fracmotion.densities import classical_planar_density, planar_law
 from fracmotion.motion import MotionConfig, conditioned_endpoints, endpoint_arrays
 from fracmotion.specfun import DomainError, MLParams, mittag_leffler
 from fracmotion.verify import (
@@ -192,12 +192,30 @@ def test_telegraph_zero_rate_marked_not_applicable():
 
 
 def test_telegraph_non_solution_fails():
-    from fracmotion.verify import _classical_grid
-
-    squared = lambda x, y, t: _classical_grid(1.0, 1.0, t, x, y) ** 2  # noqa: E731
+    squared = lambda x, y, t: classical_planar_density(1.0, 1.0, t, x, y) ** 2  # noqa: E731
     check = telegraph_residual(1.0, 1.0, density=squared)
     assert not check.passed
     assert "negative-control" in check.name
+
+
+@pytest.mark.parametrize("lam,c", [(1.0, 1.0), (2.5, 0.7)])
+def test_classical_density_on_the_telegraph_grid_keeps_its_bits(lam, c):
+    # The array expression the telegraph check evaluated before it moved
+    # into densities; the stencil magnifies a one-ulp change by 1/h^2.
+    def old_grid(t, x, y):
+        w2 = (c * t) ** 2 - x * x - y * y
+        with np.errstate(invalid="ignore", divide="ignore"):
+            w = np.sqrt(np.where(w2 > 0.0, w2, np.nan))
+            return lam / (2.0 * math.pi * c) * np.exp(-lam * t + lam * w / c) / w
+
+    h = 1.0 / 256.0
+    axis = h * np.arange(-int(2.0 * c / h), int(2.0 * c / h) + 1)
+    x, y = axis[::3, None], axis[None, :]
+    for t in (2.0 - h, 2.0, 2.0 + h):
+        got = classical_planar_density(lam, c, t, x, y)
+        want = old_grid(t, x, y)
+        assert np.isnan(want).any()
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def test_telegraph_refinement_order():
@@ -215,7 +233,7 @@ def test_telegraph_rejects_thin_margin():
 def test_telegraph_bands_do_not_change_the_result(negative, monkeypatch):
     from fracmotion import verify
 
-    squared = lambda x, y, t: verify._classical_grid(1.0, 1.0, t, x, y) ** 2  # noqa: E731
+    squared = lambda x, y, t: classical_planar_density(1.0, 1.0, t, x, y) ** 2  # noqa: E731
     density = squared if negative else None
     results = []
     # One row per band, uneven bands, and the whole 257 x 257 grid at once.
