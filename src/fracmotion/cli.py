@@ -39,7 +39,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .counting import FracPoissonSpec, RateFunction
+from .counting import FlightCountSpec, FracPoissonSpec, RateFunction
 from .densities import (
     _require_speed_horizon,
     classical_line_density,
@@ -224,8 +224,6 @@ def _density_evaluator(p: dict):
         lam0 = lam.params[0]
         return "x", lambda x: classical_line_density(lam0, c, t, x), None, line_support
     if law_name == "flight":
-        from .counting import FlightCountSpec
-
         spec = FlightCountSpec(d=p["d"], rate=parse_rate(p["rate"]))
         return "r", lambda r: flight_unconditional(spec, c, t, r), None, radial_support
     raise DomainError(f"unknown law {law_name!r}")

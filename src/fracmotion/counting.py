@@ -16,9 +16,9 @@ with (a, b) = (α, 1) or (d/2 − 1, d/2); ``pmf`` and ``count_distribution``
 take any of the three specs.
 
 All pmf evaluation runs in the log domain (log-weights minus a
-log-normalizer), so large Λ -- where E_{α,1}(Λ) overflows double
-precision -- costs nothing in accuracy. Sampling is exact inverse-CDF on
-a cached cumulative table that extends itself on demand.
+log-normalizer, a window sum about the peak count), so large Λ -- where
+E_{α,1}(Λ) overflows -- stays representable. Sampling is exact inverse-CDF
+on a cached table over that window.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from .specfun import (
     ConvergenceError,
     DomainError,
     MLParams,
+    _check_window,
+    _log_ml_window,
     log_gamma_pos,
     log_mittag_leffler,
     positive_series,
@@ -207,7 +209,8 @@ CountingSpec = Union[FracPoissonSpec, StateDependentSpec, FlightCountSpec]
 #
 # Every family below has pmf(n) = exp(log_weight(n) - log_normalizer).  The
 # fractional and flight families share one rule, P{N=n} = Λ^n / (Γ(an+b)
-# E_{a,b}(Λ)); the state-dependent normalizer is a truncated sum.
+# E_{a,b}(Λ)); the state-dependent law takes each state's own order up to
+# the last one, whose Mittag-Leffler-type tail sums in closed form.
 
 
 def _ml_params(spec) -> MLParams:
@@ -221,55 +224,51 @@ def _ml_params(spec) -> MLParams:
 
 
 @lru_cache(maxsize=256)
-def _log_ml_cached(alpha: float, beta: float, z: float) -> float:
-    return log_mittag_leffler(MLParams(alpha, beta), z)
-
-
-def _state_dependent_log_terms(spec: StateDependentSpec, lam: float, max_terms: int = 200000):
-    """Log of the state-dependent summands q_j = Λ^j / (Γ(α_j j + 1) E_{α_j,1}(Λ)),
-    truncated by :func:`~fracmotion.specfun.positive_series` at rel_tol
-    1e-12, past the explicit α vector."""
+def _count_law(spec, lam: float):
+    """(log-weight function, log normalizer, n_lo, n_hi) at Λ: every count
+    within 60 nats of the peak weight is in [n_lo, n_hi), and the normalizer
+    is the window sum that found it. State-dependent law: the states j ≥ J
+    share the last order α and sum to Λ^J E_{α,αJ+1}(Λ) / E_{α,1}(Λ); its
+    window starts at 0."""
     if lam == 0.0:
-        return np.array([0.0] + [-np.inf] * (len(spec.alphas) - 1))
+        b = 1.0 if isinstance(spec, StateDependentSpec) else _ml_params(spec).beta
+        return (lambda n: np.where(np.asarray(n) == 0, -log_gamma_pos(b), -np.inf),
+                -log_gamma_pos(b), 0, 1)
+    # math.log, not np.log: numpy's can differ in the last ulp.
     log_lam = math.log(lam)
-    alphas = np.array(spec.alphas)
-    log_mls = np.array([_log_ml_cached(a, 1.0, lam) for a in spec.alphas])
+    if isinstance(spec, StateDependentSpec):
+        alphas = np.array(spec.alphas)
+        last = alphas.size - 1
+        log_mls = np.array([log_mittag_leffler(MLParams(a, 1.0), lam) for a in spec.alphas])
 
-    def log_terms(j):
-        i = np.minimum(j, alphas.size - 1)
-        return j * log_lam - log_gamma_pos(alphas[i] * j + 1.0) - log_mls[i]
+        def log_weight(n):
+            n = np.asarray(n, dtype=np.int64)
+            i = np.minimum(n, last)
+            return n * log_lam - log_gamma_pos(alphas[i] * n + 1.0) - log_mls[i]
 
-    kept = positive_series(lambda j: np.exp(log_terms(j)), 1e-12, max_terms,
-                           f"state-dependent normalizer at Lambda={lam}",
-                           first_stop=alphas.size)
-    return log_terms(np.arange(kept.size))
+        tail, _, tail_hi = _log_ml_window(MLParams(alphas[last], alphas[last] * alphas.size + 1.0),
+                                          np.array([lam]))
+        logs = np.append(log_weight(np.arange(alphas.size)),
+                         alphas.size * log_lam + tail[0] - log_mls[last])
+        n_hi = alphas.size + tail_hi
+        _check_window(n_hi, np.array([lam]), "state-dependent count table")
+        m = logs.max()
+        return log_weight, m + math.log(math.fsum(np.exp(logs - m))), 0, int(n_hi[0])
+    a, b = _ml_params(spec)
+
+    def log_weight(n):
+        n = np.asarray(n, dtype=float)
+        return n * log_lam - log_gamma_pos(a * n + b)
+
+    log_norm, lo, hi = _log_ml_window(MLParams(a, b), np.array([lam]))
+    return log_weight, float(log_norm[0]), int(lo[0]), int(hi[0])
 
 
 def _log_terms_and_normalizer(spec, t: float):
     """(callable n -> log-weight array of the shape of n, log normalizer,
     Λ(t)) for any of the three counting specs."""
     lam = cumulative_rate(spec.rate, t)
-    if isinstance(spec, StateDependentSpec):
-        logs = _state_dependent_log_terms(spec, lam)
-        m = logs.max()
-        log_norm = m + math.log(math.fsum(np.exp(logs - m)))
-
-        def log_weight(n):
-            n = np.asarray(n, dtype=np.int64)
-            return np.where(n < logs.size, logs[np.minimum(n, logs.size - 1)], -np.inf)
-
-        return log_weight, log_norm, lam
-    a, b = _ml_params(spec)
-    # math.log, not np.log: numpy's can differ in the last ulp.
-    log_lam = math.log(lam) if lam > 0.0 else -math.inf
-
-    def log_weight(n):
-        n = np.asarray(n, dtype=float)
-        # Λ^0 = 1 also at Λ = 0, where n·ln Λ is 0·(−inf).
-        with np.errstate(invalid="ignore"):
-            return np.where(n == 0, 0.0, n * log_lam) - log_gamma_pos(a * n + b)
-
-    return log_weight, _log_ml_cached(a, b, lam), lam
+    return (*_count_law(spec, lam)[:2], lam)
 
 
 def pmf(spec: CountingSpec, t: float, n: int) -> float:
@@ -339,59 +338,44 @@ def pgf(spec: CountingSpec, t: float, u):
 class CountDistribution:
     """Materialized pmf/CDF table of a counting spec at a fixed time.
 
-    Holds probabilities p_0..p_N with cumulative coverage at least
-    ``1 - 1e-13`` (extended on demand when a sampling uniform lands in
-    the tail), the log-normalizer, and exact inverse-CDF sampling:
-    ``sample(u)`` returns the smallest n with CDF(n) ≥ u.
+    The table holds the CDF for n_lo <= n < ``support_size``: the counts
+    within 60 nats of the peak weight, from the window sum that gives
+    ``log_normalizer``, less the trailing ones that no longer move the CDF
+    (no uniform can draw them). Below n_lo the CDF is 0, past the table it
+    is the table's last value. ``sample(u)`` is exact inverse-CDF sampling:
+    the smallest n with CDF(n) ≥ u. Rounding grows like n*·ln Λ at the peak
+    count n*: at n* ~ 1e9 about 1e-6 relative in each probability.
     """
 
-    _BLOCK = 512
-    _MAX_TERMS = 2_000_000
     _TAIL = 1e-13
 
     def __init__(self, spec, t: float):
         self.spec = spec
         self.t = float(t)
         self._log_weight, self.log_normalizer, self.lam = _log_terms_and_normalizer(spec, t)
-        self._probs = np.empty(0)
-        self._cum = np.empty(0)
-        self._grow_until(lambda: self._cum.size and self._cum[-1] >= 1.0 - self._TAIL)
-
-    def _grow_until(self, done) -> None:
-        while not done():
-            if self._probs.size >= self._MAX_TERMS:
-                raise ConvergenceError(
-                    "count distribution table hit its size cap",
-                    float(self._cum[-1]) if self._cum.size else 0.0,
-                    self._probs.size,
-                )
-            lo = self._probs.size
-            n_new = np.arange(lo, lo + self._BLOCK)
-            lw_new = self._log_weight(n_new) - self.log_normalizer
-            p_new = np.exp(lw_new)
-            base = self._cum[-1] if self._cum.size else 0.0
-            self._probs = np.concatenate([self._probs, p_new])
-            self._cum = np.concatenate([self._cum, base + np.cumsum(p_new)])
-            if p_new[-1] == 0.0 and lw_new[-1] < lw_new[0]:
-                # Past the peak and the tail has underflowed: no further
-                # block can add representable mass; stop growing.
-                break
+        _, _, self.n_lo, n_hi = _count_law(spec, self.lam)
+        cum = np.cumsum(self.pmf(np.arange(self.n_lo, n_hi)))
+        self._cum = cum[: np.searchsorted(cum, cum[-1]) + 1]
 
     @property
     def support_size(self) -> int:
-        return int(self._probs.size)
+        """One past the largest count the table holds."""
+        return self.n_lo + self._cum.size
 
-    def pmf(self, n: int) -> float:
-        n = _require_count(n)
-        if n < self._probs.size:
-            return float(self._probs[n])
-        return float(np.exp(self._log_weight(n) - self.log_normalizer))
+    def pmf(self, n):
+        """P{N = n} at a count or an array of counts: the terms the CDF
+        table sums."""
+        counts = np.asarray(n)
+        if not np.all((counts >= 0) & (counts == np.floor(counts))):
+            raise DomainError(f"counts must be nonnegative integers, got {n}")
+        p = np.exp(self._log_weight(counts) - self.log_normalizer)
+        return p if p.ndim else float(p)
 
     def cdf(self, n: int) -> float:
         n = _require_count(n)
-        if n >= self._cum.size:
-            return float(self._cum[-1])
-        return float(self._cum[n])
+        if n < self.n_lo:
+            return 0.0
+        return float(self._cum[min(n - self.n_lo, self._cum.size - 1)])
 
     def sample(self, u: float) -> int:
         """One inverse-CDF draw; see :meth:`sample_many`."""
@@ -400,29 +384,24 @@ class CountDistribution:
     def sample_many(self, us: np.ndarray) -> np.ndarray:
         """Smallest n with CDF(n) ≥ u for each uniform u in (0, 1).
 
-        A u above the whole representable table (grown until its tail
-        underflowed) maps to the last n with positive mass when the mass
-        the table misses is at most 1e-13, and raises otherwise.
+        A u above the table's last CDF value maps to the table's last
+        count when the mass the table misses is at most 1e-13, and raises
+        otherwise.
         """
         us = np.asarray(us, dtype=float)
         outside = ~((us > 0.0) & (us < 1.0))
         if outside.any():
             raise DomainError(f"sampling uniforms must lie in (0, 1), got {us[outside][0]}")
-        if not us.size:
-            return np.empty(0, dtype=np.int64)
-        top = float(us.max())
-        if top > self._cum[-1]:
-            self._grow_until(lambda: self._cum[-1] >= top)
         draws = np.searchsorted(self._cum, us, side="left").astype(np.int64)
-        if top > self._cum[-1]:
+        if us.size and us.max() > self._cum[-1]:
             if 1.0 - self._cum[-1] > self._TAIL:
                 raise ConvergenceError(
-                    f"could not cover u={top} within the representable tail",
+                    f"could not cover u={float(us.max())} within the table",
                     float(self._cum[-1]),
-                    self._probs.size,
+                    self._cum.size,
                 )
-            np.minimum(draws, np.flatnonzero(self._probs)[-1], out=draws)
-        return draws
+            np.minimum(draws, self._cum.size - 1, out=draws)
+        return draws + self.n_lo
 
 
 @lru_cache(maxsize=64)

@@ -17,6 +17,8 @@ own ``numpy`` substream ``default_rng((seed, i))``, exactly as
 :func:`sample_trajectory` would consume it.  The batch sampler
 :func:`endpoint_arrays` recomputes those streams for many ``i`` at once in
 numpy integer arithmetic instead of building one generator per sample.
+A path with more than ``2**20`` switches takes its endpoint from the exact
+law given ``n`` switches instead (radius ``ct * sqrt(1 - v**(2/n))``).
 
 Flight-model endpoints (random flights with Dirichlet displacement weights)
 have an analytically invertible radial CDF, so :func:`flight_radii_batch`
@@ -355,6 +357,7 @@ class _Substreams:
 
 _BLOCK = 1 << 12  # samples seeded together
 _DRAW_BUDGET = 1 << 14  # uniforms drawn at once within a block
+_MAX_PATH_SWITCHES = 1 << 20  # longest path followed switch by switch
 
 
 def _endpoints(cfg: MotionConfig, n: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -379,9 +382,11 @@ def endpoint_arrays(cfg: MotionConfig, n_samples: int, seed: int) -> EndpointArr
     ``(cfg, n_samples, seed)``.
 
     Sample ``i`` is the path :func:`sample_trajectory` draws from
-    ``np.random.default_rng((seed, i))``, bit for bit.  The streams are
-    generated in bulk, blocks of samples at a time, so memory stays bounded
-    by the block size and the longest single path.
+    ``np.random.default_rng((seed, i))``, bit for bit, up to
+    ``_MAX_PATH_SWITCHES`` switches; past that, draws 1 and 2 give radius
+    ``ct * sqrt(1 - (1 - u1)**(2/n))`` and direction ``2*pi*u2``.  The
+    streams are generated in bulk, blocks of samples at a time, so memory
+    stays bounded by the block size and the longest path followed.
     """
     if n_samples <= 0:
         raise DomainError(f"n_samples must be positive, got {n_samples}")
@@ -398,6 +403,12 @@ def endpoint_arrays(cfg: MotionConfig, n_samples: int, seed: int) -> EndpointArr
         order = np.argsort(counts, kind="stable")
         for rows in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
             n = int(counts[rows[0]])
+            if n > _MAX_PATH_SWITCHES:
+                u = streams.uniforms(1, 2, rows)
+                r = cfg.c * cfg.t * np.sqrt(-np.expm1(np.log1p(-u[:, 0]) * (2.0 / n)))
+                xs[lo + rows] = r * np.cos(_TWO_PI * u[:, 1])
+                ys[lo + rows] = r * np.sin(_TWO_PI * u[:, 1])
+                continue
             per_chunk = max(1, _DRAW_BUDGET // (2 * n + 1))
             for first in range(0, rows.size, per_chunk):
                 chunk = rows[first:first + per_chunk]

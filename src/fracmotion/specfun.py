@@ -1,39 +1,45 @@
 """Series-based special functions on the nonnegative real axis.
 
-Everything downstream (the fractional counting family, the planar
-densities, the verification harness) is assembled from four primitives
-evaluated here: the Gamma function, the two-parameter Mittag-Leffler
-function
+Everything downstream (the counting family, the densities, the
+verification harness) is assembled from four primitives evaluated here for
+z >= 0: the Gamma function, the two-parameter Mittag-Leffler function
 
     E_{alpha,beta}(z) = sum_{k>=0} z^k / Gamma(alpha*k + beta),
 
 the generalized Wright series with Gamma-ratio coefficients, and the
-Bessel function J_nu of real order. Arguments are restricted to z >= 0:
-on that domain the Mittag-Leffler and Wright series have positive terms,
-so plain ascending summation gives a result whose error is controlled by
-the last retained term. The Bessel series alternates and therefore
-carries an explicit cancellation guard.
+Bessel function J_nu of real order.
 
-Every positive series of the package -- these two, the planar, line and
-flight mixtures in ``densities`` and the normalizers in ``counting`` --
-is summed by one kernel, :func:`positive_series`, with one stop rule:
-keep terms up to the first index k >= ``first_stop`` whose term is no
-larger than its predecessor and no larger than ``rel_tol`` times the
-running sum, once that sum is positive, then add the kept terms with
-``math.fsum``. Terms are evaluated a block of indices at a time.
+The Mittag-Leffler-type series -- these two, and the line and count laws
+built on them in ``densities`` and ``counting`` -- have log-concave terms
+with log-curvature about -alpha/n at the peak n* ~ z^(1/alpha)/alpha
+(Gorenflo, Loutchko & Luchko 2002). One kernel, :func:`_log_window_sum`,
+sums each in the log domain over the window that holds every term within
+60 nats of the peak (what it leaves out is below e^-60 relative). The
+window starts at n^ +- (ceil(sqrt(2*60*max(n^, 1)/alpha)) + 16) from
+n^ = max(0, (z^(1/alpha) - beta)/alpha), lo clipped at 0; an edge still
+within 60 nats doubles its distance from the peak and is bisected back to
+within 16 terms of the last term within 60 nats, so the width stays near
+2*sqrt(120*n*/alpha), 1.94e6 terms at alpha=0.2, z=50. A window wider
+than 2 000 000 terms raises ``ConvergenceError`` before it is allocated.
+Log-terms of size n* ln(z) carry its rounding: at n* ~ 1e9 they are near
+6e9 nats and cost about 1e-6 relative.
+
+:func:`positive_series` sums the series with arbitrary terms -- the planar
+and flight mixtures and the weighted-Poisson normalizer -- from k = 0: it
+keeps terms up to the first k >= ``first_stop`` no larger than its
+predecessor and than ``rel_tol`` times a positive running sum, and adds
+them with ``math.fsum``. The alternating Bessel series carries a
+cancellation guard.
 
 Gamma values come from a fixed-coefficient Lanczos approximation rather
-than the platform libm, so results are reproducible across systems. The
-double-precision path covers x in (0, ~171.6]; ``log_gamma_pos`` covers
-arbitrarily large arguments and is what the log-domain evaluators build
-on.
+than the platform libm, so results are reproducible across systems;
+``log_gamma_pos`` covers arbitrarily large arguments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +47,6 @@ __all__ = [
     "DomainError",
     "ConvergenceError",
     "RangeOverflowError",
-    "SeriesControl",
     "MLParams",
     "WrightSeriesSpec",
     "gamma_pos",
@@ -49,6 +54,7 @@ __all__ = [
     "mittag_leffler",
     "log_mittag_leffler",
     "wright_series",
+    "log_wright_series",
     "positive_series",
     "bessel_j",
 ]
@@ -75,33 +81,16 @@ class RangeOverflowError(OverflowError):
     """The true value (or an intermediate term) exceeds double range."""
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Stopping rule for the ascending series: relative tolerance and a
-    hard cap on the number of terms."""
-
-    rel_tol: float = 1e-12
-    max_terms: int = 20000
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0):
-            raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-_DEFAULT_CONTROL = SeriesControl()
-
 # Indices per call of a series' term function, and the largest term a
 # series may keep (a margin below the double range).
 _SERIES_BLOCK = 64
 _MAX_TERM = math.exp(709.0)
-# Log-terms held at once by log_mittag_leffler: rows of similar window
-# length go together up to this many elements (a longer window goes alone).
+# _log_window_sum: log-terms held at once, the nats below the peak term a
+# window reaches (e^-60 is below a double's precision), its widest window.
 _ML_CHUNK = 1 << 15
-# A log_mittag_leffler window ends where its log-terms fall this many nats
-# below the peak term (e^-60 is below a double's relative precision).
 _ML_TAIL_NATS = 60.0
+_MAX_WINDOW = 2_000_000
+_BESSEL_MAX_TERMS = 20000
 
 
 def positive_series(terms, rel_tol: float, max_terms: int, what: str,
@@ -262,162 +251,186 @@ def _as_ml_params(params) -> MLParams:
     return p
 
 
-def mittag_leffler(params, z: float, ctl: SeriesControl | None = None) -> float:
-    """Two-parameter Mittag-Leffler function E_{alpha,beta}(z), z >= 0.
+def _exp_in_range(log_value: float, what: str) -> float:
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise RangeOverflowError(f"{what} exceeds double range") from None
 
-    Ascending series with terms evaluated in the log domain through
-    ``log_gamma_pos`` (terms never overflow individually while the value
-    is representable), summed by :func:`positive_series` under
-    ``ctl.rel_tol`` and ``ctl.max_terms`` and added with exactly-rounded
-    compensated summation; the result carries a relative error no worse
-    than about ten times ``rel_tol``.
 
-    Raises ``RangeOverflowError`` when the value itself exceeds double
-    range (use :func:`log_mittag_leffler` there) and ``ConvergenceError``
-    if the term cap is reached first.
+def mittag_leffler(params, z: float) -> float:
+    """Two-parameter Mittag-Leffler function E_{alpha,beta}(z), z >= 0: the
+    exp of :func:`log_mittag_leffler`, whose rounding it carries (relative
+    error about |ln E| times the double precision). Raises
+    ``RangeOverflowError`` when the value exceeds double range."""
+    p = _as_ml_params(params)
+    return _exp_in_range(log_mittag_leffler(p, float(z)), f"E_{{{p.alpha},{p.beta}}}({z})")
+
+
+def _peak_guess(z, alpha: float, beta: float):
+    """max(0, (z^(1/alpha) - beta)/alpha), the peak index of z^k / Gamma(alpha*k
+    + beta); inf where z^(1/alpha) overflows."""
+    with np.errstate(over="ignore"):
+        return np.maximum(0.0, (z ** (1.0 / alpha) - beta) / alpha)
+
+
+def _math_log(v: np.ndarray) -> np.ndarray:
+    # math.log, not np.log: numpy's can differ in the last ulp, which k*ln(z)
+    # carries into term k k times over.
+    return np.array([math.log(e) for e in v.tolist()])
+
+
+def _shaped(out: np.ndarray, like):
+    out = out.reshape(np.shape(like))
+    return out if out.ndim else float(out)
+
+
+def _check_window(width, z, what: str) -> None:
+    too_wide = np.flatnonzero(~(width <= _MAX_WINDOW))
+    if too_wide.size:
+        i = too_wide[0]
+        raise ConvergenceError(f"{what} at z={float(z[i])!r} needs a window of {float(width[i]):.4g}"
+                               f" terms, past the cap of {_MAX_WINDOW}", math.nan, 0)
+
+
+def _window_edge(log_terms, peak, half, floor, side: float, z, what: str):
+    """Each row's last index on one side (``side`` -1 or +1) of its window:
+    peak + side*half (at least 0) where that term is at or below the floor,
+    else found by doubling its distance to the peak and bisecting to 16."""
+    rows = np.arange(peak.size)
+    inner = peak.copy()
+    outer = np.maximum(peak + side * half, -1.0)
+    grow = rows[np.isfinite(floor) & (outer >= 0.0)]
+    while grow.size:
+        _check_window(np.abs(outer[grow] - peak[grow]), z[grow], what)
+        grow = grow[log_terms(grow, outer[grow, None])[:, 0] > floor[grow]]
+        inner[grow] = outer[grow]
+        outer[grow] = np.maximum(2.0 * outer[grow] - peak[grow], -1.0)
+        grow = grow[outer[grow] >= 0.0]
+    kept = inner == peak
+    inner[kept] = outer[kept]
+    todo = rows[np.abs(outer - inner) > 16.0]
+    while todo.size:
+        mid = np.floor((inner[todo] + outer[todo]) / 2.0)
+        hit = log_terms(todo, mid[:, None])[:, 0] > floor[todo]
+        inner[todo[hit]] = mid[hit]
+        outer[todo[~hit]] = mid[~hit]
+        todo = todo[np.abs(outer[todo] - inner[todo]) > 16.0]
+    return np.maximum(outer, 0.0)
+
+
+def _log_window_sum(log_terms, z, n_hat, order: float, what: str):
+    """(ln sum_{lo <= k < hi} exp(log-term), lo, hi) for each row of a family
+    of log-concave series: row i has argument ``z[i]``, its peak near
+    ``n_hat[i]`` and log-curvature about -order/n there, and log-terms
+    ``log_terms(rows, k)`` for an index array ``rows`` at integer-valued
+    ``k`` of shape (len(rows), 1) or (1, m). Rows of nearby windows share
+    one array of at most ``_ML_CHUNK`` log-terms (a wider window goes
+    alone), each masked to its own window and summed as its largest
+    log-term m plus ln(fsum(exp(log-terms - m))): no row depends on another.
     """
-    params = _as_ml_params(params)
-    if ctl is None:
-        ctl = _DEFAULT_CONTROL
-    z = float(z)
-    if z < 0.0:
-        raise DomainError(f"mittag_leffler requires z >= 0, got {z}")
-    first = 1.0 / gamma_pos(params.beta)
-    lnz = math.log(z) if z > 0.0 else -math.inf
+    peak = np.floor(n_hat)
+    half = np.ceil(np.sqrt(2.0 * _ML_TAIL_NATS * np.maximum(n_hat, 1.0) / order)) + 16.0
+    _check_window(2.0 * half + 1.0, z, what)
+    floor = log_terms(np.arange(peak.size), peak[:, None])[:, 0] - _ML_TAIL_NATS
+    lo, hi = (_window_edge(log_terms, peak, half, floor, side, z, what) for side in (-1.0, 1.0))
+    hi += 1.0
+    _check_window(hi - lo, z, what)
+    out = np.empty(peak.size)
+    rows = np.argsort(lo, kind="stable")
+    los, his = lo[rows].tolist(), hi[rows].tolist()
+    i = 0
+    while i < rows.size:
+        last, j = his[i], i + 1
+        while j < rows.size and (j + 1 - i) * (max(last, his[j]) - los[i]) <= _ML_CHUNK:
+            last, j = max(last, his[j]), j + 1
+        idx = rows[i:j]
+        k = np.arange(los[i], last)
+        lt = log_terms(idx, k[None, :])
+        lt[(k < lo[idx, None]) | (k >= hi[idx, None])] = -np.inf
+        m = lt.max(axis=1)
+        np.exp(np.subtract(lt, m[:, None], out=lt), out=lt)
+        # A memoryview hands fsum one Python float at a time.
+        out[idx] = [mi + math.log(math.fsum(memoryview(t))) for mi, t in zip(m.tolist(), lt)]
+        i = j
+    return out, lo, hi
 
-    def terms(k):
-        log_terms = k * lnz - log_gamma_pos(params.alpha * k + params.beta)
-        return np.where(k == 0, first, np.exp(log_terms))
 
-    what = f"Mittag-Leffler series E_{{{params.alpha},{params.beta}}}({z})"
-    return math.fsum(positive_series(terms, ctl.rel_tol, ctl.max_terms, what))
+def _log_power_series(log_coef, z: np.ndarray, n_hat, order: float, what: str):
+    """``_log_window_sum`` of sum_k z^k exp(log_coef(k)) over a 1-D array of
+    z >= 0; z = 0 gives log_coef(0) and the window [0, 1)."""
+    out = np.full(z.size, log_coef(np.zeros(1))[0])
+    lo, hi = np.zeros(z.size), np.ones(z.size)
+    pos = np.flatnonzero(z != 0.0)
+    lnz = _math_log(z[pos])
+    out[pos], lo[pos], hi[pos] = _log_window_sum(lambda rows, k: k * lnz[rows, None] + log_coef(k),
+                                                 z[pos], n_hat[pos], order, what)
+    return out, lo, hi
+
+
+def _log_ml_window(params: MLParams, zs: np.ndarray):
+    """(ln E_{alpha,beta}(z), lo, hi) for a 1-D array of z >= 0."""
+    alpha, beta = params
+    return _log_power_series(lambda k: -log_gamma_pos(alpha * k + beta), zs,
+                             _peak_guess(zs, alpha, beta), alpha,
+                             f"Mittag-Leffler series E_{{{alpha},{beta}}}")
+
+
+def _nonnegative_array(z, what: str) -> np.ndarray:
+    z_arr = np.asarray(z, dtype=float)
+    bad = ~(z_arr >= 0.0)
+    if np.any(bad):
+        raise DomainError(f"{what} requires z >= 0, got {z_arr[bad].flat[0]}")
+    return z_arr
 
 
 def log_mittag_leffler(params, z):
     """ln E_{alpha,beta}(z) for z >= 0 (a scalar or an array), stable at
-    any magnitude.
-
-    For each point, locates the peak term index from alpha*n + beta ~
-    z^(1/alpha) and doubles the window [0, n_hi) until log-terms at n_hi
-    fall 60 nats below the peak; the points still growing are doubled
-    together. The z-independent row ln Gamma(alpha*n + beta) is evaluated
-    once, up to the longest window, and each point's log-terms then go
-    through a log-sum-exp added with ``math.fsum``. Points are processed in
-    chunks of similar window length holding at most ``_ML_CHUNK`` terms, so
-    memory stays bounded by the longest single window. Every point's value
-    equals the one-point call bit for bit. Used wherever normalizing
-    constants grow beyond double range.
-    """
-    params = _as_ml_params(params)
-    alpha, beta = params.alpha, params.beta
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr < 0.0):
-        raise DomainError(
-            f"log_mittag_leffler requires z >= 0, got {z_arr[z_arr < 0.0].flat[0]}")
-    zs = z_arr.ravel()
-    out = np.full(zs.size, -log_gamma_pos(beta))
-    pos = np.flatnonzero(zs != 0.0)
-    zp = zs[pos].tolist()
-    lnz = np.array([math.log(v) for v in zp])
-    n_peak = np.array([max(0.0, (v ** (1.0 / alpha) - beta) / alpha) for v in zp])
-
-    def log_term(n, ln):
-        return n * ln - log_gamma_pos(alpha * n + beta)
-
-    floor = log_term(n_peak, lnz) - _ML_TAIL_NATS
-    n_hi = np.maximum(16.0, 2.0 * n_peak + 16.0)
-    growing = np.arange(pos.size)
-    while growing.size:
-        growing = growing[log_term(n_hi[growing], lnz[growing]) > floor[growing]]
-        n_hi[growing] *= 2.0
-    width = np.array([int(v) + 2 for v in n_hi.tolist()], dtype=np.int64)
-    n = np.arange(width.max(initial=0), dtype=float)
-    row = log_gamma_pos(alpha * n + beta)
-    order = np.argsort(width, kind="stable")
-    lo = 0
-    while lo < order.size:
-        hi = lo + 1
-        while hi < order.size and (hi + 1 - lo) * width[order[hi]] <= _ML_CHUNK:
-            hi += 1
-        idx = order[lo:hi]
-        span = width[idx[-1]]
-        lt = n[:span] * lnz[idx, None] - row[:span]
-        lt[n[:span] >= width[idx, None]] = -np.inf
-        m = lt.max(axis=1)
-        lt -= m[:, None]
-        np.exp(lt, out=lt)
-        # A memoryview hands fsum one Python float at a time.
-        out[pos[idx]] = [mi + math.log(math.fsum(memoryview(t))) for mi, t in zip(m.tolist(), lt)]
-        lo = hi
-    out = out.reshape(z_arr.shape)
-    return out if out.ndim else float(out)
+    any magnitude: one window sum per point of the log-terms
+    k*ln(z) - ln Gamma(alpha*k + beta), all points in one pass, each value
+    equal to its one-point call bit for bit."""
+    z_arr = _nonnegative_array(z, "log_mittag_leffler")
+    return _shaped(_log_ml_window(_as_ml_params(params), z_arr.ravel())[0], z_arr)
 
 
-def _signed_log_gamma(x):
-    """(sign, ln|Gamma(x)|) arrays for real x, via reflection for x < 0;
-    the log is NaN at the poles x = 0, -1, -2, ..."""
-    pos = x > 0.0
-    s = np.sin(math.pi * x)
-    sign = np.where(pos | (s > 0.0), 1.0, -1.0)
-    log = np.full(x.shape, np.nan)
-    log[pos] = log_gamma_pos(x[pos])
-    # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-    refl = ~pos & (x != np.floor(x))
-    log[refl] = np.log(math.pi / np.abs(s[refl])) - log_gamma_pos(1.0 - x[refl])
-    return sign, log
-
-
-def wright_series(spec: WrightSeriesSpec, z: float, ctl: SeriesControl | None = None) -> float:
-    """Generalized Wright series
-
-        sum_k [prod_j Gamma(a_j + A_j k) / prod_j Gamma(b_j + B_j k)] z^k / k!
-
-    for z >= 0. Terms are formed in the log domain so the Gamma products
-    never overflow individually; their magnitudes are summed by
-    :func:`positive_series`, with the same stopping rule and error
-    behaviour as :func:`mittag_leffler`. A Gamma argument landing on a
-    pole within the kept terms raises ``DomainError``.
-    """
-    if ctl is None:
-        ctl = _DEFAULT_CONTROL
+def log_wright_series(spec: WrightSeriesSpec, z):
+    """ln sum_k [prod_j Gamma(a_j + A_j k) / prod_j Gamma(b_j + B_j k)] z^k / k!,
+    the generalized Wright series, at z >= 0 (a scalar or an array). Every
+    a_j, A_j, b_j, B_j and kappa = 1 + sum B_j - sum A_j must be positive:
+    the terms then peak near (z prod A_j^A_j / prod B_j^B_j)^(1/kappa) with
+    log-curvature about -kappa/k, the window the kernel sums."""
     upper = [(float(a), float(A)) for a, A in spec.upper]
     lower = [(float(b), float(B)) for b, B in spec.lower]
-    for _, A in upper:
-        if not A > 0.0:
-            raise DomainError("all upper weights A_j must be positive")
-    for _, B in lower:
-        if not B > 0.0:
-            raise DomainError("all lower weights B_j must be positive")
-    z = float(z)
-    if z < 0.0:
-        raise DomainError(f"wright_series requires z >= 0, got {z}")
+    if not all(a > 0.0 and A > 0.0 for a, A in upper + lower):
+        raise DomainError(f"Wright series rows must be positive, got {spec}")
+    kappa = 1.0 + sum(B for _, B in lower) - sum(A for _, A in upper)
+    if not kappa > 0.0:
+        raise DomainError(f"Wright series with 1 + sum B - sum A = {kappa} <= 0 is not entire")
 
-    def term_log(k):
-        sign = np.ones(k.shape)
+    def log_coef(k):
         e = -log_gamma_pos(k + 1.0)
         for a, A in upper:
-            s, l = _signed_log_gamma(a + A * k)
-            sign *= s
-            e += l
+            e = e + log_gamma_pos(a + A * k)
         for b, B in lower:
-            s, l = _signed_log_gamma(b + B * k)
-            sign *= s
-            e -= l
-        return sign, e
+            e = e - log_gamma_pos(b + B * k)
+        return e
 
-    lnz = math.log(z) if z > 0.0 else -math.inf
+    zs = _nonnegative_array(z, "wright_series")
+    scale = kappa**kappa * math.prod(A**A for _, A in upper) / math.prod(B**B for _, B in lower)
+    return _shaped(_log_power_series(log_coef, zs.ravel(), _peak_guess(scale * zs.ravel(), kappa, 1.0),
+                                     kappa, "Wright series")[0], zs)
 
-    def terms(k):
-        return np.exp(term_log(k)[1] + np.where(k == 0, 0.0, k * lnz))
 
-    mags = positive_series(terms, ctl.rel_tol, ctl.max_terms, f"Wright series at z={z}")
-    return math.fsum(term_log(np.arange(mags.size))[0] * mags)
+def wright_series(spec: WrightSeriesSpec, z: float) -> float:
+    """The generalized Wright series of :func:`log_wright_series` at one
+    z >= 0, as its exp; ``RangeOverflowError`` above double range."""
+    return _exp_in_range(log_wright_series(spec, float(z)), f"Wright series at z={z}")
 
 
 _LD_EPS = float(np.finfo(np.longdouble).eps)
 
 
-def bessel_j(nu: float, x: float, ctl: SeriesControl | None = None) -> float:
+def bessel_j(nu: float, x: float, rel_tol: float = 1e-12) -> float:
     """Bessel function J_nu(x) for nu >= 0 and 0 <= x <= 50.
 
     Ascending series
@@ -428,14 +441,14 @@ def bessel_j(nu: float, x: float, ctl: SeriesControl | None = None) -> float:
     achievable accuracy degrades with x: roughly 1e-11 or better up to
     x ~ 20, then losing digits as cancellation grows. The implementation
     tracks the round-off noise floor eps * sum|t_k| and raises
-    ``ConvergenceError`` when that floor exceeds ten times ``ctl.rel_tol``
+    ``ConvergenceError`` when that floor exceeds ten times ``rel_tol``
     both relative to the result and relative to the leading term (the
     second clause keeps genuine zeros of J_nu, where relative error is
     meaningless, from tripping the guard) -- callers working at large x
     must request a tolerance the series can actually deliver.
     """
-    if ctl is None:
-        ctl = _DEFAULT_CONTROL
+    if not 0.0 < rel_tol < 1.0:
+        raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     nu = float(nu)
     x = float(x)
     if nu < 0.0:
@@ -450,7 +463,7 @@ def bessel_j(nu: float, x: float, ctl: SeriesControl | None = None) -> float:
     lead = abs(term)
     total = term
     abs_total = abs(term)
-    for k in range(ctl.max_terms):
+    for k in range(_BESSEL_MAX_TERMS):
         term = -term * half * half / np.longdouble((k + 1.0) * (nu + k + 1.0))
         total += term
         abs_total += abs(term)
@@ -458,17 +471,17 @@ def bessel_j(nu: float, x: float, ctl: SeriesControl | None = None) -> float:
             break
     else:
         raise ConvergenceError(
-            f"Bessel series did not converge in {ctl.max_terms} terms",
+            f"Bessel series did not converge in {_BESSEL_MAX_TERMS} terms",
             float(total),
-            ctl.max_terms,
+            _BESSEL_MAX_TERMS,
         )
     noise = _LD_EPS * float(abs_total)
-    budget = 10.0 * ctl.rel_tol
+    budget = 10.0 * rel_tol
     if noise > budget * abs(float(total)) and noise > budget * float(lead):
         raise ConvergenceError(
             f"Bessel series cancellation noise ~{noise:.1e} exceeds requested "
             f"tolerance at nu={nu}, x={x}",
             float(total),
-            ctl.max_terms,
+            _BESSEL_MAX_TERMS,
         )
     return float(total)

@@ -49,7 +49,6 @@ from .motion import EndpointArrays, conditioned_endpoints
 from .specfun import (
     DomainError,
     MLParams,
-    SeriesControl,
     bessel_j,
     gamma_pos,
     log_mittag_leffler,
@@ -593,8 +592,7 @@ def empirical_cf(
         # by orders of magnitude, so admit the extended-precision noise floor
         # of the alternating Bessel series at desk-scale frequencies instead
         # of demanding full double accuracy.
-        ctl = SeriesControl(rel_tol=1e-9)
-        analytic = (2.0 ** half) * gamma_pos(half + 1.0) * bessel_j(half, z, ctl) / z ** half
+        analytic = (2.0 ** half) * gamma_pos(half + 1.0) * bessel_j(half, z, 1e-9) / z ** half
     emp = complex(np.mean(np.exp(1j * (alpha_freq * x + beta_freq * y))))
     deviation = abs(emp - analytic)
     tol = 4.0 / math.sqrt(x.size)

@@ -6,9 +6,12 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fracmotion.cli import (
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
@@ -17,13 +20,25 @@ from fracmotion.cli import (
     main,
     parse_rate,
 )
-from fracmotion.counting import FlightCountSpec, FracPoissonSpec, RateFunction
+from fracmotion.counting import (
+    FlightCountSpec,
+    FracPoissonSpec,
+    RateFunction,
+    count_distribution,
+)
 from fracmotion.densities import (
     classical_line_density,
     flight_unconditional,
+    line_density,
     planar_law,
 )
-from fracmotion.specfun import DomainError, MLParams, mittag_leffler
+from fracmotion.specfun import (
+    ConvergenceError,
+    DomainError,
+    MLParams,
+    RangeOverflowError,
+    mittag_leffler,
+)
 
 
 def read_csv(path):
@@ -332,3 +347,47 @@ def test_verify_report_reruns_identical(tmp_path):
                    "--samples", "100000", "--seed", "7", "--out", str(out)])
         assert rc == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Every valid order and rate, through every entry point that sums a
+# Mittag-Leffler-type series
+
+
+NUMERIC_ERRORS = (ConvergenceError, RangeOverflowError)
+
+
+@settings(deadline=None, max_examples=20,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(alpha=st.floats(min_value=0.1, max_value=1.0),
+       lam=st.floats(min_value=0.0, max_value=60.0),
+       c=st.floats(min_value=0.1, max_value=10.0),
+       t=st.floats(min_value=0.1, max_value=10.0))
+def test_any_alpha_and_lambda_gives_a_value_or_a_documented_error(tmp_path, alpha, lam, c, t):
+    spec = FracPoissonSpec(alpha, RateFunction.constant(lam / t))
+    x = c * t * np.array([-0.9, 0.0, 0.5])
+    try:
+        series = line_density(spec, c, t, x, method="series")
+        wright = line_density(spec, c, t, x, method="wright")
+    except NUMERIC_ERRORS:
+        series = wright = None
+    if series is not None:
+        # The two methods round their log-terms, about n*·ln(Lambda) nats at
+        # the peak count n*, differently: past 1e-10 they may differ by the
+        # documented bound n*·ln(Lambda)·eps.
+        n_star = lam ** (1.0 / alpha) / alpha
+        rtol = max(1e-10, n_star * math.log(max(lam, 1.0)) * 2.2e-16)
+        shown = np.maximum(series, wright) >= 1e-300
+        assert np.allclose(wright[shown], series[shown], rtol=rtol, atol=0.0)
+    try:
+        planar_law(spec, c, t).ac_density(c * t * np.array([0.0, 0.5]), 0.0)
+        count_distribution(spec, t).sample_many(np.array([0.25, 0.75]))
+    except NUMERIC_ERRORS:
+        pass
+    rate = ["--alpha", repr(alpha), "--rate", f"const:{lam / t!r}", "--c", repr(c), "--t", repr(t)]
+    rc = main(["density", "--law", "line", *rate, "--grid-min", repr(-0.9 * c * t),
+               "--grid-max", repr(0.9 * c * t), "--grid-points", "3",
+               "--out", str(tmp_path / "line.csv")])
+    assert rc in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC)
+    rc = main(["simulate", *rate, "--samples", "3", "--out", str(tmp_path / "sim.csv")])
+    assert rc in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC)

@@ -324,8 +324,10 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
-# E_{0.2,1}(50) needs a window of about 3e9 terms, so alpha = 0.2 stops at
-# Lambda = 5 in place of 50.
+# At alpha = 0.2, Lambda = 50 the table starts near n = 1.56e9, more counts
+# than the table loop of the test below can walk one at a time, so alpha = 0.2
+# stops at Lambda = 5 there; test_alpha_02_lambda_50_table_matches_reference
+# checks Lambda = 50 over the counts its table holds.
 MERGED_LOG_WEIGHT_SPECS = [
     const_spec(alpha, lam)
     for alpha in (0.2, 0.5, 1.0)
@@ -360,6 +362,30 @@ def test_merged_log_weight_matches_per_family_reference(spec):
     dist = CountDistribution(spec, 1.0)
     table = [dist.pmf(k) for k in range(dist.support_size)]
     assert _bits(table) == _bits(np.exp(ref_weight(np.arange(dist.support_size)) - ref_norm))
+
+
+def test_alpha_02_lambda_50_table_matches_reference():
+    spec = const_spec(0.2, 50.0)
+    ref_weight, ref_norm = reference_log_terms(spec, 1.0)
+    assert _bits([counting._log_terms_and_normalizer(spec, 1.0)[1]]) == _bits([ref_norm])
+    dist = CountDistribution(spec, 1.0)
+    held = np.arange(dist.n_lo, dist.support_size)
+    assert 1.5e9 < dist.n_lo and held.size < 2_000_000
+    assert _bits([dist.pmf(k) for k in held[::1000].tolist()]) == _bits(
+        np.exp(ref_weight(held[::1000]) - ref_norm))
+    for k in (0, 1000, dist.n_lo - 1, dist.support_size + 5):
+        assert _bits([dist.pmf(k)]) == _bits([min(1.0, float(np.exp(ref_weight(k) - ref_norm)))])
+    assert dist.cdf(dist.n_lo - 1) == 0.0
+    draws = dist.sample_many(np.array([1e-9, 0.5, 1.0 - 1e-9]))
+    assert np.all((dist.n_lo <= draws) & (draws < dist.support_size))
+
+
+def test_alpha_02_lambda_10_table_is_its_window():
+    # The table used to start at n = 0 and hold 510 976 counts.
+    dist = CountDistribution(const_spec(0.2, 10.0), 1.0)
+    assert dist.support_size - dist.n_lo < 30_000
+    assert dist.n_lo > 480_000
+    assert abs(dist.cdf(dist.support_size - 1) - 1.0) <= 1e-10
 
 
 def test_flight_spec_validation():
@@ -487,7 +513,7 @@ def test_uniform_above_representable_table_gives_last_positive_count():
     n = dist.sample(u)
     assert dist.support_size < 10_000
     assert dist.pmf(n) > 0.0
-    assert dist.pmf(n + 1) == 0.0
+    assert n == dist.support_size - 1
     assert dist.sample_many(np.array([0.5, u])).tolist() == [dist.sample(0.5), n]
 
 
@@ -526,11 +552,25 @@ def test_sampling_table_normalization_property(alpha, lam):
     assert abs(dist.cdf(dist.support_size - 1) - 1.0) <= 1e-10
 
 
-def test_truncation_cap_is_reported():
-    with pytest.raises(ConvergenceError):
-        # A one-term cap cannot settle the state-dependent normalizer.
-        from fracmotion.counting import _state_dependent_log_terms
+@pytest.mark.parametrize("alphas,lam,message", [
+    # The normalizer needs E_{0.2,1}(60), whose window is about 3e6 terms.
+    ((0.5, 0.2), 60.0, r"E_\{0.2,1.0\} at z=60.0 needs a window of 3.055e\+06 terms"),
+    # Each window fits, but the table from n = 0 to the tail's peak near
+    # n = 1.56e9 would not.
+    ((1.0, 0.2), 50.0, r"state-dependent count table at z=50.0 needs a window of 1.563e\+09"),
+], ids=["normalizer-window", "table"])
+def test_window_past_the_cap_raises_before_allocating(alphas, lam, message):
+    # Nothing of the refused size (24 MB, 12.5 GB) may be allocated; the
+    # second case first sums E_{0.2,1}(50) over its 1.94e6-term window,
+    # whose peak is bounded in test_log_ml_memory_and_value_at_alpha_02_z_50.
+    import tracemalloc
 
-        _state_dependent_log_terms(
-            StateDependentSpec((0.5, 0.5), RateFunction.constant(1.0)), 1.0, max_terms=2
-        )
+    spec = StateDependentSpec(alphas, RateFunction.constant(lam))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError, match=message):
+            CountDistribution(spec, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (1e6 if lam == 60.0 else 215e6)

@@ -176,12 +176,26 @@ def test_mixture_density_is_bit_identical_to_scalar_loop(alpha):
 def test_underflowed_leading_terms_do_not_end_a_series():
     # At alpha = 0.2, Lambda = 5 the count law peaks near n = 15 000, so
     # the leading terms of both series underflow to zero. The line series
-    # must sum on to the peak (value from the per-term loop it replaced);
-    # the 500-term planar mixture cannot reach it and must say so.
+    # must sum on to the peak (value from a 50-digit mpmath sum over
+    # 11 500 <= k < 20 000); the 500-term planar mixture cannot reach it and
+    # must say so.
     spec = const_spec(0.2, 5.0)
-    assert line_density(spec, 1.0, 1.0, 0.0) == pytest.approx(49.86658804615229, rel=1e-13)
+    assert line_density(spec, 1.0, 1.0, 0.0) == pytest.approx(49.86658804613258, rel=1e-13)
     with pytest.raises(ConvergenceError):
         mixture_density(spec, 1.0, 1.0, 0.3)
+
+
+@pytest.mark.parametrize("method", ["series", "wright"])
+def test_line_density_below_double_range_is_zero(method):
+    # At alpha = 0.2, Lambda = 5 the density at |x| >= 0.35 is below the double
+    # range. The per-point sums this replaced raised there (every term had
+    # underflowed), and the Wright form overflowed at x = 0 because it summed
+    # before normalizing.
+    x = np.linspace(-0.99, 0.99, 21)
+    got = line_density(const_spec(0.2, 5.0), 1.0, 1.0, x, method=method)
+    assert np.all(got[np.abs(x) >= 0.35] == 0.0)
+    assert np.all(got[np.abs(x) < 0.35] > 0.0)
+    assert got[10] == pytest.approx(49.86658804613258, rel=1e-13)
 
 
 @pytest.mark.parametrize("alpha,lam", [(0.5, 1.0), (1.0, 2.0), (0.7, 0.5)])

@@ -292,6 +292,28 @@ def test_batch_radius_matches_mixture_cdf_classical():
     assert p > P_FLOOR
 
 
+def test_long_paths_take_the_exact_endpoint_law_given_their_count(monkeypatch):
+    # A path with more than _MAX_PATH_SWITCHES switches takes radius
+    # ct*sqrt(1 - v^(2/n)) and a uniform direction. With the threshold at 0
+    # every nonsingular sample does; the counts are the path sampler's and
+    # the radii follow the same Poisson mixture of conditional laws.
+    counts = endpoint_arrays(const_cfg(lam=1.0), 100_000, seed=55).n
+    monkeypatch.setattr(motion, "_MAX_PATH_SWITCHES", 0)
+    cols = endpoint_arrays(const_cfg(lam=1.0), 100_000, seed=55)
+    assert np.array_equal(cols.n, counts)
+    moved = ~cols.is_singular
+    weights = np.array([math.exp(-1.0) / math.factorial(k) for k in range(1, 60)])
+    weights /= weights.sum()
+
+    def cdf(v):
+        v = np.clip(np.asarray(v, dtype=float), 0.0, 1.0)
+        return sum(wk * (1.0 - (1.0 - v * v) ** (k / 2.0)) for k, wk in enumerate(weights, 1))
+
+    assert scipy.stats.kstest(np.hypot(cols.x[moved], cols.y[moved]), cdf).pvalue > P_FLOOR
+    theta = np.mod(np.arctan2(cols.y[moved], cols.x[moved]), 2.0 * math.pi) / (2.0 * math.pi)
+    assert scipy.stats.kstest(theta, "uniform").pvalue > P_FLOOR
+
+
 def test_conditioned_endpoints_validation():
     with pytest.raises(DomainError):
         conditioned_endpoints(0, 1.0, 1.0, 100, seed=1)
