@@ -29,8 +29,6 @@ from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import xlogy
 
 from .specfun import (
     ConvergenceError,
@@ -149,6 +147,8 @@ def cumulative_rate(rate: RateFunction, t: float) -> float:
             total += v * (min(t, b) - left)
             left = b
         return total
+    from scipy.integrate import quad  # only callable rates need scipy
+
     value, abserr = quad(rate.fn, 0.0, t, epsabs=_QUAD_ABS_TOL, epsrel=1e-10, limit=200)
     if abserr > 1e-7:
         raise ConvergenceError(
@@ -292,10 +292,14 @@ def weighted_pmf(weights: Callable[[int], float], lambda_t: float, n: int) -> fl
     if not 0.0 <= lambda_t < math.inf:
         raise DomainError(f"lambda_t must be finite and >= 0, got {lambda_t}")
     n = _require_count(n)
+    # k·ln λ with math.log, as _count_law forms it. At λ = 0 it is 0 at
+    # k = 0 and -inf above, without numpy's 0·(-inf) warning.
+    log_lam = math.log(lambda_t) if lambda_t > 0.0 else None
 
     def weighted_terms(k):
         w = np.array([float(weights(i)) for i in k.tolist()])
-        p = np.exp(xlogy(k, lambda_t) - lambda_t - log_gamma_pos(k + 1.0))
+        k_log_lam = np.where(k == 0, 0.0, -np.inf) if log_lam is None else k * log_lam
+        p = np.exp(k_log_lam - lambda_t - log_gamma_pos(k + 1.0))
         # A negative or non-finite weight gives a NaN term, which the
         # kernel rejects once it is kept.
         return np.where((w >= 0.0) & (w < math.inf), w * p, np.nan)

@@ -34,11 +34,17 @@ cancellation guard.
 Gamma values come from a fixed-coefficient Lanczos approximation rather
 than the platform libm, so results are reproducible across systems;
 ``log_gamma_pos`` covers arbitrarily large arguments.
+
+Two goodness-of-fit tails give the verification harness its p-values:
+:func:`chi2_sf`, the regularized upper incomplete gamma, and
+:func:`kolmogorov_sf`, the Pelz-Good form of the two-sided
+Kolmogorov-Smirnov tail.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -57,6 +63,8 @@ __all__ = [
     "log_wright_series",
     "positive_series",
     "bessel_j",
+    "chi2_sf",
+    "kolmogorov_sf",
 ]
 
 
@@ -485,3 +493,134 @@ def bessel_j(nu: float, x: float, rel_tol: float = 1e-12) -> float:
             _BESSEL_MAX_TERMS,
         )
     return float(total)
+
+
+# ---------------------------------------------------------------------------
+# Goodness-of-fit tails.
+
+_GAMMA_TAIL_MAX_TERMS = 100_000
+_LENTZ_TINY = 1e-300
+
+
+def chi2_sf(x: float, dof: float) -> float:
+    """P{X > x} for X chi-square with ``dof`` > 0 degrees of freedom.
+
+    This is the regularized upper incomplete gamma Q(a, h) at a = dof/2,
+    h = x/2, with the prefactor e^-h h^a / Gamma(a) from ``math.lgamma``.
+    Below h = a + 1 it is 1 - P(a, h), with P summed as its series
+    sum_n h^n / (a (a+1) ... (a+n)); above, Q comes from the modified Lentz
+    continued fraction, so far tails keep their relative accuracy. Each
+    stops when a step changes the result by less than a double's epsilon;
+    one that has not stopped after 100 000 steps raises ``ConvergenceError``.
+    """
+    x, dof = float(x), float(dof)
+    if not 0.0 < dof < math.inf:
+        raise DomainError(f"chi2_sf requires finite dof > 0, got {dof}")
+    if math.isnan(x):
+        raise DomainError("chi2_sf requires a number x, got nan")
+    if x <= 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    a, h = 0.5 * dof, 0.5 * x
+    prefactor = math.exp(a * math.log(h) - h - math.lgamma(a))
+    eps = sys.float_info.epsilon
+    if h < a + 1.0:
+        term = total = 1.0 / a
+        denominator = a
+        for _ in range(_GAMMA_TAIL_MAX_TERMS):
+            denominator += 1.0
+            term *= h / denominator
+            total += term
+            if term < total * eps:
+                return 1.0 - total * prefactor
+        raise ConvergenceError(f"chi2_sf series did not settle at x={x}, dof={dof}",
+                               total * prefactor, _GAMMA_TAIL_MAX_TERMS)
+    b = h + 1.0 - a
+    c = 1.0 / _LENTZ_TINY
+    d = 1.0 / b
+    fraction = d
+    for i in range(1, _GAMMA_TAIL_MAX_TERMS):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= _LENTZ_TINY else _LENTZ_TINY)
+        c = b + an / c
+        c = c if abs(c) >= _LENTZ_TINY else _LENTZ_TINY
+        delta = d * c
+        fraction *= delta
+        if abs(delta - 1.0) < eps:
+            return prefactor * fraction
+    raise ConvergenceError(f"chi2_sf continued fraction did not settle at x={x}, dof={dof}",
+                           prefactor * fraction, _GAMMA_TAIL_MAX_TERMS)
+
+
+_PI_2, _PI_4, _PI_6 = math.pi**2, math.pi**4, math.pi**6
+_SQRT_3 = math.sqrt(3.0)
+
+
+def kolmogorov_sf(n: int, d: float) -> float:
+    """P{D_n > d} for the two-sided Kolmogorov-Smirnov statistic D_n of n
+    samples, by the Pelz-Good (1976) expansion
+
+        P{D_n <= d} ~ K0(z) + K1(z)/sqrt(n) + K2(z)/n + K3(z)/n^1.5,  z = d sqrt(n),
+
+    returned as 1 - P{D_n <= d}. This ports ``_kolmogn_PelzGood`` of
+    ``scipy.stats._ksstats`` operation for operation, so where scipy's
+    ``kstwo.sf`` takes Pelz-Good -- n*d^2 < 2.2 at n > 1e5, or at n = 1e5
+    with n*d^1.5 > 1.4 (Simard & L'Ecuyer 2011, J. Stat. Softw. 39(11)) --
+    the two agree to rounding. Where n*d^2 >= 2.2 scipy takes 2*smirnov(n, d)
+    instead, which this matches within 1.9e-6 relative up to n*d^2 = 12
+    (p ~ 7e-11) at n = 1e5, 2.5e5 and 1e6; further out the difference
+    1 - P{D_n <= d} keeps only its absolute accuracy, about 1e-16. It is an
+    asymptotic form meant for n >= 1e5; at smaller n it is an approximation
+    of unstated accuracy.
+    """
+    if n != int(n) or n < 1:
+        raise DomainError(f"kolmogorov_sf requires an integer n >= 1, got {n}")
+    d = float(d)
+    if math.isnan(d):
+        raise DomainError("kolmogorov_sf requires a number d, got nan")
+    if d <= 0.0:
+        return 1.0
+    if d >= 1.0:
+        return 0.0
+    z = math.sqrt(n) * d
+    z2, z3, z4, z6 = z**2, z**3, z**4, z**6
+    qlog = -_PI_2 / 8 / z2
+    if qlog < -708:
+        return 1.0
+    q = np.exp(qlog)
+    k1a, k1b = -z2, _PI_2 / 4
+    k2a = 6 * z6 + 2 * z4
+    k2b = (2 * z4 - 5 * z2) * _PI_2 / 4
+    k2c = _PI_4 * (1 - 2 * z2) / 16
+    k3d = _PI_6 * (5 - 30 * z2) / 64
+    k3c = _PI_4 * (-60 * z2 + 212 * z4) / 16
+    k3b = _PI_2 * (135 * z4 - 96 * z6) / 4
+    k3a = -30 * z6 - 90 * z**8
+    # Horner scheme in q^8 over the odd m = 2k - 1 for K0..K3.
+    terms = np.zeros(4)
+    maxk = math.ceil(16 * z / math.pi)
+    for k in range(maxk, 0, -1):
+        m = 2 * k - 1
+        terms *= np.power(q, 8 * k)
+        terms += np.array([1.0,
+                           k1a + k1b * m**2,
+                           k2a + k2b * m**2 + k2c * m**4,
+                           k3a + k3b * m**2 + k3c * m**4 + k3d * m**6])
+    terms *= q
+    terms *= _SQRT_TWO_PI
+    terms /= np.array([z, 6 * z4, 72 * z**7, 6480 * z**10])
+    # The sums over all k >= 1 that K2 and K3 add.
+    q = np.exp(-_PI_2 / 2 / z2)
+    ks = np.arange(maxk, 0, -1)
+    ksquared = ks**2
+    sqrt3z = _SQRT_3 * z
+    kspi = math.pi * ks
+    qpowers = q**ksquared
+    terms[2] += np.sum(ksquared * qpowers) * (_PI_2 * _SQRT_TWO_PI / (-36 * z3))
+    terms[3] += (np.sum((sqrt3z + kspi) * (sqrt3z - kspi) * ksquared * qpowers)
+                 * (_PI_2 * _SQRT_TWO_PI / (216 * z6)))
+    terms /= np.power(n * 1.0, np.arange(4) / 2.0)
+    return min(max(1.0 - sum(terms.tolist()), 0.0), 1.0)

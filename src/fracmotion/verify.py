@@ -30,11 +30,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy import stats
 
 from . import __version__
 from .counting import CountingSpec, FracPoissonSpec, cumulative_rate, pgf
@@ -50,7 +49,9 @@ from .specfun import (
     DomainError,
     MLParams,
     bessel_j,
+    chi2_sf,
     gamma_pos,
+    kolmogorov_sf,
     log_mittag_leffler,
 )
 
@@ -219,11 +220,17 @@ def caputo_l1(values: Sequence[float], grid: CaputoGrid, alpha: float) -> np.nda
 # inverse-square-root edge singularity of the planar laws).
 
 
+_GAUSS_LEGENDRE_FILE = Path(__file__).with_name("gauss_legendre.npz")
+
+
 @lru_cache(maxsize=None)
 def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once
-    per process (``leggauss`` solves an eigenvalue problem each call)."""
-    nodes, wts = leggauss(n_nodes)
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1] for 32 or 256
+    nodes, read once per process from the rules numpy's ``leggauss`` wrote
+    (``scripts/make_gauss_legendre.py``): its LAPACK eigensolver can stall
+    for half a second on its first call in a process."""
+    with np.load(_GAUSS_LEGENDRE_FILE) as rules:
+        nodes, wts = rules[f"nodes_{n_nodes}"], rules[f"weights_{n_nodes}"]
     nodes.flags.writeable = False
     wts.flags.writeable = False
     return nodes, wts
@@ -479,6 +486,17 @@ def _radial_profile(law: PlanarLaw) -> Callable[[np.ndarray], np.ndarray]:
     return lambda r: law.ac_density(r, 0.0)
 
 
+def _ks_uniform(u: np.ndarray) -> tuple[float, float]:
+    """(D, p) of the two-sided Kolmogorov-Smirnov test of samples ``u`` in
+    [0, 1] against the uniform law: D = max(D+, D-) from the sorted sample,
+    formed as ``scipy.stats.kstest`` forms it, and p =
+    :func:`~fracmotion.specfun.kolmogorov_sf`."""
+    u = np.sort(u)
+    n = u.size
+    d = max((np.arange(1.0, n + 1) / n - u).max(), (u - np.arange(0.0, n) / n).max())
+    return float(d), kolmogorov_sf(n, d)
+
+
 def mc_gof(cols: EndpointArrays, law: PlanarLaw, bins: int = 50) -> list[CheckResult]:
     """Three-way goodness of fit of an endpoint batch against a planar law.
 
@@ -535,7 +553,10 @@ def mc_gof(cols: EndpointArrays, law: PlanarLaw, bins: int = 50) -> list[CheckRe
             merged_counts.append(acc_c)
             merged_expected.append(acc_e)
     n_merged = bins - len(merged_counts)
-    chi2, p_radial = stats.chisquare(merged_counts, merged_expected)
+    # Pearson's statistic summed as scipy.stats.chisquare sums it.
+    obs, ex = np.array(merged_counts), np.array(merged_expected)
+    chi2 = float(np.sum((obs - ex) ** 2 / ex))
+    p_radial = chi2_sf(chi2, len(merged_counts) - 1)
     radial_entry = CheckResult(
         name="mc-radial-chi2",
         statistic=float(p_radial),
@@ -550,7 +571,7 @@ def mc_gof(cols: EndpointArrays, law: PlanarLaw, bins: int = 50) -> list[CheckRe
     )
 
     theta = np.mod(np.arctan2(cols.y, cols.x), 2.0 * math.pi)
-    ks_stat, p_angle = stats.kstest(theta / (2.0 * math.pi), "uniform")
+    ks_stat, p_angle = _ks_uniform(theta / (2.0 * math.pi))
     angle_entry = CheckResult(
         name="mc-angle-ks",
         statistic=float(p_angle),

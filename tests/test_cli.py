@@ -5,6 +5,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -391,3 +395,33 @@ def test_any_alpha_and_lambda_gives_a_value_or_a_documented_error(tmp_path, alph
     assert rc in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC)
     rc = main(["simulate", *rate, "--samples", "3", "--out", str(tmp_path / "sim.csv")])
     assert rc in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC)
+
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+from fracmotion.cli import main
+out = sys.argv[1]
+codes = [
+    main(["density", "--law", "planar", "--alpha", "0.5", "--grid-points", "50",
+          "--out", out + "/density.csv"]),
+    main(["verify", "--check", "mc", "--out", out + "/verify_report.json"]),
+    main(["simulate", "--alpha", "0.5", "--samples", "100", "--out", out + "/sim.csv"]),
+]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_cli_commands_load_no_scipy(tmp_path):
+    import fracmotion
+
+    src = str(Path(fracmotion.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [EXIT_OK, EXIT_OK, EXIT_OK], "scipy": []}
+    import scipy
+
+    manifest = json.loads((tmp_path / "sim.csv.manifest.json").read_text())
+    assert manifest["scipy_version"] == scipy.__version__

@@ -183,6 +183,39 @@ def test_weighted_pmf_two_term_normalizer():
     assert weighted_pmf(w, 1.0, 5) == 0.0
 
 
+def _xlogy_weighted_pmf(weights, lambda_t, n):
+    """weighted_pmf as it was formed with scipy's xlogy(k, lambda_t)."""
+    from scipy.special import xlogy
+
+    from fracmotion.specfun import positive_series
+
+    def terms(k):
+        w = np.array([float(weights(i)) for i in k.tolist()])
+        p = np.exp(xlogy(k, lambda_t) - lambda_t - log_gamma_pos(k + 1.0))
+        return np.where((w >= 0.0) & (w < math.inf), w * p, np.nan)
+
+    kept = positive_series(terms, 1e-15, 100000, "reference",
+                           first_stop=math.floor(lambda_t) + 1)
+    return float(terms(np.array([n]))[0]) / math.fsum(kept)
+
+
+def test_weighted_pmf_is_bit_identical_to_the_xlogy_form():
+    import warnings
+
+    # At 0.6242375350000001 numpy's log is one ulp off libm's, which xlogy
+    # and math.log share.
+    lambdas = [0.0, 1e-300, 1e-3, 0.5, 0.6242375350000001, 1.0, 2.5, 7.0, 13.3, 29.9, 50.0]
+    for weights in (lambda k: 1.0, lambda k: 1.0 / (k + 1.0), lambda k: k % 3 + 0.5):
+        for lambda_t in lambdas:
+            for n in (0, 1, 2, 5, 17, 40, 77):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = weighted_pmf(weights, lambda_t, n)
+                assert got == _xlogy_weighted_pmf(weights, lambda_t, n), (lambda_t, n)
+    assert weighted_pmf(lambda k: 1.0, 0.0, 0) == 1.0
+    assert weighted_pmf(lambda k: 1.0, 0.0, 3) == 0.0
+
+
 def test_weighted_pmf_rejects_bad_weights():
     with pytest.raises(DomainError):
         weighted_pmf(lambda k: 0.0, 1.0, 0)

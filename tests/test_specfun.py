@@ -22,7 +22,9 @@ from fracmotion.specfun import (
     RangeOverflowError,
     WrightSeriesSpec,
     bessel_j,
+    chi2_sf,
     gamma_pos,
+    kolmogorov_sf,
     log_gamma_pos,
     log_mittag_leffler,
     mittag_leffler,
@@ -465,3 +467,80 @@ def test_window_stays_near_its_60_nat_width(z):
     # Curvature -alpha/n: 60 nats either side is sqrt(2 * 60 * n / alpha).
     assert hi[0] - lo[0] == pytest.approx(2.0 * math.sqrt(120.0 * n_star / 0.2), rel=0.01)
     assert lo[0] < n_star < hi[0]
+
+
+# ---------------------------------------------------------------------------
+# Goodness-of-fit tails against scipy, the oracle they replace.
+
+
+def test_chi2_sf_matches_scipy():
+    from scipy import stats
+
+    worst = 0.0
+    for dof in range(1, 101):
+        x = np.geomspace(0.01 * dof, 10.0 * dof, 60)
+        ref = stats.chi2.sf(x, dof)
+        got = np.array([chi2_sf(v, dof) for v in x])
+        worst = max(worst, float(np.max(np.abs(got - ref) / ref)))
+    assert worst <= 1e-12
+
+
+def test_chi2_sf_edges_and_domain():
+    assert chi2_sf(0.0, 3) == 1.0
+    assert chi2_sf(-1.0, 3) == 1.0
+    assert chi2_sf(math.inf, 3) == 0.0
+    # dof = 2: Q(1, x/2) = exp(-x/2), through the continued fraction.
+    assert chi2_sf(40.0, 2) == pytest.approx(math.exp(-20.0), rel=1e-13)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            chi2_sf(1.0, bad)
+    with pytest.raises(DomainError):
+        chi2_sf(math.nan, 3)
+
+
+def _ks_grid(n, lo, hi):
+    """d on a grid of n*d^2 over [lo, hi)."""
+    return np.sqrt(np.linspace(lo, hi, 40, endpoint=False) / n)
+
+
+@pytest.mark.parametrize("n", [100_000, 100_001, 400_000])
+def test_kolmogorov_sf_matches_scipy_where_scipy_takes_pelz_good(n):
+    from scipy import stats
+
+    d = _ks_grid(n, 0.05, 2.2)
+    if n <= 100_000:  # scipy takes the Durbin matrix method there
+        d = d[n * d**1.5 > 1.4]
+    assert d.size >= 20
+    for v in d:
+        ref = float(stats.kstwo.sf(v, n))
+        assert kolmogorov_sf(n, v) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [100_000, 250_000])
+def test_kolmogorov_sf_tracks_twice_smirnov_where_scipy_takes_it(n):
+    from scipy import special
+
+    # Measured worst: 1.9e-6 at n*d^2 = 2.2. Past n*d^2 ~ 12 (p ~ 1e-10)
+    # 1 - P{D_n <= d} keeps only absolute accuracy.
+    for v in np.sqrt(np.array([2.2, 3.0, 5.0, 8.0, 12.0]) / n):
+        ref = 2.0 * special.smirnov(n, v)
+        assert kolmogorov_sf(n, v) == pytest.approx(ref, rel=1e-5, abs=0.0)
+
+
+def test_kolmogorov_sf_matches_durbin_near_one():
+    from scipy import stats
+
+    n = 100_000
+    for v in np.linspace(0.02, 1.0, 8) * (1.4 / n) ** (2.0 / 3.0):  # n*d^1.5 <= 1.4
+        assert abs(kolmogorov_sf(n, v) - float(stats.kstwo.sf(v, n))) <= 1e-9
+
+
+def test_kolmogorov_sf_edges_and_domain():
+    assert kolmogorov_sf(100_000, 0.0) == 1.0
+    assert kolmogorov_sf(100_000, 1.0) == 0.0
+    assert kolmogorov_sf(100_000, 1e-6) == 1.0  # q underflows: P{D_n <= d} = 0
+    for bad in (0, -3, 2.5):
+        with pytest.raises(DomainError):
+            kolmogorov_sf(bad, 0.01)
+    with pytest.raises(DomainError):
+        kolmogorov_sf(100_000, math.nan)

@@ -294,6 +294,44 @@ def test_mc_gof_requires_enough_samples():
         mc_gof(endpoint_arrays(cfg, 1000, seed=0), law)
 
 
+def test_mc_gof_p_values_match_scipy(classical_batch):
+    from scipy import stats
+
+    law = planar_law(const_spec(1.0, 1.0), 1.0, 1.0)
+    entries = {e.name: e for e in mc_gof(classical_batch, law)}
+    radial = entries["mc-radial-chi2"]
+    ref = stats.chi2.sf(radial.details["chi2"], radial.details["bins"] - 1)
+    assert radial.statistic == pytest.approx(ref, rel=1e-12)
+    theta = np.mod(np.arctan2(classical_batch.y, classical_batch.x), 2.0 * math.pi)
+    ks = stats.kstest(theta / (2.0 * math.pi), "uniform")
+    angle = entries["mc-angle-ks"]
+    assert angle.details["ks"] == ks.statistic
+    assert angle.statistic == pytest.approx(ks.pvalue, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [100_000, 100_001, 400_000])
+def test_ks_uniform_matches_kstest(n):
+    from scipy import stats
+
+    from fracmotion.verify import _ks_uniform
+
+    u = np.random.default_rng(n).random(n)
+    pelz_good = 0
+    # Powers of u bend the law away from uniform, so D covers every branch.
+    for power in (1.0, 1.0015, 1.003, 1.006, 1.01):
+        d, p = _ks_uniform(u**power)
+        ref = stats.kstest(u**power, "uniform")
+        assert d == pytest.approx(ref.statistic, rel=1e-13, abs=0.0)
+        if n * d * d >= 2.2:  # scipy: 2*smirnov
+            assert p == pytest.approx(ref.pvalue, rel=1e-5, abs=0.0)
+        elif n <= 100_000 and n * d**1.5 <= 1.4:  # scipy: Durbin's matrix
+            assert abs(p - ref.pvalue) <= 1e-9
+        else:
+            assert p == pytest.approx(ref.pvalue, rel=1e-13, abs=0.0)
+            pelz_good += 1
+    assert pelz_good >= 2
+
+
 # ---------------------------------------------------------------------------
 # Conditional characteristic function
 
@@ -360,6 +398,29 @@ def test_gauss_legendre_rule_is_cached_and_read_only():
     assert not nodes.flags.writeable and not wts.flags.writeable
     ref_nodes, ref_wts = leggauss(32)
     assert nodes.tolist() == ref_nodes.tolist() and wts.tolist() == ref_wts.tolist()
+
+
+@pytest.mark.parametrize("n_nodes", [32, 256])
+def test_gauss_legendre_data_matches_leggauss_without_lapack(n_nodes, monkeypatch):
+    from numpy.polynomial.legendre import leggauss
+
+    from fracmotion.verify import _gauss_legendre
+
+    ref_nodes, ref_wts = leggauss(n_nodes)
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("the frozen rule called LAPACK")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, no_lapack)
+    _gauss_legendre.cache_clear()
+    try:
+        nodes, wts = _gauss_legendre(n_nodes)
+    finally:
+        _gauss_legendre.cache_clear()
+    for got, ref in ((nodes, ref_nodes), (wts, ref_wts)):
+        assert got.shape == ref.shape == (n_nodes,)
+        assert np.all(np.abs(got - ref) <= 2.0 * np.spacing(np.abs(ref)))
 
 
 def test_bin_masses_match_a_per_bin_loop():
