@@ -386,16 +386,17 @@ class CountDistribution:
         return int(self.sample_many(np.array([u], dtype=float))[0])
 
     def sample_many(self, us: np.ndarray) -> np.ndarray:
-        """Smallest n with CDF(n) ≥ u for each uniform u in (0, 1).
+        """Smallest n ≥ ``n_lo`` with CDF(n) ≥ u for each uniform u in
+        [0, 1), the range ``random()`` draws from; u = 0 maps to ``n_lo``.
 
         A u above the table's last CDF value maps to the table's last
         count when the mass the table misses is at most 1e-13, and raises
         otherwise.
         """
         us = np.asarray(us, dtype=float)
-        outside = ~((us > 0.0) & (us < 1.0))
+        outside = ~((us >= 0.0) & (us < 1.0))
         if outside.any():
-            raise DomainError(f"sampling uniforms must lie in (0, 1), got {us[outside][0]}")
+            raise DomainError(f"sampling uniforms must lie in [0, 1), got {us[outside][0]}")
         draws = np.searchsorted(self._cum, us, side="left").astype(np.int64)
         if us.size and us.max() > self._cum[-1]:
             if 1.0 - self._cum[-1] > self._TAIL:

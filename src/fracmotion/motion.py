@@ -15,8 +15,10 @@ count law at ``Lambda(t)``.
 Endpoint batches are reproducible bit-for-bit: sample ``i`` draws from its
 own ``numpy`` substream ``default_rng((seed, i))``, exactly as
 :func:`sample_trajectory` would consume it.  The batch sampler
-:func:`endpoint_arrays` recomputes those streams for many ``i`` at once in
-numpy integer arithmetic instead of building one generator per sample.
+:func:`endpoint_arrays` seeds those streams for many ``i`` at once in
+numpy integer arithmetic instead of building one generator per sample.  It
+computes a path's first ``_BULK_DRAWS`` draws in bulk from those states; a
+longer path is drawn by numpy's own PCG64 set to its bulk-seeded state.
 A path with more than ``2**20`` switches takes its endpoint from the exact
 law given ``n`` switches instead (radius ``ct * sqrt(1 - v**(2/n))``).
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -238,11 +240,6 @@ def _add128(hi: np.ndarray, lo: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray) 
     hi += lo < b_lo
 
 
-def _limbs(lo: np.ndarray, hi: np.ndarray) -> tuple:
-    """The :func:`_mul128` limbs of 128-bit integers given as uint64 halves."""
-    return lo & _M32, lo >> 32, lo, hi
-
-
 def _jump(k: int) -> tuple[int, int]:
     """``(M**k, S_k)`` mod 2**128, ``M`` the PCG64 multiplier and
     ``S_k = sum_{j<k} M**j``: ``k`` steps ``x -> M * x + inc`` take a state
@@ -258,27 +255,20 @@ def _jump(k: int) -> tuple[int, int]:
     return mult, shift
 
 
-_WINDOW = 1 << 12  # draws of a stream read off one jumped-to state
+_BULK_DRAWS = 128  # draws of a stream computed in bulk; later ones come from PCG64 itself
 
 
-@lru_cache(maxsize=1)
-def _window_table() -> tuple[tuple, tuple]:
-    """Limbs of :func:`_jump` for ``k = 1 .. _WINDOW``."""
-    halves = np.empty((4, _WINDOW), dtype=np.uint64)
-    mult, shift = 1, 0
-    for k in range(_WINDOW):
+@lru_cache(maxsize=None)
+def _draw_table(size: int) -> tuple[tuple, tuple]:
+    """Limbs of :func:`_jump` for ``k = 2 .. size + 1``: the steps from a
+    stream's state ``x`` to its draws ``0 .. size - 1``."""
+    halves = np.empty((4, size), dtype=np.uint64)
+    mult, shift = _PCG_MULT, 1
+    for k in range(size):
         mult = (mult * _PCG_MULT) & _M128
         shift = (shift * _PCG_MULT + 1) & _M128
         halves[:, k] = mult & _M64, mult >> 64, shift & _M64, shift >> 64
-    return _limbs(halves[0], halves[1]), _limbs(halves[2], halves[3])
-
-
-def _advance(x_hi, x_lo, inc_hi, inc_lo, mult: tuple, shift: tuple):
-    """``mult * x + shift * inc mod 2**128``: the states ``x`` advanced by
-    the steps whose :func:`_jump` limbs are ``(mult, shift)``."""
-    hi, lo = _mul128(x_hi, x_lo, mult)
-    _add128(hi, lo, *_mul128(inc_hi, inc_lo, shift))
-    return hi, lo
+    return tuple((lo & _M32, lo >> 32, lo, hi) for lo, hi in (halves[:2], halves[2:]))
 
 
 def _to_uniform(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -322,37 +312,48 @@ class _Substreams:
 
     def uniforms(self, start: int, count: int, rows: np.ndarray | None = None) -> np.ndarray:
         """Draws ``start .. start + count - 1`` of the streams ``rows`` (all
-        by default), as a ``(len(rows), count)`` array of doubles."""
-        x = self.x_hi, self.x_lo
-        inc_hi, inc_lo = self.inc_hi, self.inc_lo
+        by default), as a ``(len(rows), count)`` array of doubles: in bulk
+        within the first ``_BULK_DRAWS`` draws, else row by row from numpy's
+        own PCG64 set to each stream's state, which is faster there."""
+        x_hi, x_lo, inc_hi, inc_lo = self.x_hi, self.x_lo, self.inc_hi, self.inc_lo
         if rows is not None:
-            x, inc_hi, inc_lo = (x[0][rows], x[1][rows]), inc_hi[rows], inc_lo[rows]
+            x_hi, x_lo, inc_hi, inc_lo = x_hi[rows], x_lo[rows], inc_hi[rows], inc_lo[rows]
+        if start + count > _BULK_DRAWS:
+            return self._pcg64_uniforms(start, count, x_hi, x_lo, inc_hi, inc_lo)
+        # Tables come in powers of two, so that a few serve every read.
+        table = _draw_table(1 << (start + count - 1).bit_length())
+        mult, shift = (tuple(limb[start:start + count] for limb in part) for part in table)
         # Lay the longer of the two axes innermost, so that numpy's inner
         # loops stay long for many short streams and for few long ones.
-        draws_inner = min(count, _WINDOW) > inc_hi.size
+        draws_inner = count > inc_hi.size
         if draws_inner:
-            x, inc_hi, inc_lo = (x[0][:, None], x[1][:, None]), inc_hi[:, None], inc_lo[:, None]
-        table = _window_table()
-        windows = []
-        for first in range(0, count, _WINDOW):
-            width = min(_WINDOW, count - first)
-            # Draw k is k + 2 steps past x.  Read the window's states off the
-            # table from x itself while its steps are in the table, else
-            # from x jumped to one step before the window.
-            steps = start + first + 2
-            if steps + width - 1 <= _WINDOW:
-                base, offset = x, steps - 1
-            else:
-                jump = (_limbs(np.uint64(v & _M64), np.uint64(v >> 64)) for v in _jump(steps - 1))
-                base, offset = _advance(*x, inc_hi, inc_lo, *jump), 0
-            window = slice(offset, offset + width)
-            mult, shift = (
-                tuple(limb[window] if draws_inner else limb[window, None] for limb in part)
-                for part in table
-            )
-            u = _to_uniform(*_advance(*base, inc_hi, inc_lo, mult, shift))
-            windows.append(u if draws_inner else u.T)
-        return windows[0] if len(windows) == 1 else np.concatenate(windows, axis=1)
+            x_hi, x_lo, inc_hi, inc_lo = (a[:, None] for a in (x_hi, x_lo, inc_hi, inc_lo))
+        else:
+            mult, shift = (tuple(limb[:, None] for limb in part) for part in (mult, shift))
+        hi, lo = _mul128(x_hi, x_lo, mult)
+        _add128(hi, lo, *_mul128(inc_hi, inc_lo, shift))
+        u = _to_uniform(hi, lo)
+        return u if draws_inner else u.T
+
+    @cached_property
+    def _generator(self) -> np.random.Generator:
+        return np.random.Generator(np.random.PCG64(0))
+
+    def _pcg64_uniforms(self, start, count, x_hi, x_lo, inc_hi, inc_lo) -> np.ndarray:
+        """:meth:`uniforms` drawn row by row with ``Generator.random``."""
+        # The generator steps before each output, so draw k is read from the
+        # state k + 1 steps past x.
+        mult, shift = _jump(start + 1)
+        bits = self._generator.bit_generator
+        out = np.empty((inc_hi.size, count))
+        halves = (a.tolist() for a in (x_hi, x_lo, inc_hi, inc_lo))
+        for row, xh, xl, ih, il in zip(out, *halves):
+            inc = ih << 64 | il
+            state = (mult * (xh << 64 | xl) + shift * inc) & _M128
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            self._generator.random(out=row)
+        return out
 
 
 _BLOCK = 1 << 12  # samples seeded together
@@ -363,17 +364,27 @@ _MAX_PATH_SWITCHES = 1 << 20  # longest path followed switch by switch
 def _endpoints(cfg: MotionConfig, n: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints of paths with ``n`` switches from their uniforms (one row
     per path: ``n`` instants, then ``n + 1`` directions), in the arithmetic
-    order of :func:`endpoint_from_path`."""
-    theta = _TWO_PI * u[:, n:]
+    order of :func:`endpoint_from_path`.  Overwrites ``u``."""
+    theta = u[:, n:]
+    theta *= _TWO_PI
     if n == 0:
         ct = cfg.c * cfg.t
         return ct * np.cos(theta[:, 0]), ct * np.sin(theta[:, 0])
-    times = cfg.t * np.sort(u[:, :n], axis=1)
-    seg = np.diff(times, axis=1, prepend=0.0, append=cfg.t)
+    times = u[:, :n]
+    times.sort(axis=1)
+    times *= cfg.t
+    seg = np.empty_like(theta)  # edges 1 .. n + 1, less edges 0 .. n
+    seg[:, :n] = times
+    seg[:, n] = cfg.t
+    seg[:, 1:] -= times
     # Row sums accumulate left to right like the scalar loop; its leading
     # 0.0 turns a -0.0 total into 0.0, hence the + 0.0.
-    x = np.cumsum(seg * np.cos(theta), axis=1)[:, -1] + 0.0
-    y = np.cumsum(seg * np.sin(theta), axis=1)[:, -1] + 0.0
+    prod = np.cos(theta)
+    prod *= seg
+    x = np.cumsum(prod, axis=1, out=prod)[:, -1] + 0.0
+    np.sin(theta, out=prod)
+    prod *= seg
+    y = np.cumsum(prod, axis=1, out=prod)[:, -1] + 0.0
     return cfg.c * x, cfg.c * y
 
 
@@ -385,8 +396,10 @@ def endpoint_arrays(cfg: MotionConfig, n_samples: int, seed: int) -> EndpointArr
     ``np.random.default_rng((seed, i))``, bit for bit, up to
     ``_MAX_PATH_SWITCHES`` switches; past that, draws 1 and 2 give radius
     ``ct * sqrt(1 - (1 - u1)**(2/n))`` and direction ``2*pi*u2``.  The
-    streams are generated in bulk, blocks of samples at a time, so memory
-    stays bounded by the block size and the longest path followed.
+    streams are seeded in bulk, blocks of samples at a time, so memory
+    stays bounded by the block size and the longest path followed.  Paths
+    of fewer than ``_BULK_DRAWS`` uniforms are drawn in bulk too; longer
+    ones row by row by numpy's own PCG64 set to each bulk-seeded state.
     """
     if n_samples <= 0:
         raise DomainError(f"n_samples must be positive, got {n_samples}")

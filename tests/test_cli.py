@@ -407,7 +407,8 @@ codes = [
     main(["verify", "--check", "mc", "--out", out + "/verify_report.json"]),
     main(["simulate", "--alpha", "0.5", "--samples", "100", "--out", out + "/sim.csv"]),
 ]
-print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+heavy = ("scipy", "importlib.metadata", "email")
+print(json.dumps({"codes": codes, "loaded": sorted(m for m in sys.modules if m.startswith(heavy))}))
 """
 
 
@@ -420,8 +421,30 @@ def test_cli_commands_load_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"codes": [EXIT_OK, EXIT_OK, EXIT_OK], "scipy": []}
+    assert result == {"codes": [EXIT_OK, EXIT_OK, EXIT_OK], "loaded": []}
     import scipy
 
     manifest = json.loads((tmp_path / "sim.csv.manifest.json").read_text())
     assert manifest["scipy_version"] == scipy.__version__
+
+
+@pytest.mark.parametrize("versions", [["9.9.1"], ["9.9.1", "9.9.2"], []])
+def test_scipy_version_reads_the_one_dist_info_beside_the_package(tmp_path, monkeypatch, versions):
+    # With exactly one scipy-*.dist-info its Version header is the answer;
+    # otherwise importlib.metadata decides.
+    import importlib.util
+
+    import scipy
+
+    from fracmotion import cli
+
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    for v in versions:
+        info = tmp_path / f"scipy-{v}.dist-info"
+        info.mkdir()
+        (info / "METADATA").write_text(f"Metadata-Version: 2.1\nName: scipy\nVersion: {v}\n")
+    spec = importlib.util.spec_from_file_location("scipy", tmp_path / "scipy" / "__init__.py")
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    expected = versions[0] if len(versions) == 1 else scipy.__version__
+    assert cli._scipy_version.__wrapped__() == expected

@@ -152,15 +152,35 @@ INDICES = [0, 1, 2**32 - 1, 2**32, 2**33 + 7]
 @pytest.mark.parametrize("seed", SEEDS)
 def test_bulk_substreams_match_default_rng(seed):
     # Seeds and indices of 2**32 or more are several entropy words each.
-    # Draws past the jump table's window are reached by jumping ahead.
-    window = motion._WINDOW
-    expected = [np.random.default_rng((seed, i)).random(2 * window + 5) for i in INDICES]
+    expected = [np.random.default_rng((seed, i)).random(40) for i in INDICES]
     streams = _Substreams(seed, np.array(INDICES, dtype=np.uint64))
-    assert np.array_equal(streams.uniforms(0, 40), [e[:40] for e in expected])
+    assert np.array_equal(streams.uniforms(0, 40), expected)
     assert np.array_equal(streams.uniforms(33, 7, np.array([4, 0, 3])),
                           [expected[r][33:40] for r in (4, 0, 3)])
-    assert np.array_equal(streams.uniforms(window - 5, window + 10, np.array([1, 2])),
-                          [expected[r][window - 5:] for r in (1, 2)])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_long_reads_come_from_pcg64_at_the_bulk_seeded_state(seed, monkeypatch):
+    # A path of n switches reads draws 1 .. 2n + 1.  From 2n + 1 = _BULK_DRAWS
+    # on, numpy's own PCG64 draws them, set to each stream's state; that
+    # holds far past the first 4096 draws too.
+    split = motion._BULK_DRAWS
+    far = 4096
+    expected = [np.random.default_rng((seed, i)).random(2 * far + 5) for i in INDICES]
+    streams = _Substreams(seed, np.array(INDICES, dtype=np.uint64))
+    counts = []
+    pcg64 = _Substreams._pcg64_uniforms
+
+    def spy(self, start, count, *halves):
+        counts.append(count)
+        return pcg64(self, start, count, *halves)
+
+    monkeypatch.setattr(_Substreams, "_pcg64_uniforms", spy)
+    for count in (split - 2, split, split + 2):
+        assert np.array_equal(streams.uniforms(1, count), [e[1:count + 1] for e in expected])
+    assert np.array_equal(streams.uniforms(far - 5, far + 10, np.array([1, 2])),
+                          [expected[r][far - 5:] for r in (1, 2)])
+    assert counts == [split, split + 2, far + 10]
 
 
 @pytest.mark.parametrize("c,t", [(0.7, 1.0), (3.3, 0.6)])
@@ -199,9 +219,12 @@ def test_batch_does_not_depend_on_block_and_draw_budget(monkeypatch):
     base = endpoint_arrays(cfg, 300, seed=4)
     monkeypatch.setattr(motion, "_BLOCK", 37)
     monkeypatch.setattr(motion, "_DRAW_BUDGET", 500)
-    small = endpoint_arrays(cfg, 300, seed=4)
-    for f in base._fields:
-        assert np.array_equal(getattr(base, f), getattr(small, f))
+    # Every path is drawn by numpy's PCG64 at 1, every one in bulk at 10**9.
+    for bulk_draws in (1, 10**9):
+        monkeypatch.setattr(motion, "_BULK_DRAWS", bulk_draws)
+        small = endpoint_arrays(cfg, 300, seed=4)
+        for f in base._fields:
+            assert np.array_equal(getattr(base, f), getattr(small, f))
 
 
 def test_batch_peak_allocation_is_bounded():
