@@ -25,8 +25,6 @@ output directory when ``--out`` is not given.
 from __future__ import annotations
 
 import argparse
-import csv
-import importlib.util
 import json
 import math
 import os
@@ -34,7 +32,6 @@ import platform
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -137,31 +134,12 @@ def _resolve_out(params: dict, default_name: str) -> Path:
     return Path(os.environ.get(OUT_DIR_ENV, ".")) / default_name
 
 
-@cache
-def _scipy_version() -> str:
-    """The installed scipy's version, read from the ``Version:`` header of
-    the one ``scipy-*.dist-info`` beside the package, so that no command
-    imports scipy (0.5 s or more) or ``importlib.metadata`` (25 ms)."""
-    spec = importlib.util.find_spec("scipy")
-    if spec is not None and spec.origin is not None:
-        infos = list(Path(spec.origin).parent.parent.glob("scipy-*.dist-info"))
-        if len(infos) == 1:
-            with open(infos[0] / "METADATA", encoding="utf-8") as headers:
-                for line in headers:
-                    if line.startswith("Version:"):
-                        return line[len("Version:"):].strip()
-    from importlib import metadata
-
-    return metadata.version("scipy")
-
-
 def _write_manifest(path: Path, config: RunConfig, extra: dict | None = None) -> None:
     manifest = {
         "command": config.command,
         "config": config.params,
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "scipy_version": _scipy_version(),
         "python_version": platform.python_version(),
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
@@ -170,11 +148,14 @@ def _write_manifest(path: Path, config: RunConfig, extra: dict | None = None) ->
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+_CSV_CHUNK = 1 << 12  # CSV rows formatted at once
 
 
-_CSV_CHUNK = 1 << 12  # endpoint rows formatted at once
+def _row_chunks(*columns: np.ndarray):
+    """The rows of equally long columns as tuples of Python scalars,
+    ``_CSV_CHUNK`` at a time, for ``repr``-formatted CSV lines."""
+    for lo in range(0, columns[0].size, _CSV_CHUNK):
+        yield zip(*(col[lo:lo + _CSV_CHUNK].tolist() for col in columns))
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +172,9 @@ def cmd_simulate(config: RunConfig) -> int:
     out = _resolve_out(p, "endpoints.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
-        # The rows csv.writer would write with _fmt, built in chunks.
         fh.write("x,y,n,is_singular\n")
-        for lo in range(0, cols.x.size, _CSV_CHUNK):
-            rows = slice(lo, lo + _CSV_CHUNK)
-            fh.writelines(
-                f"{x!r},{y!r},{n},{'true' if s else 'false'}\n"
-                for x, y, n, s in zip(cols.x[rows].tolist(), cols.y[rows].tolist(),
-                                      cols.n[rows].tolist(), cols.is_singular[rows].tolist())
-            )
+        for rows in _row_chunks(cols.x, cols.y, cols.n, cols.is_singular):
+            fh.writelines(f"{x!r},{y!r},{n},{'true' if s else 'false'}\n" for x, y, n, s in rows)
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), config,
                     {"rows": int(cols.x.size)})
     print(f"wrote {cols.x.size} endpoints to {out}")
@@ -260,9 +235,9 @@ def cmd_density(config: RunConfig) -> int:
     out = _resolve_out(p, "density.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([coord_name, "density"])
-        writer.writerows([_fmt(v), _fmt(val)] for v, val in zip(grid, values))
+        fh.write(f"{coord_name},density\n")
+        for rows in _row_chunks(grid, values):
+            fh.writelines(f"{v!r},{val!r}\n" for v, val in rows)
     sidecar = {
         "law": p["law"],
         "singular_weight": singular_weight,

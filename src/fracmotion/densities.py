@@ -171,23 +171,31 @@ def planar_law(spec: FracPoissonSpec, c: float, t: float) -> PlanarLaw:
     )
 
 
-def mixture_density(spec: FracPoissonSpec, c: float, t: float, r: float) -> float:
-    """Term-by-term mixture Σ_{n≥1} f_n(r)·P{N=n}: the independent
-    cross-check for the collapsed form in :func:`planar_law`. Summed by
-    :func:`~fracmotion.specfun.positive_series` at rel_tol 1e-14, at most
-    500 terms."""
+def _count_mixture(spec, c: float, t: float, r: float, kernel: Callable[[int], float],
+                   first: int, max_terms: int, first_stop: int, what: str) -> float:
+    """Σ_{n≥first} kernel(n)·P{N=n} for the count law of ``spec`` at ``t``,
+    summed by :func:`~fracmotion.specfun.positive_series` at rel_tol 1e-14.
+    Scalar arithmetic per term: the verify report compares the planar sum
+    with the closed form at the level of single ulps."""
     _require_speed_horizon(c, t)
     if not (0.0 <= r < c * t):
         raise DomainError(f"radius must lie in [0, ct), got {r}")
     dist = count_distribution(spec, t)
 
-    # Scalar arithmetic per term: the verify report compares this sum with
-    # the closed form at the level of single ulps.
     def terms(k):
-        return [conditional_density(n, c, t, r) * p
-                for n, p in zip((k + 1).tolist(), dist.pmf(k + 1).tolist())]
+        n = k + first
+        return [kernel(m) * p for m, p in zip(n.tolist(), dist.pmf(n).tolist())]
 
-    return math.fsum(positive_series(terms, 1e-14, 500, f"planar mixture at r={r}"))
+    return math.fsum(positive_series(terms, 1e-14, max_terms, f"{what} at r={r}",
+                                     first_stop=first_stop))
+
+
+def mixture_density(spec: FracPoissonSpec, c: float, t: float, r: float) -> float:
+    """Term-by-term mixture Σ_{n≥1} f_n(r)·P{N=n}: the independent
+    cross-check for the collapsed form in :func:`planar_law`, summed at
+    rel_tol 1e-14 with at most 500 terms."""
+    return _count_mixture(spec, c, t, r, lambda n: conditional_density(n, c, t, r),
+                          1, 500, 0, "planar mixture")
 
 
 def planar_density_const_rate(alpha: float, lam: float, c: float, t: float, x, y):
@@ -394,15 +402,6 @@ def flight_mixture_density(spec: FlightCountSpec, c: float, t: float, r: float,
     1e-14 with at most 200 terms; the independent cross-check for
     :func:`flight_unconditional` (Y-variant) and the only evaluation
     offered for the X-variant, whose collapsed form is not available."""
-    _require_speed_horizon(c, t)
-    if not (0.0 <= r < c * t):
-        raise DomainError(f"radius must lie in [0, ct), got {r}")
-    dist = count_distribution(spec, t)
-
-    def terms(k):
-        return [flight_marginal(spec.d, n, c, t, r, variant=variant) * p
-                for n, p in zip(k.tolist(), dist.pmf(k).tolist())]
-
-    return math.fsum(
-        positive_series(terms, 1e-14, 200, f"flight mixture at r={r}", first_stop=3)
-    )
+    return _count_mixture(spec, c, t, r,
+                          lambda n: flight_marginal(spec.d, n, c, t, r, variant=variant),
+                          0, 200, 3, "flight mixture")

@@ -23,8 +23,10 @@ A path with more than ``2**20`` switches takes its endpoint from the exact
 law given ``n`` switches instead (radius ``ct * sqrt(1 - v**(2/n))``).
 
 Flight-model endpoints (random flights with Dirichlet displacement weights)
-have an analytically invertible radial CDF, so :func:`flight_radii_batch`
-samples their radii by direct inversion.
+have a radial CDF ``1 - (1 - r**2/(ct)**2)**a`` of the same shape, so
+:func:`flight_radii_batch` samples their radii by the same inversion, radius
+``i`` from substream ``(seed, i)`` too.  Only :func:`conditioned_endpoints`
+draws a whole batch from one ``default_rng(seed)``.
 """
 
 from __future__ import annotations
@@ -361,21 +363,40 @@ _DRAW_BUDGET = 1 << 14  # uniforms drawn at once within a block
 _MAX_PATH_SWITCHES = 1 << 20  # longest path followed switch by switch
 
 
-def _endpoints(cfg: MotionConfig, n: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _substream_blocks(n_samples: int, seed: int) -> Iterator[tuple[int, _Substreams]]:
+    """``(first index, substreams)`` for consecutive blocks of ``_BLOCK``
+    samples: sample ``i`` of a batch is substream ``(seed, i)``."""
+    if n_samples <= 0:
+        raise DomainError(f"n_samples must be positive, got {n_samples}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    return ((lo, _Substreams(seed, np.arange(lo, min(lo + _BLOCK, n_samples), dtype=np.uint64)))
+            for lo in range(0, n_samples, _BLOCK))
+
+
+def _radii(ct: float, u: np.ndarray, inv_a: float) -> np.ndarray:
+    """Radii ``ct * sqrt(1 - (1 - u)**inv_a)`` of uniforms ``u``: the
+    inversion of the radial CDF ``1 - (1 - r**2/(ct)**2)**a``, ``inv_a = 1/a``
+    (given as the reciprocal, which rounds differently from dividing by
+    ``a``)."""
+    return ct * np.sqrt(-np.expm1(np.log1p(-u) * inv_a))
+
+
+def _endpoints(c: float, t: float, n: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints of paths with ``n`` switches from their uniforms (one row
     per path: ``n`` instants, then ``n + 1`` directions), in the arithmetic
     order of :func:`endpoint_from_path`.  Overwrites ``u``."""
     theta = u[:, n:]
     theta *= _TWO_PI
     if n == 0:
-        ct = cfg.c * cfg.t
+        ct = c * t
         return ct * np.cos(theta[:, 0]), ct * np.sin(theta[:, 0])
     times = u[:, :n]
     times.sort(axis=1)
-    times *= cfg.t
+    times *= t
     seg = np.empty_like(theta)  # edges 1 .. n + 1, less edges 0 .. n
     seg[:, :n] = times
-    seg[:, n] = cfg.t
+    seg[:, n] = t
     seg[:, 1:] -= times
     # Row sums accumulate left to right like the scalar loop; its leading
     # 0.0 turns a -0.0 total into 0.0, hence the + 0.0.
@@ -385,7 +406,7 @@ def _endpoints(cfg: MotionConfig, n: int, u: np.ndarray) -> tuple[np.ndarray, np
     np.sin(theta, out=prod)
     prod *= seg
     y = np.cumsum(prod, axis=1, out=prod)[:, -1] + 0.0
-    return cfg.c * x, cfg.c * y
+    return c * x, c * y
 
 
 def endpoint_arrays(cfg: MotionConfig, n_samples: int, seed: int) -> EndpointArrays:
@@ -401,16 +422,12 @@ def endpoint_arrays(cfg: MotionConfig, n_samples: int, seed: int) -> EndpointArr
     of fewer than ``_BULK_DRAWS`` uniforms are drawn in bulk too; longer
     ones row by row by numpy's own PCG64 set to each bulk-seeded state.
     """
-    if n_samples <= 0:
-        raise DomainError(f"n_samples must be positive, got {n_samples}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    blocks = _substream_blocks(n_samples, seed)
     dist = count_distribution(cfg.count_spec, cfg.t)
     xs = np.empty(n_samples)
     ys = np.empty(n_samples)
     ns = np.empty(n_samples, dtype=np.int64)
-    for lo in range(0, n_samples, _BLOCK):
-        streams = _Substreams(seed, np.arange(lo, min(lo + _BLOCK, n_samples), dtype=np.uint64))
+    for lo, streams in blocks:
         counts = dist.sample_many(streams.uniforms(0, 1)[:, 0])
         ns[lo:lo + counts.size] = counts
         order = np.argsort(counts, kind="stable")
@@ -418,14 +435,14 @@ def endpoint_arrays(cfg: MotionConfig, n_samples: int, seed: int) -> EndpointArr
             n = int(counts[rows[0]])
             if n > _MAX_PATH_SWITCHES:
                 u = streams.uniforms(1, 2, rows)
-                r = cfg.c * cfg.t * np.sqrt(-np.expm1(np.log1p(-u[:, 0]) * (2.0 / n)))
+                r = _radii(cfg.c * cfg.t, u[:, 0], 2.0 / n)
                 xs[lo + rows] = r * np.cos(_TWO_PI * u[:, 1])
                 ys[lo + rows] = r * np.sin(_TWO_PI * u[:, 1])
                 continue
             per_chunk = max(1, _DRAW_BUDGET // (2 * n + 1))
             for first in range(0, rows.size, per_chunk):
                 chunk = rows[first:first + per_chunk]
-                x, y = _endpoints(cfg, n, streams.uniforms(1, 2 * n + 1, chunk))
+                x, y = _endpoints(cfg.c, cfg.t, n, streams.uniforms(1, 2 * n + 1, chunk))
                 xs[lo + chunk] = x
                 ys[lo + chunk] = y
     return EndpointArrays(x=xs, y=ys, n=ns, is_singular=ns == 0)
@@ -434,30 +451,27 @@ def endpoint_arrays(cfg: MotionConfig, n_samples: int, seed: int) -> EndpointArr
 def conditioned_endpoints(
     n: int, c: float, t: float, n_samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized endpoints conditioned on exactly ``n >= 1`` switches."""
+    """Endpoints conditioned on exactly ``n >= 1`` switches, all drawn from
+    one ``default_rng(seed)``: an ``(n_samples, n)`` array of instants, then
+    an ``(n_samples, n + 1)`` array of directions.  Row ``j`` is
+    :func:`endpoint_from_path` of row ``j``'s draws, bit for bit."""
     if n < 1:
         raise DomainError(f"conditioning requires n >= 1, got {n}")
     if n_samples <= 0:
         raise DomainError(f"n_samples must be positive, got {n_samples}")
     rng = np.random.default_rng(seed)
-    times = np.sort(rng.random((n_samples, n)), axis=1) * t
-    angles = _TWO_PI * rng.random((n_samples, n + 1))
-    edges = np.concatenate(
-        [np.zeros((n_samples, 1)), times, np.full((n_samples, 1), t)], axis=1
-    )
-    segs = np.diff(edges, axis=1)
-    x = c * np.sum(segs * np.cos(angles), axis=1)
-    y = c * np.sum(segs * np.sin(angles), axis=1)
-    return x, y
+    return _endpoints(c, t, n, np.hstack((rng.random((n_samples, n)),
+                                          rng.random((n_samples, n + 1)))))
 
 
 def flight_radii_batch(
     d: int, n: int, c: float, t: float, variant: str, n_samples: int, seed: int
 ) -> np.ndarray:
-    """Vectorized flight radii for fixed ``(d, n)`` by CDF inversion."""
-    if n_samples <= 0:
-        raise DomainError(f"n_samples must be positive, got {n_samples}")
-    a = flight_exponent(d, n, variant)
-    rng = np.random.default_rng(seed)
-    v = rng.random(n_samples)
-    return c * t * np.sqrt(1.0 - v ** (1.0 / a))
+    """Flight radii for fixed ``(d, n)`` by inversion of the marginal's
+    radial CDF, radius ``i`` from draw 0 of substream ``(seed, i)``."""
+    inv_a = 1.0 / flight_exponent(d, n, variant)
+    blocks = _substream_blocks(n_samples, seed)
+    radii = np.empty(n_samples)
+    for lo, streams in blocks:
+        radii[lo:lo + _BLOCK] = _radii(c * t, streams.uniforms(0, 1)[:, 0], inv_a)
+    return radii

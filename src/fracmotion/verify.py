@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence
@@ -58,7 +58,6 @@ from .specfun import (
 __all__ = [
     "CheckResult",
     "VerificationReport",
-    "CaputoGrid",
     "caputo_l1",
     "disk_mass",
     "eigenfunction_residual",
@@ -157,38 +156,18 @@ class VerificationReport:
 # Caputo L1 machinery.
 
 
-@dataclass(frozen=True)
-class CaputoGrid:
-    """Uniform grid 0 = w_0 < ... < w_M carrying sampled profiles."""
-
-    h: float
-    nodes: np.ndarray
-
-    def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        if not (self.h > 0.0 and math.isfinite(self.h)):
-            raise DomainError(f"grid step must be finite and positive, got {self.h}")
-        if nodes.ndim != 1 or nodes.size < 2 or nodes[0] != 0.0:
-            raise DomainError("grid must be one-dimensional, start at 0 and have >= 2 nodes")
-        gaps = np.diff(nodes)
-        if not np.allclose(gaps, self.h, rtol=1e-12, atol=1e-15):
-            raise DomainError("grid nodes must be uniformly spaced with step h")
-
-    @classmethod
-    def uniform(cls, h: float, w_max: float = 1.0) -> "CaputoGrid":
-        m = int(round(w_max / h))
-        if m < 2 or abs(m * h - w_max) > 1e-12 * max(1.0, w_max):
-            raise DomainError(f"w_max={w_max} is not an integer multiple of h={h}")
-        return cls(h=h, nodes=h * np.arange(m + 1))
-
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.size
+def _unit_grid(h: float) -> np.ndarray:
+    """Nodes ``h * arange(m + 1)`` of the uniform grid 0 = w_0 < ... < w_m = 1,
+    for a step ``h > 0`` with ``m = 1/h`` an integer >= 2."""
+    m = round(1.0 / h) if h > 0.0 and 1.0 / h < math.inf else 0
+    if m < 2 or abs(m * h - 1.0) > 1e-12:
+        raise DomainError(f"grid step must be positive with 1/h an integer >= 2, got h={h}")
+    return h * np.arange(m + 1)
 
 
-def caputo_l1(values: Sequence[float], grid: CaputoGrid, alpha: float) -> np.ndarray:
-    """L1 discretization of the Caputo derivative of order ``alpha`` on ``grid``.
+def caputo_l1(values: Sequence[float], h: float, alpha: float) -> np.ndarray:
+    """L1 discretization of the Caputo derivative of order ``alpha`` of
+    ``values`` sampled on the grid of step ``h`` over [0, 1].
 
     ``deriv[m] = h^{-a}/Gamma(2-a) * sum_j b_j (f[m-j] - f[m-j-1])`` with
     ``b_j = (j+1)^{1-a} - j^{1-a}``.  Order of accuracy is ``2 - a`` for
@@ -199,10 +178,9 @@ def caputo_l1(values: Sequence[float], grid: CaputoGrid, alpha: float) -> np.nda
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"Caputo order must lie in (0, 1], got {alpha}")
     f = np.asarray(values, dtype=float)
-    if f.shape != grid.nodes.shape:
-        raise DomainError(
-            f"sampled values must match the grid: {f.shape} vs {grid.nodes.shape}"
-        )
+    n_nodes = _unit_grid(h).size
+    if f.shape != (n_nodes,):
+        raise DomainError(f"sampled values must match the {n_nodes}-node grid, got shape {f.shape}")
     m = f.size - 1
     j = np.arange(m, dtype=float)
     b = (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
@@ -211,7 +189,7 @@ def caputo_l1(values: Sequence[float], grid: CaputoGrid, alpha: float) -> np.nda
     conv = np.convolve(b, dff)[:m]
     out = np.empty_like(f)
     out[0] = 0.0
-    out[1:] = (grid.h ** (-alpha) / gamma_pos(2.0 - alpha)) * conv
+    out[1:] = (h ** (-alpha) / gamma_pos(2.0 - alpha)) * conv
     return out
 
 
@@ -274,17 +252,37 @@ def _residual_checkname(base: str, perturbed: bool) -> str:
     return f"{base}-negative-control" if perturbed else base
 
 
+def _caputo_residual(name: str, values: np.ndarray, h: float, order: float, rate: float,
+                     alpha: float, details: dict) -> CheckResult:
+    """Check ``d^order values = rate * values`` on the grid of step ``h``:
+    the sup of the L1 residual over nodes ``w >= w_max/16`` against
+    ``50 * h^(2-alpha)``."""
+    deriv = caputo_l1(values, h, order)
+    target = rate * values
+    w = _unit_grid(h)
+    cut = w >= _BOUNDARY_CUT * w[-1]
+    residual = float(np.max(np.abs(deriv[cut] - target[cut])))
+    tol = 50.0 * h ** (2.0 - alpha)
+    return CheckResult(
+        name=name,
+        statistic=residual,
+        tolerance=tol,
+        passed=residual <= tol,
+        details={**details, "h": h, "boundary_cut": _BOUNDARY_CUT},
+    )
+
+
 def eigenfunction_residual(
     alpha: float,
     lam: float,
     c: float,
-    grid: CaputoGrid | None = None,
+    h: float = 1.0 / 512.0,
     eigenvalue_factor: float = 1.0,
 ) -> CheckResult:
     """Check that the planar density's profile in ``w`` is a Caputo eigenfunction.
 
-    With ``t`` fixed at ``1/c`` (so the grid ``[0, 1]`` spans the full
-    support), the profile ``g(w) = w^alpha * f(w^alpha)`` built from
+    With ``t`` fixed at ``1/c`` (so the grid of step ``h`` on ``[0, 1]``
+    spans the full support), the profile ``g(w) = w^alpha * f(w^alpha)`` built from
     :func:`planar_density_const_rate` — normalized by its analytic ``w -> 0``
     limit ``lam/(2*pi*c*E)`` so that ``g(0) = 1`` — must satisfy
     ``d^alpha g = (lam/c) g``.  Reports the residual sup-norm away from the
@@ -293,12 +291,8 @@ def eigenfunction_residual(
     ``eigenvalue_factor != 1`` scales the claimed eigenvalue and serves as
     the wrong-eigenvalue negative control.
     """
-    if grid is None:
-        grid = CaputoGrid.uniform(1.0 / 512.0, 1.0)
-    if grid.nodes[-1] > 1.0 + 1e-12:
-        raise DomainError("eigenfunction grid must stay within [0, 1]")
     t = 1.0 / c
-    w = grid.nodes
+    w = _unit_grid(h)
     g = np.empty_like(w)
     g[0] = 1.0
     if lam == 0.0:
@@ -310,66 +304,35 @@ def eigenfunction_residual(
         ws = np.array([wm**alpha for wm in w[1:]])
         r = np.array([math.sqrt(max(0.0, (c * t) ** 2 - v * v)) for v in ws.tolist()])
         g[1:] = ws * planar_density_const_rate(alpha, lam, c, t, r, 0.0) / limit0
-    deriv = caputo_l1(g, grid, alpha)
-    target = eigenvalue_factor * (lam / c) * g
-    cut = w >= _BOUNDARY_CUT * w[-1]
-    residual = float(np.max(np.abs(deriv[cut] - target[cut])))
-    tol = 50.0 * grid.h ** (2.0 - alpha)
-    return CheckResult(
-        name=_residual_checkname("caputo-eigenfunction", eigenvalue_factor != 1.0),
-        statistic=residual,
-        tolerance=tol,
-        passed=residual <= tol,
-        details={
-            "alpha": alpha,
-            "lambda": lam,
-            "c": c,
-            "h": grid.h,
-            "boundary_cut": _BOUNDARY_CUT,
-            "eigenvalue_factor": eigenvalue_factor,
-        },
+    return _caputo_residual(
+        _residual_checkname("caputo-eigenfunction", eigenvalue_factor != 1.0),
+        g, h, alpha, eigenvalue_factor * (lam / c), alpha,
+        {"alpha": alpha, "lambda": lam, "c": c, "eigenvalue_factor": eigenvalue_factor},
     )
 
 
 def pgf_ode_residual(
     spec: FracPoissonSpec,
     t: float,
-    grid: CaputoGrid | None = None,
+    h: float = 1.0 / 512.0,
     derivative_alpha: float | None = None,
 ) -> CheckResult:
     """Check the fractional ODE of the generating function.
 
     ``H(u) = G(u^alpha; t)`` must satisfy ``d^alpha H = Lambda(t) H`` on
-    ``u in [0, 1]``.  ``derivative_alpha`` overrides the order used by the
-    L1 scheme and serves as the perturbed-order negative control.
+    the grid of step ``h`` over ``u in [0, 1]``.  ``derivative_alpha``
+    overrides the order used by the L1 scheme and serves as the
+    perturbed-order negative control.
     """
-    if grid is None:
-        grid = CaputoGrid.uniform(1.0 / 512.0, 1.0)
-    if grid.nodes[-1] > 1.0 + 1e-12:
-        raise DomainError("pgf grid must stay within [0, 1]")
     alpha = spec.alpha
     d_alpha = alpha if derivative_alpha is None else derivative_alpha
     lam = cumulative_rate(spec.rate, t)
-    u = grid.nodes
+    u = _unit_grid(h)
     h_vals = pgf(spec, t, np.array([float(ui) ** alpha for ui in u]))
-    deriv = caputo_l1(h_vals, grid, d_alpha)
-    target = lam * h_vals
-    cut = u >= _BOUNDARY_CUT * u[-1]
-    residual = float(np.max(np.abs(deriv[cut] - target[cut])))
-    tol = 50.0 * grid.h ** (2.0 - alpha)
-    return CheckResult(
-        name=_residual_checkname("pgf-fractional-ode", derivative_alpha is not None),
-        statistic=residual,
-        tolerance=tol,
-        passed=residual <= tol,
-        details={
-            "alpha": alpha,
-            "derivative_alpha": d_alpha,
-            "Lambda": lam,
-            "t": t,
-            "h": grid.h,
-            "boundary_cut": _BOUNDARY_CUT,
-        },
+    return _caputo_residual(
+        _residual_checkname("pgf-fractional-ode", derivative_alpha is not None),
+        h_vals, h, d_alpha, lam, alpha,
+        {"alpha": alpha, "derivative_alpha": d_alpha, "Lambda": lam, "t": t},
     )
 
 
@@ -719,16 +682,7 @@ def run_default_suite(seed: int = 20260815, n_samples: int = 100_000) -> Verific
     for spec, tag in ((spec_classical, "alpha=1"), (spec_frac, "alpha=0.5")):
         law = planar_law(spec, 1.0, 1.0)
         cols = endpoint_arrays(MotionConfig(c=1.0, t=1.0, count_spec=spec), n_samples, seed)
-        for entry in mc_gof(cols, law):
-            checks.append(
-                CheckResult(
-                    name=f"{entry.name}[{tag}]",
-                    statistic=entry.statistic,
-                    tolerance=entry.tolerance,
-                    passed=entry.passed,
-                    details=entry.details,
-                )
-            )
+        checks.extend(replace(entry, name=f"{entry.name}[{tag}]") for entry in mc_gof(cols, law))
 
     x, y = conditioned_endpoints(2, 1.0, 1.0, n_samples, seed)
     checks.append(empirical_cf(x, y, 2, 1.0, 0.0, 1.0, 1.0))
@@ -750,17 +704,8 @@ def run_negative_controls(seed: int = 20260815, n_samples: int = 100_000) -> Ver
     spec_classical = FracPoissonSpec(alpha=1.0, rate=rate1)
     wrong_law = planar_law(FracPoissonSpec(alpha=0.7, rate=rate1), 1.0, 1.0)
     cols = endpoint_arrays(MotionConfig(c=1.0, t=1.0, count_spec=spec_classical), n_samples, seed)
-    for entry in mc_gof(cols, wrong_law):
-        if entry.name == "mc-radial-chi2":
-            checks.append(
-                CheckResult(
-                    name="mc-radial-chi2-negative-control",
-                    statistic=entry.statistic,
-                    tolerance=entry.tolerance,
-                    passed=entry.passed,
-                    details=entry.details,
-                )
-            )
+    checks.extend(replace(entry, name=f"{entry.name}-negative-control")
+                  for entry in mc_gof(cols, wrong_law) if entry.name == "mc-radial-chi2")
     checks.append(eigenfunction_residual(0.5, 1.0, 1.0, eigenvalue_factor=2.0))
     checks.append(
         pgf_ode_residual(FracPoissonSpec(alpha=0.5, rate=rate1), 1.0, derivative_alpha=0.75)

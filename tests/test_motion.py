@@ -337,6 +337,20 @@ def test_long_paths_take_the_exact_endpoint_law_given_their_count(monkeypatch):
     assert scipy.stats.kstest(theta, "uniform").pvalue > P_FLOOR
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 20])
+def test_conditioned_endpoints_replay_their_paths(n):
+    # Row j is endpoint_from_path of row j's draws from one default_rng(seed):
+    # the (N, n) instants first, then the (N, n + 1) directions.
+    c, t, n_samples, seed = 2.5, 0.7, 300, 17
+    x, y = conditioned_endpoints(n, c, t, n_samples, seed)
+    rng = np.random.default_rng(seed)
+    instants, directions = rng.random((n_samples, n)), rng.random((n_samples, n + 1))
+    for j in range(n_samples):
+        times = tuple(t * v for v in sorted(instants[j].tolist()))
+        angles = tuple(2.0 * math.pi * v for v in directions[j].tolist())
+        assert (x[j], y[j]) == endpoint_from_path(times, angles, c, t)
+
+
 def test_conditioned_endpoints_validation():
     with pytest.raises(DomainError):
         conditioned_endpoints(0, 1.0, 1.0, 100, seed=1)
@@ -349,24 +363,29 @@ def test_conditioned_endpoints_validation():
 
 
 def feed_uniforms(monkeypatch, values):
-    """Make the next ``default_rng(seed).random(n)`` return ``values``."""
-    class Fixed:
-        def random(self, n):
-            assert n == len(values)
-            return np.array(values, dtype=float)
+    """Make draw 0 of the substreams of the next batch be ``values``."""
+    def uniforms(self, start, count, rows=None):
+        assert (start, count, rows) == (0, 1, None)
+        return np.array(values, dtype=float)[:, None]
 
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: Fixed())
+    monkeypatch.setattr(motion._Substreams, "uniforms", uniforms)
+
+
+def inverted(c, t, a, u):
+    """ct·sqrt(1 − (1 − u)^(1/a)), the radius of draw u."""
+    return c * t * np.sqrt(-np.expm1(np.log1p(-np.asarray(u)) * (1.0 / a)))
 
 
 def test_flight_radius_endpoint_uniforms(monkeypatch):
-    feed_uniforms(monkeypatch, [0.0, 1.0])
+    # u = 0 is the centre; the largest draw below 1 lands just inside the rim.
+    feed_uniforms(monkeypatch, [0.0, 1.0 - 2.0**-53])
     r = flight_radii_batch(4, 1, 1.0, 1.0, "Y", 2, seed=0)
-    assert r[0] == pytest.approx(1.0, abs=0.0)
-    assert r[1] == 0.0
+    assert r[0] == 0.0
+    assert 1.0 - 1e-8 < r[1] < 1.0
 
 
 def test_flight_radius_median(monkeypatch):
-    # v=1/2 → r = ct√(1 − 2^{-1/a}); a = 2 for d=4, n=1 (Y).
+    # u=1/2 → r = ct√(1 − 2^{-1/a}); a = 2 for d=4, n=1 (Y).
     feed_uniforms(monkeypatch, [0.5])
     r = flight_radii_batch(4, 1, 2.0, 1.0, "Y", 1, seed=0)
     assert r[0] == pytest.approx(2.0 * math.sqrt(1.0 - 2.0 ** -0.5), rel=1e-14)
@@ -376,12 +395,31 @@ def test_flight_radius_median(monkeypatch):
 def test_flight_radii_batch_is_the_inversion_map(d, n, variant):
     from fracmotion.densities import flight_exponent
 
-    # r = ct sqrt(1 - v^(1/a)) on the uniforms of default_rng(seed), bit for bit.
+    # Radius i inverts draw 0 of default_rng((seed, i)), bit for bit.
     c, t, seed = 2.0, 1.3, 9
-    a = flight_exponent(d, n, variant)
-    v = np.random.default_rng(seed).random(1000)
+    u = [np.random.default_rng((seed, i)).random() for i in range(1000)]
     radii = flight_radii_batch(d, n, c, t, variant, 1000, seed)
-    assert np.array_equal(radii, c * t * np.sqrt(1 - v ** (1 / a)))
+    assert np.array_equal(radii, inverted(c, t, flight_exponent(d, n, variant), u))
+
+
+def test_flight_radii_are_substream_rows():
+    from fracmotion.densities import flight_exponent
+
+    # Across a block boundary every radius is its own substream's, so a
+    # shorter batch is a prefix of a longer one.
+    seed = 2**40 + 3
+    radii = flight_radii_batch(3, 2, 1.0, 1.0, "Y", 5000, seed)
+    u = [np.random.default_rng((seed, i)).random() for i in range(5000)]
+    assert np.array_equal(radii, inverted(1.0, 1.0, flight_exponent(3, 2, "Y"), u))
+    assert np.array_equal(flight_radii_batch(3, 2, 1.0, 1.0, "Y", 1000, seed), radii[:1000])
+
+
+def test_flight_radii_batch_validation():
+    for n_samples in (0, -3):
+        with pytest.raises(DomainError):
+            flight_radii_batch(4, 1, 1.0, 1.0, "Y", n_samples, seed=1)
+    with pytest.raises(DomainError):
+        flight_radii_batch(4, 1, 1.0, 1.0, "Y", 10, seed=-1)
 
 
 @pytest.mark.parametrize("d,n,variant", [(5, 2, "Y"), (3, 0, "X"), (4, 3, "X")])

@@ -13,7 +13,6 @@ from fracmotion.densities import classical_planar_density, planar_law
 from fracmotion.motion import MotionConfig, conditioned_endpoints, endpoint_arrays
 from fracmotion.specfun import DomainError, MLParams, mittag_leffler
 from fracmotion.verify import (
-    CaputoGrid,
     CheckResult,
     VerificationReport,
     caputo_l1,
@@ -38,68 +37,77 @@ def classical_batch():
 
 
 # ---------------------------------------------------------------------------
-# CaputoGrid and the L1 scheme
+# The L1 scheme on the grid of step h over [0, 1]
+
+
+def nodes(h: float) -> np.ndarray:
+    return h * np.arange(round(1.0 / h) + 1)
 
 
 def test_grid_uniform_constructor():
-    grid = CaputoGrid.uniform(0.25, 1.0)
-    assert grid.n_nodes == 5
-    assert grid.nodes[0] == 0.0
-    assert grid.nodes[-1] == pytest.approx(1.0)
+    # A step h spans [0, 1] with 1/h + 1 nodes, and the checks report it.
+    deriv = caputo_l1(nodes(0.25), 0.25, 1.0)
+    assert deriv.shape == (5,)
+    assert np.allclose(deriv[1:], 1.0, rtol=0.0, atol=1e-15)
+    assert pgf_ode_residual(const_spec(0.5, 1.0), 1.0, h=0.25).details["h"] == 0.25
+    assert eigenfunction_residual(0.5, 1.0, 1.0, h=0.25).details["h"] == 0.25
 
 
 def test_grid_validation():
-    with pytest.raises(DomainError):
-        CaputoGrid(h=0.0, nodes=np.array([0.0, 0.5]))
-    with pytest.raises(DomainError):
-        CaputoGrid(h=0.5, nodes=np.array([0.1, 0.6]))
-    with pytest.raises(DomainError):
-        CaputoGrid(h=0.5, nodes=np.array([0.0, 0.5, 1.2]))
+    # h must be positive with 1/h an integer >= 2.
+    for h in (0.0, -0.5, 1.0, 0.3, 2.0, math.inf, math.nan, 1e-320):
+        with pytest.raises(DomainError):
+            caputo_l1(np.zeros(5), h, 0.5)
+        with pytest.raises(DomainError):
+            eigenfunction_residual(0.5, 1.0, 1.0, h=h)
+        with pytest.raises(DomainError):
+            pgf_ode_residual(const_spec(0.5, 1.0), 1.0, h=h)
 
 
 def test_caputo_of_constant_vanishes():
-    grid = CaputoGrid.uniform(1.0 / 64.0)
-    deriv = caputo_l1(np.full(grid.n_nodes, 4.2), grid, 0.5)
+    h = 1.0 / 64.0
+    deriv = caputo_l1(np.full(65, 4.2), h, 0.5)
     assert float(np.max(np.abs(deriv))) == 0.0
 
 
 def test_caputo_of_identity_alpha_half():
     # d^{1/2} w = 2√(w/π); L1 error bound 10·h^{3/2} on [0,1].
-    grid = CaputoGrid.uniform(1.0 / 512.0)
-    deriv = caputo_l1(grid.nodes, grid, 0.5)
-    exact = 2.0 * np.sqrt(grid.nodes / math.pi)
+    h = 1.0 / 512.0
+    w = nodes(h)
+    deriv = caputo_l1(w, h, 0.5)
+    exact = 2.0 * np.sqrt(w / math.pi)
     err = float(np.max(np.abs(deriv - exact)))
-    assert err <= 10.0 * grid.h ** 1.5
+    assert err <= 10.0 * h ** 1.5
 
 
 @pytest.mark.parametrize("alpha,mu", [(0.5, 1.0), (0.8, 2.0)])
 def test_caputo_eigenprofile_residual(alpha, mu):
     # E_{α,1}(μ w^α) is the μ-eigenfunction of d^α (away from the w=0
     # boundary layer of the scheme).
-    grid = CaputoGrid.uniform(1.0 / 512.0)
-    f = np.array([mittag_leffler(MLParams(alpha, 1.0), mu * w**alpha) for w in grid.nodes])
-    deriv = caputo_l1(f, grid, alpha)
-    cut = grid.nodes >= grid.nodes[-1] / 16.0
+    h = 1.0 / 512.0
+    w = nodes(h)
+    f = np.array([mittag_leffler(MLParams(alpha, 1.0), mu * v**alpha) for v in w])
+    deriv = caputo_l1(f, h, alpha)
+    cut = w >= w[-1] / 16.0
     resid = float(np.max(np.abs(deriv[cut] - mu * f[cut])))
-    assert resid <= 50.0 * grid.h ** (2.0 - alpha)
+    assert resid <= 50.0 * h ** (2.0 - alpha)
 
 
 def test_caputo_alpha_one_is_backward_difference():
-    grid = CaputoGrid.uniform(1.0 / 128.0)
-    f = np.sin(grid.nodes)
-    deriv = caputo_l1(f, grid, 1.0)
-    manual = np.diff(f) / grid.h
+    h = 1.0 / 128.0
+    f = np.sin(nodes(h))
+    deriv = caputo_l1(f, h, 1.0)
+    manual = np.diff(f) / h
     assert np.allclose(deriv[1:], manual, rtol=0.0, atol=1e-13)
 
 
 def test_caputo_validation():
-    grid = CaputoGrid.uniform(0.25)
     with pytest.raises(DomainError):
-        caputo_l1(np.zeros(grid.n_nodes), grid, 1.2)
+        caputo_l1(np.zeros(5), 0.25, 1.2)
     with pytest.raises(DomainError):
-        caputo_l1(np.zeros(grid.n_nodes), grid, 0.0)
+        caputo_l1(np.zeros(5), 0.25, 0.0)
     with pytest.raises(DomainError):
-        caputo_l1(np.zeros(3), grid, 0.5)
+        caputo_l1(np.zeros(3), 0.25, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +142,8 @@ def test_eigenfunction_wrong_eigenvalue_fails():
 def test_eigenfunction_refinement_order():
     # Halving h must shrink the residual by at least 2^{1.5-α}.
     alpha = 0.5
-    coarse = eigenfunction_residual(alpha, 1.0, 1.0, grid=CaputoGrid.uniform(1.0 / 256.0))
-    fine = eigenfunction_residual(alpha, 1.0, 1.0, grid=CaputoGrid.uniform(1.0 / 512.0))
+    coarse = eigenfunction_residual(alpha, 1.0, 1.0, h=1.0 / 256.0)
+    fine = eigenfunction_residual(alpha, 1.0, 1.0, h=1.0 / 512.0)
     assert coarse.statistic / fine.statistic >= 2.0 ** (1.5 - alpha)
 
 
@@ -169,8 +177,8 @@ def test_pgf_ode_perturbed_order_fails():
 def test_pgf_ode_refinement_order():
     alpha = 0.8
     spec = const_spec(alpha, 1.0)
-    coarse = pgf_ode_residual(spec, 1.0, grid=CaputoGrid.uniform(1.0 / 256.0))
-    fine = pgf_ode_residual(spec, 1.0, grid=CaputoGrid.uniform(1.0 / 512.0))
+    coarse = pgf_ode_residual(spec, 1.0, h=1.0 / 256.0)
+    fine = pgf_ode_residual(spec, 1.0, h=1.0 / 512.0)
     assert coarse.statistic / fine.statistic >= 2.0 ** (1.5 - alpha)
 
 
