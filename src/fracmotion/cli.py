@@ -259,6 +259,7 @@ def _single_check(p: dict) -> list:
     lam = p.get("lam", 1.0)
     alpha = p.get("alpha", 0.5)
     c, t = p.get("c", 1.0), p.get("t", 1.0)
+    _require_speed_horizon(c, t)
     if name == "telegraph":
         return [telegraph_residual(lam, c)]
     if name == "eigenfunction":

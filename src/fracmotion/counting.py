@@ -55,39 +55,34 @@ __all__ = [
     "pgf",
 ]
 
-_QUAD_ABS_TOL = 1e-10
-
-
 @dataclass(frozen=True)
 class RateFunction:
-    """Time-dependent intensity λ(s) ≥ 0 with analytic cumulative where
-    the kind allows it.
+    """Time-dependent intensity λ(s) ≥ 0 whose cumulative Λ(t) has a
+    closed form: a plain value ``(kind, params)`` of floats.
 
     Construct through the classmethods: ``constant(lam)``,
-    ``power(a, b)`` for λ(s) = a·s^b with b > −1, ``piecewise(breakpoints,
+    ``power(a, b)`` for λ(s) = a·s^b with b > −1, or ``piecewise(breakpoints,
     values)`` for a step rate (value ``values[i]`` on the segment ending
-    at ``breakpoints[i]``, zero after the last breakpoint), or
-    ``from_callable(fn)`` for anything else (cumulative then falls back
-    to adaptive quadrature with absolute tolerance 1e-10; callable rates
-    are equal only when they wrap the same callable).
+    at ``breakpoints[i]``, zero after the last breakpoint). Rates, the
+    power scale and exponent must be finite; the last breakpoint may be
+    infinite.
     """
 
     kind: str
     params: tuple = ()
-    fn: Callable[[float], float] | None = None
 
     @classmethod
     def constant(cls, lam: float) -> "RateFunction":
-        if lam < 0.0:
-            raise DomainError(f"constant rate must be >= 0, got {lam}")
+        if not 0.0 <= lam < math.inf:
+            raise DomainError(f"constant rate must be finite and >= 0, got {lam}")
         return cls("constant", (float(lam),))
 
     @classmethod
     def power(cls, a: float, b: float) -> "RateFunction":
-        if a < 0.0:
-            raise DomainError(f"power-rate scale must be >= 0, got {a}")
-        if b <= -1.0:
-            raise DomainError(f"power-rate exponent must be > -1, got {b}")
+        if not 0.0 <= a < math.inf:
+            raise DomainError(f"power-rate scale must be finite and >= 0, got {a}")
+        if not -1.0 < b < math.inf:
+            raise DomainError(f"power-rate exponent must be finite and > -1, got {b}")
         return cls("power", (float(a), float(b)))
 
     @classmethod
@@ -96,37 +91,15 @@ class RateFunction:
         vals = tuple(float(v) for v in values)
         if len(bp) != len(vals) or not bp:
             raise DomainError("need equally many breakpoints and values, at least one each")
-        if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])) or bp[0] <= 0.0:
+        if not (0.0 < bp[0] and all(b1 < b2 for b1, b2 in zip(bp, bp[1:]))):
             raise DomainError("breakpoints must be strictly increasing and positive")
-        if any(v < 0.0 for v in vals):
-            raise DomainError("piecewise rate values must be >= 0")
+        if not all(0.0 <= v < math.inf for v in vals):
+            raise DomainError("piecewise rate values must be finite and >= 0")
         return cls("piecewise", (bp, vals))
-
-    @classmethod
-    def from_callable(cls, fn: Callable[[float], float]) -> "RateFunction":
-        return cls("callable", (), fn)
-
-    def rate(self, s: float) -> float:
-        """λ(s)."""
-        if s < 0.0:
-            raise DomainError(f"rate requires s >= 0, got {s}")
-        if self.kind == "constant":
-            return self.params[0]
-        if self.kind == "power":
-            a, b = self.params
-            return a * s**b if s > 0.0 else (a if b == 0.0 else 0.0)
-        if self.kind == "piecewise":
-            bp, vals = self.params
-            for b, v in zip(bp, vals):
-                if s < b:
-                    return v
-            return 0.0
-        return float(self.fn(s))
 
 
 def cumulative_rate(rate: RateFunction, t: float) -> float:
-    """Cumulative intensity Λ(t); analytic for the declarative kinds,
-    adaptive quadrature (abs tol 1e-10) for callables."""
+    """Cumulative intensity Λ(t) in closed form."""
     t = float(t)
     if t < 0.0:
         raise DomainError(f"cumulative_rate requires t >= 0, got {t}")
@@ -137,26 +110,15 @@ def cumulative_rate(rate: RateFunction, t: float) -> float:
     if rate.kind == "power":
         a, b = rate.params
         return a * t ** (b + 1.0) / (b + 1.0)
-    if rate.kind == "piecewise":
-        bp, vals = rate.params
-        total = 0.0
-        left = 0.0
-        for b, v in zip(bp, vals):
-            if t <= left:
-                break
-            total += v * (min(t, b) - left)
-            left = b
-        return total
-    from scipy.integrate import quad  # only callable rates need scipy
-
-    value, abserr = quad(rate.fn, 0.0, t, epsabs=_QUAD_ABS_TOL, epsrel=1e-10, limit=200)
-    if abserr > 1e-7:
-        raise ConvergenceError(
-            f"cumulative-rate quadrature error estimate {abserr:.1e} too large", value, 0
-        )
-    if value < 0.0:
-        raise DomainError("rate function integrated to a negative cumulative")
-    return value
+    bp, vals = rate.params
+    total = 0.0
+    left = 0.0
+    for b, v in zip(bp, vals):
+        if t <= left:
+            break
+        total += v * (min(t, b) - left)
+        left = b
+    return total
 
 
 @dataclass(frozen=True)
@@ -264,20 +226,13 @@ def _count_law(spec, lam: float):
     return log_weight, float(log_norm[0]), int(lo[0]), int(hi[0])
 
 
-def _log_terms_and_normalizer(spec, t: float):
-    """(callable n -> log-weight array of the shape of n, log normalizer,
-    Λ(t)) for any of the three counting specs."""
-    lam = cumulative_rate(spec.rate, t)
-    return (*_count_law(spec, lam)[:2], lam)
-
-
 def pmf(spec: CountingSpec, t: float, n: int) -> float:
     """P{N(t) = n} for any counting spec: Λ(t)^n / (Γ(an+b) E_{a,b}(Λ(t)))
     with (a, b) = (α, 1) for the fractional law and (d/2 − 1, d/2) for the
     flight law, or the state-dependent pmf (state j weighted by its own α_j)."""
     _require_time(t)
     n = _require_count(n)
-    log_weight, log_norm, _ = _log_terms_and_normalizer(spec, t)
+    log_weight, log_norm, _, _ = _count_law(spec, cumulative_rate(spec.rate, t))
     return min(1.0, float(np.exp(log_weight(n) - log_norm)))
 
 
@@ -356,8 +311,8 @@ class CountDistribution:
     def __init__(self, spec, t: float):
         self.spec = spec
         self.t = float(t)
-        self._log_weight, self.log_normalizer, self.lam = _log_terms_and_normalizer(spec, t)
-        _, _, self.n_lo, n_hi = _count_law(spec, self.lam)
+        self.lam = cumulative_rate(spec.rate, t)
+        self._log_weight, self.log_normalizer, self.n_lo, n_hi = _count_law(spec, self.lam)
         cum = np.cumsum(self.pmf(np.arange(self.n_lo, n_hi)))
         self._cum = cum[: np.searchsorted(cum, cum[-1]) + 1]
 

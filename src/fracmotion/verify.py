@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .counting import CountingSpec, FracPoissonSpec, cumulative_rate, pgf
+from .counting import FracPoissonSpec, RateFunction, cumulative_rate, pgf
 from .densities import (
     PlanarLaw,
     classical_planar_density,
@@ -44,7 +44,7 @@ from .densities import (
     planar_density_const_rate,
     planar_law,
 )
-from .motion import EndpointArrays, conditioned_endpoints
+from .motion import EndpointArrays, MotionConfig, conditioned_endpoints, endpoint_arrays
 from .specfun import (
     DomainError,
     MLParams,
@@ -662,14 +662,7 @@ def _default_manifest(seed: int, n_samples: int) -> dict:
 
 
 def run_default_suite(seed: int = 20260815, n_samples: int = 100_000) -> VerificationReport:
-    """The standard reconciliation run with fixed seeds.
-
-    Imports of the sampling layer happen lazily so density-only use of this
-    module stays light.
-    """
-    from .counting import RateFunction
-    from .motion import MotionConfig, endpoint_arrays
-
+    """The standard reconciliation run with fixed seeds."""
     checks: list[CheckResult] = []
     rate1 = RateFunction.constant(1.0)
 
@@ -696,9 +689,6 @@ def run_default_suite(seed: int = 20260815, n_samples: int = 100_000) -> Verific
 def run_negative_controls(seed: int = 20260815, n_samples: int = 100_000) -> VerificationReport:
     """Power test: every entry is a deliberately broken configuration and
     must FAIL its check."""
-    from .counting import RateFunction
-    from .motion import MotionConfig, endpoint_arrays
-
     checks: list[CheckResult] = []
     rate1 = RateFunction.constant(1.0)
     spec_classical = FracPoissonSpec(alpha=1.0, rate=rate1)

@@ -29,6 +29,7 @@ from fracmotion.counting import (
     FracPoissonSpec,
     RateFunction,
     count_distribution,
+    cumulative_rate,
 )
 from fracmotion.densities import (
     classical_line_density,
@@ -71,15 +72,16 @@ def test_parse_rate_power():
     rate = parse_rate("power:3,0.5")
     assert rate.kind == "power"
     assert rate.params == (3.0, 0.5)
-    assert rate.rate(4.0) == pytest.approx(6.0)
+    # lambda(s) = 3 s^0.5 integrates to 2 t^1.5.
+    assert cumulative_rate(rate, 4.0) == pytest.approx(16.0, rel=1e-14)
 
 
 def test_parse_rate_piecewise():
     rate = parse_rate("piecewise:1:2,3:0.5")
     assert rate.kind == "piecewise"
-    assert rate.rate(0.5) == 2.0
-    assert rate.rate(2.0) == 0.5
-    assert rate.rate(5.0) == 0.0
+    assert cumulative_rate(rate, 0.5) == 1.0
+    assert cumulative_rate(rate, 2.0) == 2.5
+    assert cumulative_rate(rate, 5.0) == 3.0
 
 
 @pytest.mark.parametrize(
@@ -293,6 +295,36 @@ def test_density_bad_speed_or_horizon_is_usage_error(tmp_path, law, flag, value)
     rc = main(["density", "--law", law, flag, value, "--grid-points", "5", "--out", str(out)])
     assert rc == EXIT_USAGE
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "simulate --samples 10 --rate piecewise:nan:1",
+    "simulate --samples 10 --rate const:nan",
+    "simulate --samples 10 --rate const:inf",
+    "simulate --samples 10 --rate power:1,nan",
+    "density --law planar-const --alpha 0.5 --rate const:nan",
+    "verify --check pgf --lambda nan",
+    "verify --check eigenfunction --c 0",
+    "verify --check cf --c 0 --samples 100000",
+    "verify --check telegraph --c -1",
+    "verify --check telegraph --c nan",
+], ids=lambda argv: argv.replace(" ", ","))
+def test_non_finite_rate_or_bad_speed_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "bad.out"
+    try:
+        rc = main(argv.split() + ["--out", str(out)])
+    except SystemExit as exc:  # argparse rejects the --rate text itself
+        rc = exc.code
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1].startswith("fracmotion")
+    assert not out.exists()
+
+
+def test_rate_with_infinite_last_breakpoint_is_the_constant_rate(tmp_path):
+    argv = ["simulate", "--alpha", "0.5", "--samples", "200", "--seed", "5"]
+    assert main(argv + ["--rate", "piecewise:inf:1", "--out", str(tmp_path / "p.csv")]) == EXIT_OK
+    assert main(argv + ["--rate", "const:1", "--out", str(tmp_path / "c.csv")]) == EXIT_OK
+    assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

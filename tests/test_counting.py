@@ -57,13 +57,8 @@ def test_cumulative_rate_piecewise():
     assert cumulative_rate(rate, 0.5) == pytest.approx(1.5)
     assert cumulative_rate(rate, 1.5) == pytest.approx(3.5)
     # Rate is zero past the last breakpoint.
+    assert cumulative_rate(rate, 5.0) == 4.0
     assert cumulative_rate(rate, 10.0) == pytest.approx(4.0)
-    assert rate.rate(5.0) == 0.0
-
-
-def test_cumulative_rate_callable_against_antiderivative():
-    rate = RateFunction.from_callable(math.exp)
-    assert cumulative_rate(rate, 1.0) == pytest.approx(math.e - 1.0, rel=1e-10)
 
 
 def test_cumulative_rate_is_nondecreasing_and_zero_at_zero():
@@ -87,13 +82,28 @@ def test_rate_validation():
         cumulative_rate(RateFunction.constant(1.0), -0.1)
 
 
-def test_callable_rates_do_not_share_count_tables():
-    slow = RateFunction.from_callable(lambda s: 1.0)
-    fast = RateFunction.from_callable(lambda s: 5.0)
-    assert slow != fast
-    assert slow == RateFunction.from_callable(slow.fn)
-    slow_table = count_distribution(FracPoissonSpec(0.5, slow), 1.0)
-    fast_table = count_distribution(FracPoissonSpec(0.5, fast), 1.0)
+@pytest.mark.parametrize("make", [
+    lambda x: RateFunction.constant(x),
+    lambda x: RateFunction.power(x, 0.5),
+    lambda x: RateFunction.power(1.0, x),
+    lambda x: RateFunction.piecewise([1.0], [x]),
+], ids=["const", "power-scale", "power-exponent", "piecewise-value"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_rate_rejects_nan_and_infinite_parameters(make, bad):
+    with pytest.raises(DomainError):
+        make(bad)
+
+
+@pytest.mark.parametrize("breakpoints", [[math.nan], [math.nan, 2.0], [1.0, math.nan]])
+def test_piecewise_rejects_nan_breakpoints(breakpoints):
+    with pytest.raises(DomainError):
+        RateFunction.piecewise(breakpoints, [1.0] * len(breakpoints))
+
+
+def test_equal_rates_share_count_tables():
+    slow_table = count_distribution(FracPoissonSpec(0.5, RateFunction.constant(1.0)), 1.0)
+    assert count_distribution(FracPoissonSpec(0.5, RateFunction.constant(1.0)), 1.0) is slow_table
+    fast_table = count_distribution(FracPoissonSpec(0.5, RateFunction.constant(5.0)), 1.0)
     assert fast_table is not slow_table
     # P{N=0} = 1/E_{1/2,1}(5), about 6.9e-12 (the rate-1 table has 0.1996).
     assert fast_table.pmf(0) == pytest.approx(pmf(const_spec(0.5, 5.0), 1.0, 0), rel=1e-8)
@@ -380,7 +390,8 @@ def _spec_id(spec):
 @pytest.mark.parametrize("spec", MERGED_LOG_WEIGHT_SPECS, ids=_spec_id)
 def test_merged_log_weight_matches_per_family_reference(spec):
     ref_weight, ref_norm = reference_log_terms(spec, 1.0)
-    log_weight, log_norm, lam = counting._log_terms_and_normalizer(spec, 1.0)
+    lam = cumulative_rate(spec.rate, 1.0)
+    log_weight, log_norm, _, _ = counting._count_law(spec, lam)
     # Only the fractional law at Lambda = 0 moved its normalizer: from 0.0
     # to -ln Gamma(1), the Lanczos value 8.9e-16, which its weight at n = 0
     # carries too, so the normalized log-weights still agree.
@@ -400,7 +411,8 @@ def test_merged_log_weight_matches_per_family_reference(spec):
 def test_alpha_02_lambda_50_table_matches_reference():
     spec = const_spec(0.2, 50.0)
     ref_weight, ref_norm = reference_log_terms(spec, 1.0)
-    assert _bits([counting._log_terms_and_normalizer(spec, 1.0)[1]]) == _bits([ref_norm])
+    log_norm = counting._count_law(spec, cumulative_rate(spec.rate, 1.0))[1]
+    assert _bits([log_norm]) == _bits([ref_norm])
     dist = CountDistribution(spec, 1.0)
     held = np.arange(dist.n_lo, dist.support_size)
     assert 1.5e9 < dist.n_lo and held.size < 2_000_000
@@ -552,13 +564,13 @@ def test_uniform_above_representable_table_gives_last_positive_count():
 def test_uniform_beyond_a_short_table_raises_in_both_methods(monkeypatch):
     # A table whose mass falls short of one by more than 1e-13 cannot
     # place the top uniforms.
-    exact = counting._log_terms_and_normalizer
+    exact = counting._count_law
 
-    def short_by_1e9(spec, t):
-        log_weight, log_norm, lam = exact(spec, t)
-        return log_weight, log_norm + 1e-9, lam
+    def short_by_1e9(spec, lam):
+        log_weight, log_norm, n_lo, n_hi = exact(spec, lam)
+        return log_weight, log_norm + 1e-9, n_lo, n_hi
 
-    monkeypatch.setattr(counting, "_log_terms_and_normalizer", short_by_1e9)
+    monkeypatch.setattr(counting, "_count_law", short_by_1e9)
     dist = CountDistribution(const_spec(0.5, 1.0), 1.0)
     u = 1.0 - 1e-12
     with pytest.raises(ConvergenceError):
