@@ -83,6 +83,18 @@ def rows():
         val = mp.log(ml_series(mp.mpf(alpha), mp.mpf(1), mp.mpf(z)))
         out.append(("log_mittag_leffler", alpha, "1.0", z, val))
 
+    # log E_{alpha,beta}(z) past z^(1/alpha) = 40, where log_mittag_leffler
+    # takes the leading exponential: alpha = 0.2, and the flight orders
+    # (gamma, gamma) and (gamma, gamma + 1) with gamma = d/2 - 1, d = 3, 4, 5.
+    for alpha, zs in [("0.2", ["2.1", "3.0", "5.0"]), ("0.5", ["7.0", "15.0"]),
+                      ("1.0", ["45.0", "200.0"]), ("1.5", ["300.0", "3000.0"])]:
+        a = mp.mpf(alpha)
+        betas = [a, mp.mpf(1), a + 1] if alpha == "0.2" else [a, a + 1]
+        for beta in betas:
+            for z in zs:
+                val = mp.log(ml_series(a, beta, mp.mpf(z)))
+                out.append(("log_mittag_leffler_far", alpha, mp.nstr(beta, 17), z, val))
+
     # Bessel J_nu(x), x <= 20 where the ascending series holds full accuracy.
     for nu, x in [
         ("0.0", "0.5"), ("0.0", "1.0"), ("0.0", "5.0"), ("0.0", "10.0"),

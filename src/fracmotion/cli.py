@@ -324,8 +324,22 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _rate_text(text: str) -> str:
-    parse_rate(text)  # validate early so bad grammar is a usage error
+    # Validate early so a bad rate is a usage error that gives its reason.
+    try:
+        parse_rate(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return text
+
+
+def _rate_value(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["telegraph", "eigenfunction", "pgf", "law", "mc", "cf"],
                      help="run a single check instead of the default suite")
     ver.add_argument("--alpha", type=float, default=0.5)
-    ver.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    ver.add_argument("--lambda", dest="lam", type=_rate_value, default=1.0)
     ver.add_argument("--c", type=float, default=1.0)
     ver.add_argument("--t", type=float, default=1.0)
     ver.add_argument("--samples", type=_positive_int, default=100_000)

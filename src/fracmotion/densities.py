@@ -52,6 +52,7 @@ from .specfun import (
     DomainError,
     MLParams,
     WrightSeriesSpec,
+    _log_ml_window,
     _log_window_sum,
     _math_log,
     _peak_guess,
@@ -293,7 +294,9 @@ def line_density(spec: FracPoissonSpec, c: float, t: float, x, method: str = "se
     if lam == 0.0:
         return _shaped(1.0 / (math.pi * w), x)
     z = np.maximum(lam * w / (c * t), _TINY)
-    log_norm = log_mittag_leffler(MLParams(alpha, 1.0), lam)
+    # Both methods take the window sum, not log_mittag_leffler's closed
+    # form: the series' log-terms round as the window's do (see log_terms).
+    log_norm = float(_log_ml_window(MLParams(alpha, 1.0), np.array([lam]))[0][0])
     log_prefix = -_LOG_SQRT_PI - _math_log(w) - log_norm
     if method == "wright":
         return _shaped(np.exp(log_wright_series(projection_wright_spec(alpha), z) + log_prefix), x)

@@ -24,6 +24,17 @@ than 2 000 000 terms raises ``ConvergenceError`` before it is allocated.
 Log-terms of size n* ln(z) carry its rounding: at n* ~ 1e9 they are near
 6e9 nats and cost about 1e-6 relative.
 
+:func:`log_mittag_leffler` sums no window where it need not. On the
+positive axis, for 0 < alpha < 2,
+
+    E_{alpha,beta}(z) = z^((1-beta)/alpha) exp(z^(1/alpha)) / alpha
+                        - sum_{k>=1} z^-k / Gamma(beta - alpha*k)
+
+(Gorenflo, Loutchko & Luchko 2002). With beta <= alpha + 1 and
+z^(1/alpha) >= 40 the sum is below e^-40 relative, so ln E is the leading
+term's log in O(1); the 2 000 000-term cap then binds only the windowed
+series (the count tables, the state-dependent tail and the line laws).
+
 :func:`positive_series` sums the series with arbitrary terms -- the planar
 and flight mixtures and the weighted-Poisson normalizer -- from k = 0: it
 keeps terms up to the first k >= ``first_stop`` no larger than its
@@ -98,6 +109,10 @@ _MAX_TERM = math.exp(709.0)
 _ML_CHUNK = 1 << 15
 _ML_TAIL_NATS = 60.0
 _MAX_WINDOW = 2_000_000
+# log_mittag_leffler: z^(1/alpha) from which E_{alpha,beta}(z) is its leading
+# exponential, the algebraic part of its expansion below e^-40 relative.
+_ML_EXP_ROOT = 40.0
+_LOG_DOUBLE_MAX = 709.78  # just below ln(1.797e308)
 _BESSEL_MAX_TERMS = 20000
 
 
@@ -394,11 +409,33 @@ def _nonnegative_array(z, what: str) -> np.ndarray:
 
 def log_mittag_leffler(params, z):
     """ln E_{alpha,beta}(z) for z >= 0 (a scalar or an array), stable at
-    any magnitude: one window sum per point of the log-terms
-    k*ln(z) - ln Gamma(alpha*k + beta), all points in one pass, each value
-    equal to its one-point call bit for bit."""
+    any magnitude, each value equal to its one-point call bit for bit.
+
+    With alpha < 2 and beta <= alpha + 1, a point with z^(1/alpha) >= 40
+    takes the leading term of the exponential expansion,
+    -ln(alpha) + ((1 - beta)/alpha) ln(z) + z^(1/alpha), in O(1), and
+    raises ``RangeOverflowError`` where z^(1/alpha) leaves the double range;
+    every other point is one window sum of the log-terms
+    k*ln(z) - ln Gamma(alpha*k + beta), all of them in one pass."""
     z_arr = _nonnegative_array(z, "log_mittag_leffler")
-    return _shaped(_log_ml_window(_as_ml_params(params), z_arr.ravel())[0], z_arr)
+    p = _as_ml_params(params)
+    zs = z_arr.ravel()
+    far = np.zeros(zs.size, dtype=bool)
+    if p.alpha < 2.0 and p.beta <= p.alpha + 1.0:
+        # Compare z itself with 40^alpha, so a point's route does not depend
+        # on the rest of the array.
+        far = zs >= _ML_EXP_ROOT**p.alpha
+    out = np.empty(zs.size)
+    near = np.flatnonzero(~far)
+    if near.size:
+        out[near] = _log_ml_window(p, zs[near])[0]
+    if far.any():
+        top = float(zs[far].max())
+        if not math.log(top) < _LOG_DOUBLE_MAX * p.alpha:
+            raise RangeOverflowError(f"ln E_{{{p.alpha},{p.beta}}}({top}) exceeds double range")
+        inv, lead, slope = 1.0 / p.alpha, -math.log(p.alpha), (1.0 - p.beta) / p.alpha
+        out[far] = [lead + slope * math.log(v) + v**inv for v in zs[far].tolist()]
+    return _shaped(out, z_arr)
 
 
 def log_wright_series(spec: WrightSeriesSpec, z):

@@ -320,6 +320,46 @@ def test_non_finite_rate_or_bad_speed_is_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("check", ["telegraph", "eigenfunction"])
+@pytest.mark.parametrize("lam", ["nan", "inf", "-1", "abc"])
+def test_bad_lambda_is_rejected_at_parse_time(tmp_path, capsys, check, lam):
+    out = tmp_path / "bad.json"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--check", check, "--lambda", lam, "--out", str(out)])
+    assert excinfo.value.code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"argument --lambda: must be a finite number >= 0, got {lam}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate,reason", [
+    ("const:nan", "constant rate must be finite and >= 0, got nan"),
+    ("power:1,-2", "power-rate exponent must be finite and > -1, got -2.0"),
+    ("const:x", "cannot parse rate 'const:x'"),
+])
+def test_bad_rate_error_gives_its_reason(tmp_path, capsys, rate, reason):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["simulate", "--samples", "10", "--rate", rate, "--out", str(tmp_path / "x.csv")])
+    assert excinfo.value.code == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("fracmotion simulate: error: argument --rate: ")
+    assert reason in err
+    assert "_rate_text" not in err
+
+
+def test_alpha_02_const_60_density_runs_where_sampling_cannot(tmp_path, capsys):
+    # The planar law needs E only, in closed form at this rate; the count
+    # table needs the window of E_{0.2,1}(60), about 3e6 terms, past the cap.
+    rate = ["--alpha", "0.2", "--rate", "const:60"]
+    out = tmp_path / "planar.csv"
+    assert main(["density", "--law", "planar", *rate, "--out", str(out)]) == EXIT_OK
+    values = np.array([float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]])
+    assert np.all(values[:-1] >= 0.0) and values[0] > 0.0 and np.isnan(values[-1])
+    assert main(["simulate", *rate, "--samples", "3",
+                 "--out", str(tmp_path / "sim.csv")]) == EXIT_NUMERIC
+    assert "past the cap" in capsys.readouterr().err
+
+
 def test_rate_with_infinite_last_breakpoint_is_the_constant_rate(tmp_path):
     argv = ["simulate", "--alpha", "0.5", "--samples", "200", "--seed", "5"]
     assert main(argv + ["--rate", "piecewise:inf:1", "--out", str(tmp_path / "p.csv")]) == EXIT_OK

@@ -26,8 +26,8 @@ from fracmotion.specfun import (
     ConvergenceError,
     DomainError,
     MLParams,
+    _log_ml_window,
     log_gamma_pos,
-    log_mittag_leffler,
     mittag_leffler,
 )
 
@@ -336,6 +336,12 @@ def test_pmf_at_zero_rate(spec):
 # replaced, frozen here as the bit-for-bit reference.
 
 
+def _window_log_ml(params, lam: float) -> float:
+    # The count laws sum their normalizer over the window that holds their
+    # table, never by log_mittag_leffler's closed form at large Lambda.
+    return float(_log_ml_window(params, np.array([lam]))[0][0])
+
+
 def reference_log_terms(spec, t: float):
     """(log-weight, log-normalizer) of the fractional and flight laws as
     each family computed them with its own function and Lambda = 0 branch."""
@@ -349,7 +355,7 @@ def reference_log_terms(spec, t: float):
             n = np.asarray(n, dtype=float)
             return n * log_lam - log_gamma_pos(spec.alpha * n + 1.0)
 
-        return log_weight_frac, log_mittag_leffler(MLParams(spec.alpha, 1.0), lam)
+        return log_weight_frac, _window_log_ml(MLParams(spec.alpha, 1.0), lam)
     gamma_order = spec.d / 2.0 - 1.0
     if lam == 0.0:
         return (lambda n: np.where(np.asarray(n) == 0, -log_gamma_pos(gamma_order + 1.0),
@@ -360,7 +366,7 @@ def reference_log_terms(spec, t: float):
         n = np.asarray(n, dtype=float)
         return n * log_lam - log_gamma_pos((n + 1.0) * gamma_order + 1.0)
 
-    return log_weight_flight, log_mittag_leffler(MLParams(gamma_order, gamma_order + 1.0), lam)
+    return log_weight_flight, _window_log_ml(MLParams(gamma_order, gamma_order + 1.0), lam)
 
 
 def _bits(values):
@@ -421,6 +427,9 @@ def test_alpha_02_lambda_50_table_matches_reference():
     for k in (0, 1000, dist.n_lo - 1, dist.support_size + 5):
         assert _bits([dist.pmf(k)]) == _bits([min(1.0, float(np.exp(ref_weight(k) - ref_norm)))])
     assert dist.cdf(dist.n_lo - 1) == 0.0
+    # The pmf sums to 1 + 2.4e-8 here (the normalizer's rounding); the table
+    # is normalized by its own sum.
+    assert dist.cdf(dist.support_size - 1) == 1.0
     draws = dist.sample_many(np.array([1e-9, 0.5, 1.0 - 1e-9]))
     assert np.all((dist.n_lo <= draws) & (draws < dist.support_size))
 
@@ -561,23 +570,21 @@ def test_uniform_above_representable_table_gives_last_positive_count():
     assert dist.sample_many(np.array([0.5, u])).tolist() == [dist.sample(0.5), n]
 
 
-def test_uniform_beyond_a_short_table_raises_in_both_methods(monkeypatch):
-    # A table whose mass falls short of one by more than 1e-13 cannot
-    # place the top uniforms.
-    exact = counting._count_law
-
-    def short_by_1e9(spec, lam):
-        log_weight, log_norm, n_lo, n_hi = exact(spec, lam)
-        return log_weight, log_norm + 1e-9, n_lo, n_hi
-
-    monkeypatch.setattr(counting, "_count_law", short_by_1e9)
-    dist = CountDistribution(const_spec(0.5, 1.0), 1.0)
-    u = 1.0 - 1e-12
-    with pytest.raises(ConvergenceError):
-        dist.sample(u)
-    with pytest.raises(ConvergenceError):
-        dist.sample_many(np.array([0.5, u]))
-    assert dist.sample_many(np.array([0.5])).tolist() == [dist.sample(0.5)]
+@pytest.mark.parametrize("spec", [
+    const_spec(0.5, 1.0), const_spec(0.5, 10.0), const_spec(0.2, 5.0), const_spec(0.2, 10.0),
+    StateDependentSpec((0.5, 0.8, 0.3), RateFunction.constant(4.0)),
+    FlightCountSpec(7, RateFunction.constant(30.0)),
+], ids=["a0.5-l1", "a0.5-l10", "a0.2-l5", "a0.2-l10", "state-dependent", "flight-d7"])
+def test_table_ends_at_exactly_one(spec):
+    dist = CountDistribution(spec, 1.0)
+    assert dist.cdf(dist.support_size - 1) == 1.0
+    assert dist.cdf(dist.support_size + 100) == 1.0
+    top = float(np.nextafter(1.0, 0.0))
+    assert dist.n_lo <= dist.sample(top) < dist.support_size
+    # The pmf's running sum follows the table to the normalizer's rounding.
+    held = np.arange(dist.n_lo, dist.support_size)
+    running = np.cumsum(dist.pmf(held))
+    assert np.max(np.abs(running - [dist.cdf(int(n)) for n in held])) < 4e-12
 
 
 def test_zero_rate_all_mass_at_zero():
@@ -597,15 +604,16 @@ def test_sampling_table_normalization_property(alpha, lam):
 
 
 @pytest.mark.parametrize("alphas,lam,message", [
-    # The normalizer needs E_{0.2,1}(60), whose window is about 3e6 terms.
-    ((0.5, 0.2), 60.0, r"E_\{0.2,1.0\} at z=60.0 needs a window of 3.055e\+06 terms"),
+    # The tail needs the window of E_{0.2,1.4}(60), about 3e6 terms; the
+    # normalizers E_{0.2,1}(60) and E_{0.5,1}(60) take the closed form.
+    ((0.5, 0.2), 60.0, r"E_\{0.2,1.4\} at z=60.0 needs a window of 3.055e\+06 terms"),
     # Each window fits, but the table from n = 0 to the tail's peak near
     # n = 1.56e9 would not.
     ((1.0, 0.2), 50.0, r"state-dependent count table at z=50.0 needs a window of 1.563e\+09"),
 ], ids=["normalizer-window", "table"])
 def test_window_past_the_cap_raises_before_allocating(alphas, lam, message):
     # Nothing of the refused size (24 MB, 12.5 GB) may be allocated; the
-    # second case first sums E_{0.2,1}(50) over its 1.94e6-term window,
+    # second case first sums E_{0.2,1.4}(50) over its 1.94e6-term window,
     # whose peak is bounded in test_log_ml_memory_and_value_at_alpha_02_z_50.
     import tracemalloc
 

@@ -436,6 +436,40 @@ def test_flight_unconditional_equals_mixture(d):
         )
 
 
+def test_flight_d4_closed_form_at_large_rate():
+    # Lambda = 100: E_{1,1}(Lambda Q) takes the leading exponential wherever
+    # Lambda Q >= 40, and E_{1,2}(Lambda) does too.
+    lam = 100.0
+    spec = FlightCountSpec(4, RateFunction.constant(lam))
+    r = np.linspace(0.0, 0.99, 25)
+    q = 1.0 - r * r
+    expected = np.exp(math.log(lam / math.pi) + lam * q - lam - math.log1p(-math.exp(-lam)))
+    assert np.allclose(flight_unconditional(spec, 1.0, 1.0, r), expected, rtol=1e-13, atol=0.0)
+
+
+def test_flight_d10_at_large_rate_keeps_the_window(monkeypatch):
+    # gamma = 4: further exponentials reach the positive axis, so every
+    # Mittag-Leffler value of the law is a window sum, even at
+    # Lambda^(1/4) = 45.
+    from fracmotion import specfun
+
+    windowed = []
+    window = specfun._log_ml_window
+
+    def counted(params, zs):
+        windowed.append(zs.size)
+        return window(params, zs)
+
+    monkeypatch.setattr(specfun, "_log_ml_window", counted)
+    spec = FlightCountSpec(10, RateFunction.constant(45.0**4))
+    r = np.linspace(0.0, 0.99, 12)
+    got = flight_unconditional(spec, 1.0, 1.0, r)
+    assert sum(windowed) == r.size + 1
+    monkeypatch.setattr(specfun, "_log_ml_window", window)
+    for ri, value in zip(r.tolist(), got.tolist()):
+        assert value == pytest.approx(flight_mixture_density(spec, 1.0, 1.0, ri), rel=1e-12)
+
+
 def test_flight_unconditional_total_mass():
     spec = FlightCountSpec(5, RateFunction.constant(2.0))
     mass = polar_mass(lambda r: flight_unconditional(spec, 1.0, 1.0, r), 1.0, 1.0)

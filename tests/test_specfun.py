@@ -32,6 +32,7 @@ from fracmotion.specfun import (
     wright_series,
 )
 from fracmotion.specfun import _SERIES_BLOCK as BLOCK
+from fracmotion.specfun import _log_ml_window
 
 ORACLE_PATH = Path(__file__).parent / "data" / "specfun_oracle.csv"
 
@@ -45,6 +46,9 @@ RELTOL = {
     "log_gamma": 1e-12,
     "mittag_leffler": 1e-11,
     "log_mittag_leffler": 1e-12,
+    # Past z^(1/alpha) = 40: alpha = 0.2 and the flight orders (gamma, gamma),
+    # (gamma, gamma + 1), all taking the leading exponential.
+    "log_mittag_leffler_far": 1e-15,
     "bessel_j_small": 1e-12,
     "bessel_j_large": 1e-10,
     "wright_projection": 1e-11,
@@ -68,7 +72,7 @@ def _evaluate(row):
         return log_gamma_pos(x), RELTOL[fn]
     if fn == "mittag_leffler":
         return mittag_leffler(MLParams(float(row["p1"]), float(row["p2"])), x), RELTOL[fn]
-    if fn == "log_mittag_leffler":
+    if fn in ("log_mittag_leffler", "log_mittag_leffler_far"):
         return log_mittag_leffler(MLParams(float(row["p1"]), float(row["p2"])), x), RELTOL[fn]
     if fn == "bessel_j":
         tol = RELTOL["bessel_j_small"] if x <= 10.0 else RELTOL["bessel_j_large"]
@@ -384,13 +388,21 @@ def bits(values):
 
 @pytest.mark.parametrize("alpha,beta", ML_ORDERS)
 def test_log_ml_array_is_bit_identical_to_one_point_reference(alpha, beta):
+    # The window sum, which log_mittag_leffler takes below z^(1/alpha) = 40.
     # At alpha = 0.2 the window grows like z^5: z = 7.5 already needs 250 000 terms.
     zs = ML_ZS + ([12.0, 20.0, 60.0, 150.0] if alpha >= 0.5 else [])
     expected = [reference_log_ml((alpha, beta), z) for z in zs]
     assert any(d > 0 for _, d in expected)  # some windows double
-    got = log_mittag_leffler(MLParams(alpha, beta), np.array(zs))
+    got = _log_ml_window(MLParams(alpha, beta), np.array(zs))[0]
     assert bits(got) == bits([v for v, _ in expected])
     for z, (value, _) in zip(zs, expected):
+        one = _log_ml_window(MLParams(alpha, beta), np.array([z]))[0]
+        assert bits(one) == bits([value])
+    public = log_mittag_leffler(MLParams(alpha, beta), np.array(zs))
+    near = np.array(zs) ** (1.0 / alpha) < 40.0
+    assert near.sum() >= 10
+    assert bits(public[near]) == bits(got[near])
+    for z, value in zip(zs, public.tolist()):
         one = log_mittag_leffler(MLParams(alpha, beta), z)
         assert type(one) is float and bits([one]) == bits([value])
 
@@ -421,20 +433,92 @@ def test_log_ml_keeps_the_input_shape():
     assert log_mittag_leffler(MLParams(0.5, 1.0), np.empty(0)).shape == (0,)
 
 
+# ---------------------------------------------------------------------------
+# The leading exponential past z^(1/alpha) = 40
+
+
+def _log1mexp(x: float) -> float:
+    """ln(1 - e^-x) for x > 0."""
+    return math.log1p(-math.exp(-x))
+
+
+# (alpha, beta, ln E_{alpha,beta}(z)) in closed form.
+CLOSED_FORMS = [
+    (1.0, 1.0, lambda z: z),
+    (1.0, 2.0, lambda z: z + _log1mexp(z) - math.log(z)),
+    (0.5, 1.0, lambda z: z * z + math.log(math.erfc(-z))),
+]
+
+
+@pytest.mark.parametrize("alpha,beta,exact", CLOSED_FORMS, ids=["E11", "E12", "E_half1"])
+def test_leading_exponential_matches_closed_forms(alpha, beta, exact):
+    zs = [40.0 ** alpha, 41.5 ** alpha, 50.0 ** alpha, 60.0 ** alpha, 200.0 ** alpha,
+          1e4 ** alpha]
+    got = log_mittag_leffler(MLParams(alpha, beta), np.array(zs))
+    window = _log_ml_window(MLParams(alpha, beta), np.array(zs))[0]
+    for z, g, w in zip(zs, got.tolist(), window.tolist()):
+        want = exact(z)
+        assert abs(g - want) <= 2.2e-16 * abs(want)
+        assert abs(g - want) <= abs(w - want)
+
+
+ML_FAR_ORDERS = [(a, b) for a in (0.1, 0.2, 0.3, 0.5, 0.75, 1.0, 1.5, 1.9)
+                 for b in (a, 1.0, a + 1.0)]
+
+
+@pytest.mark.parametrize("alpha,beta", ML_FAR_ORDERS)
+def test_leading_exponential_agrees_with_window_across_the_threshold(alpha, beta):
+    roots = np.array([39.0, 39.99, 40.0, 40.01, 41.0, 60.0, 200.0])
+    zs = roots ** alpha
+    got = log_mittag_leffler(MLParams(alpha, beta), zs)
+    window = _log_ml_window(MLParams(alpha, beta), zs)[0]
+    assert np.allclose(got, window, rtol=2e-15, atol=0.0)
+    # Below the threshold the window itself is returned.
+    assert bits(got[:2]) == bits(window[:2])
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.0, 10.0), (0.5, 5.0), (2.0, 1.0), (4.0, 4.0),
+                                        (4.0, 5.0), (6.0, 7.0)])
+def test_orders_outside_the_expansion_keep_the_window(alpha, beta):
+    # beta > alpha + 1 lets the algebraic part reach 1e-10 at z^(1/alpha) = 40
+    # (E_{1,10}); from alpha = 2 on further exponentials reach the positive axis.
+    zs = np.array([45.0, 100.0]) ** alpha
+    got = log_mittag_leffler(MLParams(alpha, beta), zs)
+    assert bits(got) == bits(_log_ml_window(MLParams(alpha, beta), zs)[0])
+
+
+def test_e_1_10_keeps_its_algebraic_part():
+    # E_{1,10}(z) = (e^z - sum_{k<9} z^k/k!) / z^9: the leading exponential
+    # alone would be 1.3e-10 off at z = 40.
+    z = 40.0
+    poly = math.fsum(z**k / math.factorial(k) for k in range(9))
+    exact = z + math.log1p(-poly * math.exp(-z)) - 9.0 * math.log(z)
+    assert log_mittag_leffler(MLParams(1.0, 10.0), z) == pytest.approx(exact, rel=4e-16)
+
+
+def test_leading_exponential_up_to_the_double_range():
+    # ln E_{1,1}(z) = z at every finite z, far past any window the cap allows.
+    assert log_mittag_leffler(MLParams(1.0, 1.0), 1e308) == 1e308
+    for alpha, z in [(0.5, 1e200), (0.2, 1e70), (1.0, math.inf)]:
+        with pytest.raises(RangeOverflowError, match="exceeds double range"):
+            log_mittag_leffler(MLParams(alpha, 1.0), np.array([1.0, z]))
+
+
 def test_log_ml_rejects_any_negative_element():
     with pytest.raises(DomainError, match="-0.5"):
         log_mittag_leffler(MLParams(0.5, 1.0), np.array([1.0, 0.0, -0.5, 2.0]))
 
 
 def test_log_ml_memory_on_the_wide_alpha_02_windows():
-    # The alpha = 0.2, const:5 planar grid: z = 5 w with w in [0.95, 1]
-    # needs windows of about 78 000 terms per point.
+    # The alpha = 0.2, const:5 planar grid summed by the window (the count
+    # table's route): z = 5 w with w in [0.95, 1] needs windows of about
+    # 78 000 terms per point.
     import tracemalloc
 
     z = 5.0 * np.sqrt(1.0 - np.linspace(0.0, 0.3, 20) ** 2)
     tracemalloc.start()
     try:
-        log_mittag_leffler(MLParams(0.2, 0.2), z)
+        _log_ml_window(MLParams(0.2, 0.2), z)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -442,13 +526,14 @@ def test_log_ml_memory_on_the_wide_alpha_02_windows():
 
 
 def test_log_ml_memory_and_value_at_alpha_02_z_50():
+    # The window sum of the count table at alpha = 0.2, const:50:
     # n* = 50^5 / 0.2 ~ 1.6e9: the window about the peak holds 1.94e6 terms
     # where the walk from k = 0 needed 3.1e9. Measured peak: 143 316 249 bytes.
     import tracemalloc
 
     tracemalloc.start()
     try:
-        value = log_mittag_leffler(MLParams(0.2, 1.0), 50.0)
+        value = float(_log_ml_window(MLParams(0.2, 1.0), np.array([50.0]))[0][0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -460,8 +545,6 @@ def test_log_ml_memory_and_value_at_alpha_02_z_50():
 
 @pytest.mark.parametrize("z", [10.0, 50.0])
 def test_window_stays_near_its_60_nat_width(z):
-    from fracmotion.specfun import _log_ml_window
-
     _, lo, hi = _log_ml_window(MLParams(0.2, 1.0), np.array([z]))
     n_star = z**5 / 0.2
     # Curvature -alpha/n: 60 nats either side is sqrt(2 * 60 * n / alpha).
