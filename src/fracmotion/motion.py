@@ -17,8 +17,14 @@ own ``numpy`` substream ``default_rng((seed, i))``, exactly as
 :func:`sample_trajectory` would consume it.  The batch sampler
 :func:`endpoint_arrays` seeds those streams for many ``i`` at once in
 numpy integer arithmetic instead of building one generator per sample.  It
-computes a path's first ``_BULK_DRAWS`` draws in bulk from those states; a
-longer path is drawn by numpy's own PCG64 set to its bulk-seeded state.
+works in blocks of ``2**14`` samples: it seeds a block's streams, and draws
+their switch counts, in pieces of ``2**12``, then sorts the block's rows by
+count once and draws each group of equal count in chunks of at most
+``2**14`` uniforms.  So beyond its output the sampler holds 32 bytes of
+stream state per sample of one block, one chunk and the longest path it
+follows.  It computes a path's first ``_BULK_DRAWS`` draws in bulk from
+those states; a longer path is drawn by numpy's own PCG64 set to its
+bulk-seeded state.
 A path with more than ``2**20`` switches takes its endpoint from the exact
 law given ``n`` switches instead (radius ``ct * sqrt(1 - v**(2/n))``).
 
@@ -38,7 +44,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .counting import CountingSpec, count_distribution
+from .counting import CountDistribution, CountingSpec, count_distribution
 from .densities import flight_exponent
 from .specfun import DomainError
 
@@ -258,6 +264,7 @@ def _jump(k: int) -> tuple[int, int]:
 
 
 _BULK_DRAWS = 128  # draws of a stream computed in bulk; later ones come from PCG64 itself
+_SEED_PIECE = 1 << 12  # streams seeded, and their draws 0 read, at once
 
 
 @lru_cache(maxsize=None)
@@ -290,6 +297,15 @@ class _Substreams:
 
     def __init__(self, seed: int, indices: np.ndarray):
         indices = np.asarray(indices, dtype=np.uint64)
+        self.x_hi, self.x_lo, self.inc_hi, self.inc_lo = (np.empty_like(indices) for _ in range(4))
+        # The hash's temporaries take several times the state, so the
+        # streams are seeded _SEED_PIECE at a time.
+        for lo in range(0, indices.size, _SEED_PIECE):
+            self._seed(seed, indices[lo:lo + _SEED_PIECE], slice(lo, lo + _SEED_PIECE))
+
+    def _seed(self, seed: int, indices: np.ndarray, piece: slice) -> None:
+        """Seed the streams ``piece`` as ``default_rng((seed, i))`` for ``i``
+        in ``indices``."""
         seed_words = [np.full(indices.shape, w, dtype=np.uint32) for w in _entropy_words(seed)]
         s = [np.empty_like(indices) for _ in range(4)]
         # An index of 2**32 or more is two entropy words, which changes the
@@ -307,12 +323,23 @@ class _Substreams:
         # PCG64 seeding sets inc = (s2:s3) << 1 | 1, then steps from 0, adds
         # (s0:s1) and steps again.  Keep the state x = (s0:s1) + inc, from
         # which the seeded state is one step and draw k is k + 2 steps.
-        self.inc_hi = (s[2] << 1) | (s[3] >> 63)
-        self.inc_lo = (s[3] << 1) | 1
-        self.x_hi, self.x_lo = s[0], s[1]
-        _add128(self.x_hi, self.x_lo, self.inc_hi, self.inc_lo)
+        x_hi, x_lo, inc_hi, inc_lo = (
+            a[piece] for a in (self.x_hi, self.x_lo, self.inc_hi, self.inc_lo))
+        inc_hi[:] = (s[2] << 1) | (s[3] >> 63)
+        inc_lo[:] = (s[3] << 1) | 1
+        x_hi[:], x_lo[:] = s[0], s[1]
+        _add128(x_hi, x_lo, inc_hi, inc_lo)
 
-    def uniforms(self, start: int, count: int, rows: np.ndarray | None = None) -> np.ndarray:
+    def first_draws(self) -> np.ndarray:
+        """Draw 0 of every stream, read ``_SEED_PIECE`` streams at a time."""
+        out = np.empty(self.x_hi.size)
+        for lo in range(0, out.size, _SEED_PIECE):
+            piece = slice(lo, lo + _SEED_PIECE)
+            out[piece] = self.uniforms(0, 1, piece)[:, 0]
+        return out
+
+    def uniforms(self, start: int, count: int,
+                 rows: np.ndarray | slice | None = None) -> np.ndarray:
         """Draws ``start .. start + count - 1`` of the streams ``rows`` (all
         by default), as a ``(len(rows), count)`` array of doubles: in bulk
         within the first ``_BULK_DRAWS`` draws, else row by row from numpy's
@@ -358,20 +385,24 @@ class _Substreams:
         return out
 
 
-_BLOCK = 1 << 12  # samples seeded together
+_BLOCK = 1 << 14  # samples grouped by switch count together
 _DRAW_BUDGET = 1 << 14  # uniforms drawn at once within a block
 _MAX_PATH_SWITCHES = 1 << 20  # longest path followed switch by switch
 
 
-def _substream_blocks(n_samples: int, seed: int) -> Iterator[tuple[int, _Substreams]]:
-    """``(first index, substreams)`` for consecutive blocks of ``_BLOCK``
-    samples: sample ``i`` of a batch is substream ``(seed, i)``."""
+def _blocks(n_samples: int, seed: int) -> list[slice]:
+    """Consecutive blocks of ``_BLOCK`` samples of a batch of ``n_samples``."""
     if n_samples <= 0:
         raise DomainError(f"n_samples must be positive, got {n_samples}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    return ((lo, _Substreams(seed, np.arange(lo, min(lo + _BLOCK, n_samples), dtype=np.uint64)))
-            for lo in range(0, n_samples, _BLOCK))
+    return [slice(lo, min(lo + _BLOCK, n_samples)) for lo in range(0, n_samples, _BLOCK)]
+
+
+def _block_streams(seed: int, block: slice) -> _Substreams:
+    """The substreams of a block: sample ``i`` of a batch is substream
+    ``(seed, i)``."""
+    return _Substreams(seed, np.arange(block.start, block.stop, dtype=np.uint64))
 
 
 def _radii(ct: float, u: np.ndarray, inv_a: float) -> np.ndarray:
@@ -409,6 +440,30 @@ def _endpoints(c: float, t: float, n: int, u: np.ndarray) -> tuple[np.ndarray, n
     return c * x, c * y
 
 
+def _block_endpoints(cfg: MotionConfig, dist: CountDistribution, streams: _Substreams,
+                     xs: np.ndarray, ys: np.ndarray, ns: np.ndarray) -> None:
+    """Fill one block's columns from its streams: draw the counts, sort the
+    rows by count and draw each equal-count group in chunks of at most
+    ``_DRAW_BUDGET`` uniforms."""
+    ns[:] = dist.sample_many(streams.first_draws())
+    # A row's draws do not depend on its place in its group, so any sort will do.
+    order = np.argsort(ns)
+    for rows in np.split(order, np.flatnonzero(np.diff(ns[order])) + 1):
+        n = int(ns[rows[0]])
+        long_paths = n > _MAX_PATH_SWITCHES
+        draws = 2 if long_paths else 2 * n + 1
+        per_chunk = max(1, _DRAW_BUDGET // draws)
+        for first in range(0, rows.size, per_chunk):
+            chunk = rows[first:first + per_chunk]
+            u = streams.uniforms(1, draws, chunk)
+            if long_paths:
+                r = _radii(cfg.c * cfg.t, u[:, 0], 2.0 / n)
+                xs[chunk] = r * np.cos(_TWO_PI * u[:, 1])
+                ys[chunk] = r * np.sin(_TWO_PI * u[:, 1])
+            else:
+                xs[chunk], ys[chunk] = _endpoints(cfg.c, cfg.t, n, u)
+
+
 def endpoint_arrays(cfg: MotionConfig, n_samples: int, seed: int) -> EndpointArrays:
     """Draw ``n_samples`` endpoints as columns, deterministic in
     ``(cfg, n_samples, seed)``.
@@ -416,35 +471,27 @@ def endpoint_arrays(cfg: MotionConfig, n_samples: int, seed: int) -> EndpointArr
     Sample ``i`` is the path :func:`sample_trajectory` draws from
     ``np.random.default_rng((seed, i))``, bit for bit, up to
     ``_MAX_PATH_SWITCHES`` switches; past that, draws 1 and 2 give radius
-    ``ct * sqrt(1 - (1 - u1)**(2/n))`` and direction ``2*pi*u2``.  The
-    streams are seeded in bulk, blocks of samples at a time, so memory
-    stays bounded by the block size and the longest path followed.  Paths
-    of fewer than ``_BULK_DRAWS`` uniforms are drawn in bulk too; longer
-    ones row by row by numpy's own PCG64 set to each bulk-seeded state.
+    ``ct * sqrt(1 - (1 - u1)**(2/n))`` and direction ``2*pi*u2``.
+
+    The batch runs in blocks of ``_BLOCK`` samples.  A block's streams are
+    seeded in bulk, and their draws 0 turned into switch counts, in pieces
+    of ``_SEED_PIECE``; then its rows are sorted by count once, and each
+    group of equal count is drawn in chunks of at most ``_DRAW_BUDGET``
+    uniforms.  Paths of fewer than ``_BULK_DRAWS`` uniforms are drawn in
+    bulk; longer ones row by row by numpy's own PCG64 set to each
+    bulk-seeded state.  Beyond the output columns, memory stays bounded by
+    32 bytes of stream state per sample of one block, plus the draw budget,
+    plus the longest path followed.
     """
-    blocks = _substream_blocks(n_samples, seed)
+    blocks = _blocks(n_samples, seed)
     dist = count_distribution(cfg.count_spec, cfg.t)
     xs = np.empty(n_samples)
     ys = np.empty(n_samples)
     ns = np.empty(n_samples, dtype=np.int64)
-    for lo, streams in blocks:
-        counts = dist.sample_many(streams.uniforms(0, 1)[:, 0])
-        ns[lo:lo + counts.size] = counts
-        order = np.argsort(counts, kind="stable")
-        for rows in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
-            n = int(counts[rows[0]])
-            if n > _MAX_PATH_SWITCHES:
-                u = streams.uniforms(1, 2, rows)
-                r = _radii(cfg.c * cfg.t, u[:, 0], 2.0 / n)
-                xs[lo + rows] = r * np.cos(_TWO_PI * u[:, 1])
-                ys[lo + rows] = r * np.sin(_TWO_PI * u[:, 1])
-                continue
-            per_chunk = max(1, _DRAW_BUDGET // (2 * n + 1))
-            for first in range(0, rows.size, per_chunk):
-                chunk = rows[first:first + per_chunk]
-                x, y = _endpoints(cfg.c, cfg.t, n, streams.uniforms(1, 2 * n + 1, chunk))
-                xs[lo + chunk] = x
-                ys[lo + chunk] = y
+    for block in blocks:
+        # A block's streams live only in the call, so they are freed before
+        # the next block's are seeded.
+        _block_endpoints(cfg, dist, _block_streams(seed, block), xs[block], ys[block], ns[block])
     return EndpointArrays(x=xs, y=ys, n=ns, is_singular=ns == 0)
 
 
@@ -470,8 +517,8 @@ def flight_radii_batch(
     """Flight radii for fixed ``(d, n)`` by inversion of the marginal's
     radial CDF, radius ``i`` from draw 0 of substream ``(seed, i)``."""
     inv_a = 1.0 / flight_exponent(d, n, variant)
-    blocks = _substream_blocks(n_samples, seed)
+    blocks = _blocks(n_samples, seed)
     radii = np.empty(n_samples)
-    for lo, streams in blocks:
-        radii[lo:lo + _BLOCK] = _radii(c * t, streams.uniforms(0, 1)[:, 0], inv_a)
+    for block in blocks:
+        radii[block] = _radii(c * t, _block_streams(seed, block).first_draws(), inv_a)
     return radii

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
@@ -46,8 +47,10 @@ from .densities import (
 )
 from .motion import EndpointArrays, MotionConfig, conditioned_endpoints, endpoint_arrays
 from .specfun import (
+    _LOG_DOUBLE_MAX,
     DomainError,
     MLParams,
+    RangeOverflowError,
     bessel_j,
     chi2_sf,
     gamma_pos,
@@ -289,7 +292,10 @@ def eigenfunction_residual(
     origin boundary layer against ``50 * h^(2-alpha)``.
 
     ``eigenvalue_factor != 1`` scales the claimed eigenvalue and serves as
-    the wrong-eigenvalue negative control.
+    the wrong-eigenvalue negative control.  Raises ``RangeOverflowError``
+    where ``g``, which tops out at ``E = E_{alpha,1}(lam/c)``, or the
+    residual formed from it would leave the double range, or where
+    ``lam/(2*pi*c*E)`` is below it.
     """
     t = 1.0 / c
     w = _unit_grid(h)
@@ -300,6 +306,14 @@ def eigenfunction_residual(
     else:
         log_norm = log_mittag_leffler(MLParams(alpha, 1.0), lam * t)
         limit0 = lam / (2.0 * math.pi * c) * math.exp(-log_norm)
+        # g tops out at exp(log_norm), and the residual differences it after
+        # scaling by the claimed eigenvalue or the L1 weight h^-alpha/Gamma(2-alpha).
+        scale = max(eigenvalue_factor * lam / c, h ** -alpha / gamma_pos(2.0 - alpha), 1.0)
+        if not (log_norm + math.log(2.0 * scale) < _LOG_DOUBLE_MAX
+                and limit0 >= sys.float_info.min):
+            raise RangeOverflowError(
+                f"eigenfunction profile at lambda={lam} leaves double range: "
+                f"ln E_{{{alpha},1}}({lam * t}) = {log_norm:.6g}")
         # Scalar ** per node: numpy's power differs in the last ulp.
         ws = np.array([wm**alpha for wm in w[1:]])
         r = np.array([math.sqrt(max(0.0, (c * t) ** 2 - v * v)) for v in ws.tolist()])

@@ -332,6 +332,28 @@ def test_bad_lambda_is_rejected_at_parse_time(tmp_path, capsys, check, lam):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lam", ["27", "50", "1000"])
+def test_eigenfunction_profile_past_double_range_is_a_numeric_error(tmp_path, capsys, lam):
+    # At alpha = 0.5 the profile tops out at E_{1/2}(lam) ~ 2 exp(lam^2),
+    # which leaves the double range near lam = 26.6.
+    out = tmp_path / "eig.json"
+    with np.errstate(all="raise"):
+        rc = main(["verify", "--check", "eigenfunction", "--lambda", lam, "--out", str(out)])
+    assert rc == EXIT_NUMERIC
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert f"lambda={float(lam)} leaves double range: ln E_{{0.5,1}}" in err
+    assert not out.exists()
+
+
+def test_eigenfunction_default_entry_keeps_its_statistic(tmp_path):
+    out = tmp_path / "eig.json"
+    with np.errstate(all="raise"):
+        rc = main(["verify", "--check", "eigenfunction", "--lambda", "1", "--out", str(out)])
+    assert rc == EXIT_OK
+    (check,) = json.loads(out.read_text())["checks"]
+    assert check["statistic"] == 0.0006634095688715647
+
+
 @pytest.mark.parametrize("rate,reason", [
     ("const:nan", "constant rate must be finite and >= 0, got nan"),
     ("power:1,-2", "power-rate exponent must be finite and > -1, got -2.0"),

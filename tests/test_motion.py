@@ -206,17 +206,25 @@ def test_batch_replays_bit_for_bit(cfg):
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_batch_rows_do_not_depend_on_batch_size(offset):
+    # Sizes just around a seeding piece, a block and two blocks: each batch
+    # is a prefix of the longest, whose rows on the edges replay.
     cfg = const_cfg(alpha=0.5, lam=1.0, c=0.7)
-    n = motion._BLOCK + offset
-    cols = endpoint_arrays(cfg, n, seed=12)
-    single = endpoint_arrays(cfg, 1, seed=12)
-    assert (single.x[0], single.y[0], single.n[0]) == (cols.x[0], cols.y[0], cols.n[0])
-    assert_rows_replay(cfg, cols, 12, [0, n - 2, n - 1])
+    piece, block = motion._SEED_PIECE, motion._BLOCK
+    sizes = [1] + [base + offset for base in (piece, block, 2 * block)]
+    longest = endpoint_arrays(cfg, sizes[-1], seed=12)
+    edges = [0, piece - 1, piece, block - 1, block, sizes[-1] - 2, sizes[-1] - 1]
+    assert_rows_replay(cfg, longest, 12, edges)
+    for n in sizes[:-1]:
+        cols = endpoint_arrays(cfg, n, seed=12)
+        for f in cols._fields:
+            assert np.array_equal(getattr(cols, f), getattr(longest, f)[:n]), (n, f)
 
 
 def test_batch_does_not_depend_on_block_and_draw_budget(monkeypatch):
     cfg = const_cfg(alpha=0.5, lam=10.0, c=1.7)
     base = endpoint_arrays(cfg, 300, seed=4)
+    # Blocks of 37 are seeded in pieces of 16, 16 and 5.
+    monkeypatch.setattr(motion, "_SEED_PIECE", 16)
     monkeypatch.setattr(motion, "_BLOCK", 37)
     monkeypatch.setattr(motion, "_DRAW_BUDGET", 500)
     # Every path is drawn by numpy's PCG64 at 1, every one in bulk at 10**9.
@@ -225,6 +233,37 @@ def test_batch_does_not_depend_on_block_and_draw_budget(monkeypatch):
         small = endpoint_arrays(cfg, 300, seed=4)
         for f in base._fields:
             assert np.array_equal(getattr(base, f), getattr(small, f))
+
+
+def test_sparse_batch_groups_rows_once_per_block(monkeypatch):
+    # At about 2.2 switches per path a block of 2**14 samples holds about 16
+    # distinct counts, one kernel call each: 113 calls for 1e5 paths, where
+    # sorting every 4096 samples made 334.
+    calls = []
+    kernel = motion._endpoints
+
+    def spy(c, t, n, u):
+        calls.append(n)
+        return kernel(c, t, n, u)
+
+    monkeypatch.setattr(motion, "_endpoints", spy)
+    cols = endpoint_arrays(const_cfg(alpha=0.5, lam=1.0), 100_000, seed=2)
+    assert len(calls) <= 120
+    assert len(set(calls)) == np.unique(cols.n).size
+
+
+def test_sparse_batch_peak_allocation_is_bounded():
+    # Sparse paths fill whole chunks: beyond the 2.5 MB of output columns
+    # the sampler holds 0.5 MB of stream state and one chunk of draws.
+    cfg = const_cfg(alpha=0.5, lam=1.0)
+    endpoint_arrays(cfg, 1, seed=0)  # build the count table outside the trace
+    tracemalloc.start()
+    try:
+        endpoint_arrays(cfg, 100_000, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_batch_peak_allocation_is_bounded():
@@ -364,11 +403,11 @@ def test_conditioned_endpoints_validation():
 
 def feed_uniforms(monkeypatch, values):
     """Make draw 0 of the substreams of the next batch be ``values``."""
-    def uniforms(self, start, count, rows=None):
-        assert (start, count, rows) == (0, 1, None)
-        return np.array(values, dtype=float)[:, None]
+    def first_draws(self):
+        assert self.x_hi.size == len(values)
+        return np.array(values, dtype=float)
 
-    monkeypatch.setattr(motion._Substreams, "uniforms", uniforms)
+    monkeypatch.setattr(motion._Substreams, "first_draws", first_draws)
 
 
 def inverted(c, t, a, u):
