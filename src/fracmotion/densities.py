@@ -355,13 +355,15 @@ def flight_marginal(d: int, n: int, c: float, t: float, r: float, variant: str =
     """Planar marginal of the d-dimensional random flight after n changes
     of direction: a (c²t² − r²)^{a−1} / (π (ct)^{2a}) with the
     variant-specific exponent a (the printed Gamma-ratio prefactor
-    Γ(a+1)/Γ(a) equals a)."""
+    Γ(a+1)/Γ(a) equals a).  Formed as a (1 − (r/ct)²)^{a−1} / (π (ct)²):
+    ``ct ** (2a)`` alone leaves the double range at large a."""
     _require_speed_horizon(c, t)
     if not (0.0 <= r < c * t):
         raise DomainError(f"radius must lie in [0, ct), got {r}")
     a = flight_exponent(d, n, variant)
     ct = c * t
-    return a * (ct * ct - r * r) ** (a - 1.0) / (math.pi * ct ** (2.0 * a))
+    q = r / ct
+    return a * (1.0 - q * q) ** (a - 1.0) / (math.pi * ct * ct)
 
 
 def flight_unconditional(spec: FlightCountSpec, c: float, t: float, r):

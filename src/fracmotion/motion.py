@@ -32,7 +32,11 @@ Flight-model endpoints (random flights with Dirichlet displacement weights)
 have a radial CDF ``1 - (1 - r**2/(ct)**2)**a`` of the same shape, so
 :func:`flight_radii_batch` samples their radii by the same inversion, radius
 ``i`` from substream ``(seed, i)`` too.  Only :func:`conditioned_endpoints`
-draws a whole batch from one ``default_rng(seed)``.
+draws a whole batch from one ``default_rng(seed)``, all its instants before
+all its directions; it reads the two stream positions with two generators,
+one advanced past the instants, and draws in chunks of at most
+``_DRAW_BUDGET`` uniforms, so its memory is bounded like the batch
+sampler's.
 """
 
 from __future__ import annotations
@@ -499,16 +503,31 @@ def conditioned_endpoints(
     n: int, c: float, t: float, n_samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints conditioned on exactly ``n >= 1`` switches, all drawn from
-    one ``default_rng(seed)``: an ``(n_samples, n)`` array of instants, then
-    an ``(n_samples, n + 1)`` array of directions.  Row ``j`` is
-    :func:`endpoint_from_path` of row ``j``'s draws, bit for bit."""
+    one ``default_rng(seed)``: the batch's ``n_samples * n`` instants first,
+    row by row, then its ``n_samples * (n + 1)`` directions.  Row ``j`` is
+    :func:`endpoint_from_path` of row ``j``'s draws, bit for bit.
+
+    Two generators read that one stream: one from draw 0 for the instants,
+    the other advanced past them (PCG64 spends one output per double) for
+    the directions.  Rows are drawn in chunks of at most ``_DRAW_BUDGET``
+    uniforms, so beyond the output columns memory stays bounded by the draw
+    budget plus one path."""
     if n < 1:
         raise DomainError(f"conditioning requires n >= 1, got {n}")
-    if n_samples <= 0:
-        raise DomainError(f"n_samples must be positive, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    return _endpoints(c, t, n, np.hstack((rng.random((n_samples, n)),
-                                          rng.random((n_samples, n + 1)))))
+    _blocks(n_samples, seed)  # validates n_samples and seed
+    instants = np.random.default_rng(seed)
+    directions = np.random.default_rng(seed)
+    directions.bit_generator.advance(n_samples * n)
+    xs = np.empty(n_samples)
+    ys = np.empty(n_samples)
+    per_chunk = max(1, _DRAW_BUDGET // (2 * n + 1))
+    for lo in range(0, n_samples, per_chunk):
+        rows = min(per_chunk, n_samples - lo)
+        u = np.empty((rows, 2 * n + 1))
+        u[:, :n] = instants.random((rows, n))
+        u[:, n:] = directions.random((rows, n + 1))
+        xs[lo:lo + rows], ys[lo:lo + rows] = _endpoints(c, t, n, u)
+    return xs, ys
 
 
 def flight_radii_batch(

@@ -354,8 +354,9 @@ def pgf_ode_residual(
 # Telegraph PDE residual.
 
 
-# Grid points per band of rows in telegraph_residual.
-_TELEGRAPH_BAND = 1 << 16
+# Grid points per band of rows in telegraph_residual: a band's arrays peak
+# near 1.7 MB, below the Monte-Carlo checks' working sets.
+_TELEGRAPH_BAND = 1 << 14
 
 
 def telegraph_residual(
@@ -467,10 +468,14 @@ def _ks_uniform(u: np.ndarray) -> tuple[float, float]:
     """(D, p) of the two-sided Kolmogorov-Smirnov test of samples ``u`` in
     [0, 1] against the uniform law: D = max(D+, D-) from the sorted sample,
     formed as ``scipy.stats.kstest`` forms it, and p =
-    :func:`~fracmotion.specfun.kolmogorov_sf`."""
-    u = np.sort(u)
+    :func:`~fracmotion.specfun.kolmogorov_sf`.  Sorts ``u`` in place."""
+    u.sort()
     n = u.size
-    d = max((np.arange(1.0, n + 1) / n - u).max(), (u - np.arange(0.0, n) / n).max())
+    steps = np.arange(0.0, n + 1)
+    steps /= n  # k/n for k = 0 .. n
+    gaps = np.subtract(steps[1:], u)
+    d_plus = gaps.max()
+    d = max(d_plus, np.subtract(u, steps[:-1], out=gaps).max())
     return float(d), kolmogorov_sf(n, d)
 
 
@@ -504,7 +509,8 @@ def mc_gof(cols: EndpointArrays, law: PlanarLaw, bins: int = 50) -> list[CheckRe
         },
     )
 
-    r = np.hypot(cols.x[~cols.is_singular], cols.y[~cols.is_singular])
+    moving = ~cols.is_singular
+    r = np.hypot(cols.x[moving], cols.y[moving])
     edges = np.linspace(0.0, ct, bins + 1)
     counts, _ = np.histogram(r, bins=edges)
     masses = _bin_masses(_radial_profile(law), law.c, law.t, edges)
@@ -547,8 +553,10 @@ def mc_gof(cols: EndpointArrays, law: PlanarLaw, bins: int = 50) -> list[CheckRe
         },
     )
 
-    theta = np.mod(np.arctan2(cols.y, cols.x), 2.0 * math.pi)
-    ks_stat, p_angle = _ks_uniform(theta / (2.0 * math.pi))
+    theta = np.arctan2(cols.y, cols.x)
+    np.mod(theta, 2.0 * math.pi, out=theta)
+    theta /= 2.0 * math.pi
+    ks_stat, p_angle = _ks_uniform(theta)
     angle_entry = CheckResult(
         name="mc-angle-ks",
         statistic=float(p_angle),
@@ -591,7 +599,13 @@ def empirical_cf(
         # of the alternating Bessel series at desk-scale frequencies instead
         # of demanding full double accuracy.
         analytic = (2.0 ** half) * gamma_pos(half + 1.0) * bessel_j(half, z, 1e-9) / z ** half
-    emp = complex(np.mean(np.exp(1j * (alpha_freq * x + beta_freq * y))))
+    # exp(i*phase) in one complex buffer; its real part is +0.0 where 1j*phase
+    # gave -0.0 for a negative phase, and exp(+-0) is exactly 1.
+    w = np.zeros(x.size, dtype=complex)
+    phase = w.imag
+    np.multiply(alpha_freq, x, out=phase)
+    phase += beta_freq * y
+    emp = complex(np.mean(np.exp(w, out=w)))
     deviation = abs(emp - analytic)
     tol = 4.0 / math.sqrt(x.size)
     return CheckResult(
@@ -686,13 +700,17 @@ def run_default_suite(seed: int = 20260815, n_samples: int = 100_000) -> Verific
     checks.append(law_agreement(spec_classical, c=1.0, t=1.0))
     checks.append(law_agreement(spec_frac, c=1.0, t=1.0))
 
+    # Each Monte-Carlo batch is dropped once its checks are formed, before the
+    # next one is drawn.
     for spec, tag in ((spec_classical, "alpha=1"), (spec_frac, "alpha=0.5")):
         law = planar_law(spec, 1.0, 1.0)
         cols = endpoint_arrays(MotionConfig(c=1.0, t=1.0, count_spec=spec), n_samples, seed)
         checks.extend(replace(entry, name=f"{entry.name}[{tag}]") for entry in mc_gof(cols, law))
+        del cols
 
     x, y = conditioned_endpoints(2, 1.0, 1.0, n_samples, seed)
     checks.append(empirical_cf(x, y, 2, 1.0, 0.0, 1.0, 1.0))
+    del x, y
 
     checks.append(eigenfunction_residual(0.5, 1.0, 1.0))
     checks.append(telegraph_residual(1.0, 1.0))
@@ -710,6 +728,7 @@ def run_negative_controls(seed: int = 20260815, n_samples: int = 100_000) -> Ver
     cols = endpoint_arrays(MotionConfig(c=1.0, t=1.0, count_spec=spec_classical), n_samples, seed)
     checks.extend(replace(entry, name=f"{entry.name}-negative-control")
                   for entry in mc_gof(cols, wrong_law) if entry.name == "mc-radial-chi2")
+    del cols
     checks.append(eigenfunction_residual(0.5, 1.0, 1.0, eigenvalue_factor=2.0))
     checks.append(
         pgf_ode_residual(FracPoissonSpec(alpha=0.5, rate=rate1), 1.0, derivative_alpha=0.75)

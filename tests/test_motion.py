@@ -11,7 +11,14 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from fracmotion import motion
-from fracmotion.counting import FlightCountSpec, FracPoissonSpec, RateFunction
+from fracmotion.counting import (
+    FlightCountSpec,
+    FracPoissonSpec,
+    RateFunction,
+    StateDependentSpec,
+    count_distribution,
+)
+from fracmotion.densities import flight_mixture_density, flight_unconditional
 from fracmotion.motion import (
     MotionConfig,
     Trajectory,
@@ -22,7 +29,7 @@ from fracmotion.motion import (
     flight_radii_batch,
     sample_trajectory,
 )
-from fracmotion.specfun import DomainError
+from fracmotion.specfun import ConvergenceError, DomainError, RangeOverflowError
 
 P_FLOOR = 0.001
 
@@ -397,6 +404,48 @@ def test_conditioned_endpoints_validation():
         conditioned_endpoints(2, 1.0, 1.0, 0, seed=1)
 
 
+def test_conditioned_endpoints_reject_negative_seed():
+    with pytest.raises(DomainError):
+        conditioned_endpoints(2, 1.0, 1.0, 10, seed=-1)
+
+
+def one_shot_conditioned_endpoints(n, c, t, n_samples, seed):
+    """The whole batch in one call: all instants, then all directions."""
+    rng = np.random.default_rng(seed)
+    return motion._endpoints(c, t, n, np.hstack((rng.random((n_samples, n)),
+                                                 rng.random((n_samples, n + 1)))))
+
+
+@pytest.mark.parametrize("budget", [None, 16])
+@pytest.mark.parametrize("seed", [0, 77, 2**40 + 5])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_chunked_conditioned_endpoints_match_the_one_shot_batch(n, seed, budget, monkeypatch):
+    # Chunks of rows, and the second generator advanced past the instants,
+    # read the stream exactly as one batch-wide draw of each array does.
+    if budget is not None:
+        monkeypatch.setattr(motion, "_DRAW_BUDGET", budget)
+    chunk = max(1, motion._DRAW_BUDGET // (2 * n + 1))
+    for n_samples in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 1):
+        if n_samples < 1:
+            continue
+        x, y = conditioned_endpoints(n, 1.7, 0.6, n_samples, seed)
+        ref_x, ref_y = one_shot_conditioned_endpoints(n, 1.7, 0.6, n_samples, seed)
+        assert np.array_equal(x, ref_x) and np.array_equal(y, ref_y), n_samples
+
+
+@pytest.mark.parametrize("n_samples,bound", [(100_000, 4e6), (1_000_000, 25e6)])
+def test_conditioned_endpoints_peak_allocation_is_bounded(n_samples, bound):
+    # Beyond the two output columns (16 bytes per sample) the sampler holds
+    # one chunk of draws and its temporaries.
+    tracemalloc.start()
+    try:
+        conditioned_endpoints(2, 1.0, 1.0, n_samples, seed=20260815)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
 # ---------------------------------------------------------------------------
 # Flight radius sampler
 
@@ -502,3 +551,66 @@ def test_trajectory_invariants_hold_for_any_seed(seed):
 def test_flight_radius_stays_in_closed_disk(seed, d, n):
     radii = flight_radii_batch(d, n, 1.3, 0.7, "Y", 500, seed)
     assert np.all((0.0 <= radii) & (radii <= 1.3 * 0.7 + 1e-12))
+
+
+# Every rate kind, with Lambda(t) <= 8/3 on t <= 2: at alpha = 0.1 the
+# state-dependent table then stays below 2e5 counts.
+RATES = st.one_of(
+    st.builds(RateFunction.constant, st.floats(min_value=0.0, max_value=1.0)),
+    st.builds(RateFunction.power, st.floats(min_value=0.0, max_value=1.0),
+              st.floats(min_value=0.0, max_value=2.0)),
+    st.lists(st.floats(min_value=0.01, max_value=3.0), min_size=1, max_size=4, unique=True).flatmap(
+        lambda bps: st.builds(RateFunction.piecewise, st.just(sorted(bps)),
+                              st.lists(st.floats(min_value=0.0, max_value=1.0),
+                                       min_size=len(bps), max_size=len(bps)))),
+)
+DOCUMENTED_ERRORS = (DomainError, ConvergenceError, RangeOverflowError)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    alphas=st.lists(st.floats(min_value=0.1, max_value=1.0), min_size=1, max_size=4),
+    rate=RATES,
+    c=st.floats(min_value=0.1, max_value=10.0),
+    t=st.floats(min_value=0.1, max_value=2.0),
+    seed=st.integers(min_value=0, max_value=2**40),
+)
+def test_state_dependent_spec_gives_finite_values_or_a_documented_error(alphas, rate, c, t, seed):
+    spec = StateDependentSpec(tuple(alphas), rate)
+    try:
+        dist = count_distribution(spec, t)
+        counts = dist.sample_many(np.array([0.0, 0.25, 0.75, 1.0 - 2.0**-53]))
+        cols = endpoint_arrays(MotionConfig(c=c, t=t, count_spec=spec), 8, seed)
+    except DOCUMENTED_ERRORS:
+        return
+    assert np.all(np.isfinite(dist.pmf(counts)))
+    assert np.all((dist.n_lo <= counts) & (counts < dist.support_size))
+    assert np.all(np.isfinite(cols.x) & np.isfinite(cols.y))
+    assert np.all(np.hypot(cols.x, cols.y) <= c * t * (1.0 + 1e-12))
+    assert np.array_equal(cols.is_singular, cols.n == 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(min_value=3, max_value=10),
+    rate=RATES,
+    c=st.floats(min_value=0.1, max_value=10.0),
+    t=st.floats(min_value=0.1, max_value=2.0),
+    n=st.integers(min_value=0, max_value=50),
+    variant=st.sampled_from(["X", "Y"]),
+    seed=st.integers(min_value=0, max_value=2**40),
+)
+def test_flight_spec_gives_finite_values_or_a_documented_error(d, rate, c, t, n, variant, seed):
+    # Small and large ct: the mixture's marginals once formed (ct)**(2a),
+    # which left the double range at large a.
+    spec = FlightCountSpec(d, rate)
+    r = c * t * np.array([0.0, 0.5, 0.99])
+    try:
+        closed = flight_unconditional(spec, c, t, r)
+        mixture = [flight_mixture_density(spec, c, t, v, variant) for v in r.tolist()]
+        radii = flight_radii_batch(d, n, c, t, variant, 8, seed)
+    except DOCUMENTED_ERRORS:
+        return
+    assert np.all(np.isfinite(closed) & (closed >= 0.0))
+    assert all(math.isfinite(v) and v >= 0.0 for v in mixture)
+    assert np.all((0.0 <= radii) & (radii <= c * t))

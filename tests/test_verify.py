@@ -265,6 +265,18 @@ def test_telegraph_default_check_memory():
     assert peak < 16e6
 
 
+def test_telegraph_bands_keep_the_default_check_small():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        telegraph_residual(1.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
+
+
 def test_telegraph_margin_leaving_no_interior_is_rejected():
     with pytest.raises(DomainError, match="no interior points"):
         telegraph_residual(1.0, 1.0, cone_margin=10.0)
@@ -504,3 +516,25 @@ def test_report_roundtrip_and_stable_order():
 def test_report_entry_schema():
     entry = CheckResult("demo", 1.0, 2.0, True, {"k": 1}).to_dict()
     assert set(entry) == {"check", "statistic", "tolerance", "pass", "details"}
+
+
+# ---------------------------------------------------------------------------
+# Suites
+
+
+def test_default_suite_peak_allocation_is_bounded():
+    # Each Monte-Carlo batch is dropped before the next is drawn, and the
+    # goodness-of-fit temporaries are reused: the peak is about one batch
+    # (2.5 MB of columns) and its checks' working set.
+    import tracemalloc
+
+    from fracmotion.verify import run_default_suite
+
+    tracemalloc.start()
+    try:
+        report = run_default_suite()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed
+    assert peak < 8e6
