@@ -25,6 +25,7 @@ output directory when ``--out`` is not given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -342,7 +343,10 @@ def _rate_value(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: ``parse_args`` fills a fresh namespace each time."""
     parser = argparse.ArgumentParser(
         prog="fracmotion",
         description="Simulate finite-velocity planar random motions, evaluate "
@@ -406,8 +410,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     params = {k: v for k, v in vars(args).items() if k != "command"}
     config = RunConfig(command=args.command, params=params)
     try:

@@ -34,6 +34,7 @@ from .specfun import (
     ConvergenceError,
     DomainError,
     MLParams,
+    _ML_TAIL_NATS,
     _check_window,
     _log_ml_window,
     log_gamma_pos,
@@ -191,7 +192,8 @@ def _count_law(spec, lam: float):
     within 60 nats of the peak weight is in [n_lo, n_hi), and the normalizer
     is the window sum that found it. State-dependent law: the states j ≥ J
     share the last order α and sum to Λ^J E_{α,αJ+1}(Λ) / E_{α,1}(Λ); its
-    window starts at 0."""
+    window is that series' window shifted by J, or starts at 0 if a head
+    state j < J may lie within 60 nats of the peak."""
     if lam == 0.0:
         b = 1.0 if isinstance(spec, StateDependentSpec) else _ml_params(spec).beta
         return (lambda n: np.where(np.asarray(n) == 0, -log_gamma_pos(b), -np.inf),
@@ -208,14 +210,19 @@ def _count_law(spec, lam: float):
             i = np.minimum(n, last)
             return n * log_lam - log_gamma_pos(alphas[i] * n + 1.0) - log_mls[i]
 
-        tail, _, tail_hi = _log_ml_window(MLParams(alphas[last], alphas[last] * alphas.size + 1.0),
-                                          np.array([lam]))
-        logs = np.append(log_weight(np.arange(alphas.size)),
-                         alphas.size * log_lam + tail[0] - log_mls[last])
-        n_hi = alphas.size + tail_hi
-        _check_window(n_hi, np.array([lam]), "state-dependent count table")
+        tail, tail_lo, tail_hi = _log_ml_window(
+            MLParams(alphas[last], alphas[last] * alphas.size + 1.0), np.array([lam]))
+        head = log_weight(np.arange(alphas.size))
+        logs = np.append(head, alphas.size * log_lam + tail[0] - log_mls[last])
         m = logs.max()
-        return log_weight, m + math.log(math.fsum(np.exp(logs - m))), 0, int(n_hi[0])
+        log_norm = m + math.log(math.fsum(np.exp(logs - m)))
+        n_lo, n_hi = alphas.size + int(tail_lo[0]), alphas.size + int(tail_hi[0])
+        # The peak weight is at least the mean of the J + n_hi - n_lo weights
+        # in log_norm, so a head count below this is over 60 nats under it.
+        if head.max() >= log_norm - _ML_TAIL_NATS - math.log(n_hi - n_lo + alphas.size):
+            n_lo = 0
+        _check_window(np.array([n_hi - n_lo]), np.array([lam]), "state-dependent count table")
+        return log_weight, log_norm, n_lo, n_hi
     a, b = _ml_params(spec)
 
     def log_weight(n):

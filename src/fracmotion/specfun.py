@@ -246,25 +246,35 @@ def log_gamma_pos(x):
     log form so arbitrarily large arguments stay representable.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
-        raise DomainError("log_gamma_pos requires x > 0")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
+    if arr.size and arr.min() >= 0.5:
+        # Every argument on the kernel's side (a NaN fails the test): one pass.
+        out = _log_gamma_lanczos(arr)
+        return float(out[0]) if scalar else out
+    if np.any(arr <= 0.0):
+        raise DomainError("log_gamma_pos requires x > 0")
     out = np.empty_like(arr)
 
     small = arr < 0.5
     big = ~small
     if np.any(big):
-        z = arr[big] - 1.0
-        a = np.full_like(z, _LANCZOS_C[0])
-        for i in range(1, len(_LANCZOS_C)):
-            a += _LANCZOS_C[i] / (z + i)
-        t = z + _LANCZOS_G + 0.5
-        out[big] = _LOG_SQRT_TWO_PI + (z + 0.5) * np.log(t) - t + np.log(a)
+        out[big] = _log_gamma_lanczos(arr[big])
     if np.any(small):
         xs = arr[small]
         out[small] = np.log(math.pi / np.sin(math.pi * xs)) - log_gamma_pos(1.0 - xs)
     return float(out[0]) if scalar else out
+
+
+def _log_gamma_lanczos(x: np.ndarray) -> np.ndarray:
+    """ln Gamma on an array of arguments >= 0.5 (or NaN): the Lanczos sum
+    in log form."""
+    z = x - 1.0
+    a = np.full_like(z, _LANCZOS_C[0])
+    for i in range(1, len(_LANCZOS_C)):
+        a += _LANCZOS_C[i] / (z + i)
+    t = z + _LANCZOS_G + 0.5
+    return _LOG_SQRT_TWO_PI + (z + 0.5) * np.log(t) - t + np.log(a)
 
 
 def _as_ml_params(params) -> MLParams:

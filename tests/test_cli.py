@@ -506,14 +506,18 @@ print(json.dumps({"codes": codes, "loaded": sorted(m for m in sys.modules if m.s
 """
 
 
-def run_script(script: str, tmp_path: Path) -> dict:
-    """The last stdout line of ``script`` run with this package on its path."""
+def package_env() -> dict:
+    """The environment with this package on ``PYTHONPATH``."""
     import fracmotion
 
     src = str(Path(fracmotion.__file__).resolve().parent.parent)
     paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
+def run_script(script: str, tmp_path: Path) -> dict:
+    """The last stdout line of ``script`` run with this package on its path."""
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=package_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -545,3 +549,64 @@ def test_cli_commands_run_without_scipy(tmp_path):
     assert result == {"codes": [EXIT_OK, EXIT_OK, EXIT_OK], "loaded": []}
     manifest = json.loads((tmp_path / "sim.csv.manifest.json").read_text())
     assert "scipy_version" not in manifest
+
+
+# ---------------------------------------------------------------------------
+# main() called many times in one process: the parser is built once and
+# shared, so no call may see another's options.
+
+REPEATED_CALLS = [
+    ["density", "--law", "line", "--method", "wright", "--grid-min", "-0.9",
+     "--grid-max", "0.9", "--grid-points", "21", "--out", "wright.csv"],
+    # No --method: the default series, not the last call's wright.
+    ["density", "--law", "line", "--grid-min", "-0.9", "--grid-max", "0.9",
+     "--grid-points", "21", "--out", "series.csv"],
+    ["density", "--law", "no-such-law"],
+    # Below the goodness-of-fit sample floor: exit 2 and no report.
+    ["verify", "--negative-control", "--samples", "2000", "--out", "neg-2000.json"],
+    ["verify", "--negative-control", "--out", "neg.json"],
+    ["verify", "--check", "law", "--out", "law.json"],
+    # After verify: none of its options may reach a density sidecar.
+    ["density", "--law", "line", "--grid-min", "-0.9", "--grid-max", "0.9",
+     "--grid-points", "21", "--out", "series-again.csv"],
+]
+
+
+def run_in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    # The usage message wraps at the terminal width; fix it for both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    inproc, fresh = tmp_path / "in-process", tmp_path / "fresh"
+    inproc.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(inproc)
+    got = [run_in_process(argv, capsys) for argv in REPEATED_CALLS]
+
+    env = package_env()
+    want = []
+    for argv in REPEATED_CALLS:
+        proc = subprocess.run([sys.executable, "-m", "fracmotion.cli", *argv], cwd=fresh,
+                              env=env, capture_output=True, text=True, timeout=120)
+        want.append((proc.returncode, proc.stdout, proc.stderr))
+    assert got == want
+    assert [code for code, _, _ in got] == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_USAGE,
+                                           EXIT_VERIFY_FAILED, EXIT_OK, EXIT_OK]
+
+    names = sorted(p.name for p in inproc.iterdir())
+    assert names == sorted(p.name for p in fresh.iterdir())
+    assert names == ["law.json", "neg.json", "series-again.csv", "series-again.csv.meta.json",
+                     "series.csv", "series.csv.meta.json", "wright.csv", "wright.csv.meta.json"]
+    for name in names:
+        assert (inproc / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert json.loads((inproc / "series.csv.meta.json").read_text())["config"]["method"] == "series"
+    law = json.loads((inproc / "law.json").read_text())["manifest"]
+    assert law["n_samples"] == 100_000
+    assert "negative_controls" not in law

@@ -607,8 +607,9 @@ def test_sampling_table_normalization_property(alpha, lam):
     # The tail needs the window of E_{0.2,1.4}(60), about 3e6 terms; the
     # normalizers E_{0.2,1}(60) and E_{0.5,1}(60) take the closed form.
     ((0.5, 0.2), 60.0, r"E_\{0.2,1.4\} at z=60.0 needs a window of 3.055e\+06 terms"),
-    # Each window fits, but the table from n = 0 to the tail's peak near
-    # n = 1.56e9 would not.
+    # Each window fits, but the head count n = 0 (log-weight -50) lies
+    # within 60 nats of the tail's peak (-12.3 near n = 1.56e9), so the
+    # table must run from 0, and that would not fit.
     ((1.0, 0.2), 50.0, r"state-dependent count table at z=50.0 needs a window of 1.563e\+09"),
 ], ids=["normalizer-window", "table"])
 def test_window_past_the_cap_raises_before_allocating(alphas, lam, message):
@@ -626,3 +627,42 @@ def test_window_past_the_cap_raises_before_allocating(alphas, lam, message):
     finally:
         tracemalloc.stop()
     assert peak < (1e6 if lam == 60.0 else 215e6)
+
+
+def test_state_dependent_table_starts_at_its_window():
+    # One order 0.1 for every state: the fractional law, whose mass sits in
+    # a 72 128-count window near n = 1.5e6, 153 000 nats above n = 0.
+    import tracemalloc
+
+    rate = RateFunction.constant(3.3)
+    tracemalloc.start()
+    try:
+        dist = CountDistribution(StateDependentSpec((0.1,), rate), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6  # 129 MB when the table ran from n = 0
+    frac = CountDistribution(FracPoissonSpec(0.1, rate), 1.0)
+    assert (dist.n_lo, dist.support_size) == (frac.n_lo, frac.support_size)
+    assert dist.n_lo > 1_000_000
+    held = np.arange(frac.n_lo - 2, frac.support_size + 2)
+    np.testing.assert_allclose(dist.pmf(held), frac.pmf(held), rtol=1e-9)
+    assert [dist.cdf(int(n)) for n in held] == [frac.cdf(int(n)) for n in held]
+    us = np.random.default_rng(5).random(1000)
+    assert np.array_equal(dist.sample_many(us), frac.sample_many(us))
+
+
+@pytest.mark.parametrize("alphas,lam,from_zero", [
+    ((0.3, 0.5, 0.9), 2.0, True),  # the peak is a head state
+    ((1.0, 0.5), 60.0, True),  # n = 0 sits 54.3 nats under the peak near n = 7 200
+    ((1.0, 0.5), 100.0, False),  # n = 0 sits 93.8 nats under it
+    ((0.9, 0.7, 0.5), 100.0, False),
+])
+def test_state_dependent_table_holds_every_count_near_the_peak(alphas, lam, from_zero):
+    spec = StateDependentSpec(alphas, RateFunction.constant(lam))
+    log_weight, _, n_lo, n_hi = counting._count_law(spec, lam)
+    assert (n_lo == 0) == from_zero
+    lw = log_weight(np.arange(n_hi + 200))
+    near = np.flatnonzero(lw >= lw.max() - 60.0)
+    assert n_lo <= near[0] and near[-1] < n_hi
+    assert CountDistribution(spec, 1.0).n_lo == n_lo

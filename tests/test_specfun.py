@@ -32,7 +32,7 @@ from fracmotion.specfun import (
     wright_series,
 )
 from fracmotion.specfun import _SERIES_BLOCK as BLOCK
-from fracmotion.specfun import _log_ml_window
+from fracmotion.specfun import _LANCZOS_C, _LANCZOS_G, _LOG_SQRT_TWO_PI, _log_ml_window
 
 ORACLE_PATH = Path(__file__).parent / "data" / "specfun_oracle.csv"
 
@@ -201,6 +201,53 @@ def test_gamma_recurrence(x):
 @given(x=st.floats(min_value=0.05, max_value=169.0))
 def test_log_gamma_consistent_with_gamma(x):
     assert log_gamma_pos(x) == pytest.approx(math.log(gamma_pos(x)), abs=1e-11, rel=1e-11)
+
+
+def two_pass_log_gamma(x):
+    """log_gamma_pos before its single pass: masks for both sides of 0.5,
+    the Lanczos sum above, the reflection below, in that order."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty_like(arr)
+    small = arr < 0.5
+    big = ~small
+    if np.any(big):
+        z = arr[big] - 1.0
+        a = np.full_like(z, _LANCZOS_C[0])
+        for i in range(1, len(_LANCZOS_C)):
+            a += _LANCZOS_C[i] / (z + i)
+        t = z + _LANCZOS_G + 0.5
+        out[big] = _LOG_SQRT_TWO_PI + (z + 0.5) * np.log(t) - t + np.log(a)
+    if np.any(small):
+        xs = arr[small]
+        out[small] = np.log(math.pi / np.sin(math.pi * xs)) - two_pass_log_gamma(1.0 - xs)
+    return float(out[0]) if np.ndim(x) == 0 else out
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+ORACLE_GAMMA_X = [float(r["x"]) for r in ORACLE_ROWS if r["function"] in ("gamma", "log_gamma")]
+ABOVE_HALF = np.array([0.5, 0.5000000001, 1.0, 2.0, 171.6, 1e15, 1e300,
+                       *(x for x in ORACLE_GAMMA_X if x >= 0.5), *np.linspace(0.5, 200.0, 1001)])
+MIXED = np.array([1e-300, 1e-8, 0.1, 0.25, 0.4999999999, *ABOVE_HALF, *ORACLE_GAMMA_X])
+
+
+@pytest.mark.parametrize("x", [
+    ABOVE_HALF, ABOVE_HALF[:1], ABOVE_HALF[:1001].reshape(7, 143), MIXED, MIXED[::-1],
+    np.array([]), np.array([np.nan]), np.array([np.nan, 2.0]), np.array([0.3, np.nan, 4.0]),
+    np.array(2.5), np.array(0.2), np.array(np.nan),
+    *ORACLE_GAMMA_X, 0.5, 1e300, math.nan,
+], ids=lambda x: f"{type(x).__name__}{np.shape(x)}")
+def test_log_gamma_single_pass_keeps_every_bit(x):
+    got = log_gamma_pos(x)
+    assert type(got) is (float if np.ndim(x) == 0 else np.ndarray)
+    assert same_bits(got, two_pass_log_gamma(x))
+    # Against the general path of the package itself: an argument below 0.5
+    # appended to the same values routes them through the masks.
+    forced = log_gamma_pos(np.append(np.ravel(x), 0.25))[:-1]
+    assert same_bits(np.ravel(got), forced)
 
 
 @given(z=st.floats(min_value=0.0, max_value=30.0))
