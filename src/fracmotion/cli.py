@@ -8,7 +8,8 @@ Commands
 dumps a named law on a grid to CSV (header ``r,density`` or ``x,density``)
 plus a sidecar JSON recording the singular weight (where the law has one)
 and a count of out-of-support rows, which are written as ``nan``.
-``fracmotion verify`` runs reconciliation checks and writes the report JSON.
+``fracmotion verify`` runs the default suite, or one ``--check`` at the given
+α, λ, c, t through :func:`fracmotion.verify.run_check`, to a report JSON.
 
 Every command is a pure function of its :class:`RunConfig` plus seed:
 identical inputs yield byte-identical outputs, except for a timestamp field
@@ -47,18 +48,14 @@ from .densities import (
     planar_density_const_rate,
     planar_law,
 )
-from .motion import MotionConfig, conditioned_endpoints, endpoint_arrays
+from .motion import MotionConfig, endpoint_arrays
 from .specfun import ConvergenceError, DomainError, RangeOverflowError
 from .verify import (
+    CHECK_NAMES,
     VerificationReport,
-    empirical_cf,
-    eigenfunction_residual,
-    law_agreement,
-    mc_gof,
-    pgf_ode_residual,
+    run_check,
     run_default_suite,
     run_negative_controls,
-    telegraph_residual,
 )
 
 __all__ = [
@@ -255,33 +252,6 @@ def cmd_density(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _single_check(p: dict) -> list:
-    name = p["check"]
-    lam = p.get("lam", 1.0)
-    alpha = p.get("alpha", 0.5)
-    c, t = p.get("c", 1.0), p.get("t", 1.0)
-    _require_speed_horizon(c, t)
-    if name == "telegraph":
-        return [telegraph_residual(lam, c)]
-    if name == "eigenfunction":
-        return [eigenfunction_residual(alpha, lam, c)]
-    if name == "pgf":
-        spec = FracPoissonSpec(alpha=alpha, rate=RateFunction.constant(lam))
-        return [pgf_ode_residual(spec, t)]
-    if name == "law":
-        spec = FracPoissonSpec(alpha=alpha, rate=RateFunction.constant(lam))
-        return [law_agreement(spec, c, t)]
-    if name == "mc":
-        spec = FracPoissonSpec(alpha=alpha, rate=RateFunction.constant(lam))
-        cols = endpoint_arrays(MotionConfig(c=c, t=t, count_spec=spec),
-                               p["samples"], p["seed"])
-        return mc_gof(cols, planar_law(spec, c, t))
-    if name == "cf":
-        x, y = conditioned_endpoints(2, c, t, p["samples"], p["seed"])
-        return [empirical_cf(x, y, 2, 1.0, 0.0, c, t)]
-    raise DomainError(f"unknown check {name!r}")
-
-
 def cmd_verify(config: RunConfig) -> int:
     """Run verification checks, write the report JSON, exit 0 iff all pass."""
     p = config.params
@@ -289,7 +259,8 @@ def cmd_verify(config: RunConfig) -> int:
         report = run_negative_controls(seed=p["seed"], n_samples=p["samples"])
     elif p.get("check"):
         report = VerificationReport(
-            checks=_single_check(p),
+            checks=run_check(p["check"], p.get("alpha", 0.5), p.get("lam", 1.0),
+                             p.get("c", 1.0), p.get("t", 1.0), p["samples"], p["seed"]),
             manifest={"seed": p["seed"], "n_samples": p["samples"],
                       "package_version": __version__},
         )
@@ -387,8 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     den.add_argument("--out", default=None, help="CSV path")
 
     ver = sub.add_parser("verify", help="run reconciliation checks")
-    ver.add_argument("--check", default=None,
-                     choices=["telegraph", "eigenfunction", "pgf", "law", "mc", "cf"],
+    ver.add_argument("--check", default=None, choices=CHECK_NAMES,
                      help="run a single check instead of the default suite")
     ver.add_argument("--alpha", type=float, default=0.5)
     ver.add_argument("--lambda", dest="lam", type=_rate_value, default=1.0)

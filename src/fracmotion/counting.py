@@ -37,6 +37,7 @@ from .specfun import (
     _ML_TAIL_NATS,
     _check_window,
     _log_ml_window,
+    _ml_ratio,
     log_gamma_pos,
     log_mittag_leffler,
     positive_series,
@@ -295,9 +296,7 @@ def pgf(spec: CountingSpec, t: float, u):
     lam = cumulative_rate(spec.rate, t)
     out = np.ones(u.shape)
     if lam > 0.0:
-        log_norm = log_mittag_leffler(p, lam)
-        out.flat = [math.exp(v - log_norm)
-                    for v in log_mittag_leffler(p, u.ravel() * lam).tolist()]
+        out.flat = _ml_ratio(p, u.ravel() * lam, log_mittag_leffler(p, lam))
     return out if out.ndim else float(out)
 
 

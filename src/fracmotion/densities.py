@@ -25,12 +25,12 @@ Mittag-Leffler mixture law) complete the family; the planar and line laws
 take a fractional spec only. Evaluators compute in the log domain wherever
 normalizers can leave double range. Every closed form takes scalars or
 arrays of points and computes its normalizers once per call, and every
-value keeps the bits of its one-point call: the Mittag-Leffler forms make
-one array call of ``log_mittag_leffler`` but keep the ``math.log``/
-``math.exp`` around each value per point (numpy's differ in the last ulp),
-and the line laws sum their Mittag-Leffler-type series for all points in
-one window-kernel call, prefactors added in the log domain. The mixtures
-take one point at a time.
+value keeps the bits of its one-point call: the Mittag-Leffler ratios go
+through ``specfun._ml_ratio`` (one array call of ``log_mittag_leffler``,
+then ``math.exp`` per value, as numpy's differs in the last ulp), and the
+line laws sum their Mittag-Leffler-type series for all points in one
+window-kernel call, prefactors added in the log domain. The mixtures take
+one point at a time.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .specfun import (
     _log_ml_window,
     _log_window_sum,
     _math_log,
+    _ml_ratio,
     _peak_guess,
     _shaped,
     log_gamma_pos,
@@ -148,7 +149,6 @@ def planar_law(spec: FracPoissonSpec, c: float, t: float) -> PlanarLaw:
 
         return PlanarLaw(ac_density=no_density, singular_weight=1.0, c=c, t=t)
     log_norm = log_mittag_leffler(MLParams(alpha, 1.0), lam)
-    log_lam = math.log(lam)
 
     def ac_density(x, y):
         x = np.asarray(x, dtype=float)
@@ -157,11 +157,8 @@ def planar_law(spec: FracPoissonSpec, c: float, t: float) -> PlanarLaw:
         out = np.zeros(w2.shape)
         inside = w2 > 0.0
         w = np.sqrt(w2[inside])
-        log_ml = log_mittag_leffler(MLParams(alpha, alpha), lam * w / ct)
-        out[inside] = [
-            math.exp(log_lam + lm - math.log(_TWO_PI * alpha * ct * wi) - log_norm)
-            for lm, wi in zip(log_ml.tolist(), w.tolist())
-        ]
+        out[inside] = _ml_ratio(MLParams(alpha, alpha), lam * w / ct, log_norm, math.log(lam),
+                                _math_log(_TWO_PI * alpha * ct * w))
         return out if out.ndim else float(out)
 
     return PlanarLaw(
@@ -212,8 +209,8 @@ def planar_density_const_rate(alpha: float, lam: float, c: float, t: float, x, y
     _require_speed_horizon(c, t)
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if lam < 0.0:
-        raise DomainError(f"rate must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise DomainError(f"rate must be finite and >= 0, got {lam}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     w2 = c * c * t * t - (x * x + y * y)
@@ -224,13 +221,9 @@ def planar_density_const_rate(alpha: float, lam: float, c: float, t: float, x, y
     out = np.zeros(w2.shape)
     if lam > 0.0:
         w = np.sqrt(w2.ravel())
-        log_ml = log_mittag_leffler(MLParams(alpha, 1.0), lam * w / c)
-        log_norm = log_mittag_leffler(MLParams(alpha, 1.0), lam * t)
-        log_lam = math.log(lam)
-        out.flat = [
-            math.exp(log_lam + lm - math.log(_TWO_PI * c * wi) - log_norm)
-            for lm, wi in zip(log_ml.tolist(), w.tolist())
-        ]
+        ml = MLParams(alpha, 1.0)
+        out.flat = _ml_ratio(ml, lam * w / c, log_mittag_leffler(ml, lam * t), math.log(lam),
+                             _math_log(_TWO_PI * c * w))
     return out if out.ndim else float(out)
 
 
@@ -240,8 +233,8 @@ def classical_planar_density(lam: float, c: float, t: float, x, y):
     together); ``nan`` outside the open disk, which the telegraph
     residual's stencil relies on to detect the support boundary."""
     _require_speed_horizon(c, t)
-    if lam < 0.0:
-        raise DomainError(f"rate must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise DomainError(f"rate must be finite and >= 0, got {lam}")
     w2 = (c * t) ** 2 - x * x - y * y
     with np.errstate(invalid="ignore", divide="ignore"):
         w = np.sqrt(np.where(w2 > 0.0, w2, np.nan))
@@ -321,8 +314,8 @@ def classical_line_density(lam: float, c: float, t: float, x):
     Takes a scalar x or an array of x, every one in (−ct, ct); one
     window-kernel call, its terms peaking near k = λw/c."""
     _require_speed_horizon(c, t)
-    if lam < 0.0:
-        raise DomainError(f"rate must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise DomainError(f"rate must be finite and >= 0, got {lam}")
     w = _on_line(c, t, x)
     if lam == 0.0:
         return _shaped(1.0 / (math.pi * w), x)
@@ -390,13 +383,10 @@ def flight_unconditional(spec: FlightCountSpec, c: float, t: float, r):
     else:
         w2 = [ct * ct - ri * ri for ri in radii]
         q = np.array([v**gamma_order / ct ** (2.0 * gamma_order) for v in w2])
-        log_ml = log_mittag_leffler(MLParams(gamma_order, gamma_order), lam * q)
-        log_norm = log_mittag_leffler(norm_params, lam)
-        out = np.array([
-            math.exp((gamma_order - 1.0) * math.log(v) - math.log(math.pi)
-                     - 2.0 * gamma_order * math.log(ct) + lm - log_norm)
-            for v, lm in zip(w2, log_ml.tolist())
-        ])
+        head = ((gamma_order - 1.0) * _math_log(np.array(w2)) - math.log(math.pi)
+                - 2.0 * gamma_order * math.log(ct))
+        out = _ml_ratio(MLParams(gamma_order, gamma_order), lam * q,
+                        log_mittag_leffler(norm_params, lam), head)
     out = out.reshape(r.shape)
     return out if out.ndim else float(out)
 

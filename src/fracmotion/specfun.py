@@ -448,6 +448,17 @@ def log_mittag_leffler(params, z):
     return _shaped(out, z_arr)
 
 
+def _ml_ratio(params, z: np.ndarray, log_den: float, head=0.0, tail=0.0) -> np.ndarray:
+    """exp(head + ln E_{alpha,beta}(z) - tail - log_den), summed in that order,
+    at each point of the 1-D array ``z`` (``head``, ``tail``: floats or
+    per-point arrays), for the ratios E_num(z)/E_den(Lambda) with log_den =
+    ln E_den(Lambda): one array call of :func:`log_mittag_leffler`, then
+    math.exp per value (numpy's differs in the last ulp), as one-point calls do."""
+    return np.array([math.exp(h + v - tl - log_den) for h, v, tl in zip(
+        np.broadcast_to(head, z.shape).tolist(), log_mittag_leffler(params, z).tolist(),
+        np.broadcast_to(tail, z.shape).tolist())])
+
+
 def log_wright_series(spec: WrightSeriesSpec, z):
     """ln sum_k [prod_j Gamma(a_j + A_j k) / prod_j Gamma(b_j + B_j k)] z^k / k!,
     the generalized Wright series, at z >= 0 (a scalar or an array). Every

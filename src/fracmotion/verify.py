@@ -40,6 +40,7 @@ from . import __version__
 from .counting import FracPoissonSpec, RateFunction, cumulative_rate, pgf
 from .densities import (
     PlanarLaw,
+    _require_speed_horizon,
     classical_planar_density,
     mixture_density,
     planar_density_const_rate,
@@ -69,6 +70,9 @@ __all__ = [
     "empirical_cf",
     "pgf_ode_residual",
     "law_agreement",
+    "CHECK_NAMES",
+    "SUITE",
+    "run_check",
     "run_default_suite",
     "run_negative_controls",
 ]
@@ -689,32 +693,60 @@ def _default_manifest(seed: int, n_samples: int) -> dict:
     }
 
 
+def _const_spec(alpha: float, lam: float) -> FracPoissonSpec:
+    return FracPoissonSpec(alpha=alpha, rate=RateFunction.constant(lam))
+
+
+def _mc_check(alpha, lam, c, t, n_samples, seed):
+    spec = _const_spec(alpha, lam)
+    cols = endpoint_arrays(MotionConfig(c=c, t=t, count_spec=spec), n_samples, seed)
+    return mc_gof(cols, planar_law(spec, c, t))
+
+
+def _cf_check(alpha, lam, c, t, n_samples, seed):
+    x, y = conditioned_endpoints(2, c, t, n_samples, seed)
+    return [empirical_cf(x, y, 2, 1.0, 0.0, c, t)]
+
+
+# The checks by name, in the order ``verify --check`` lists them: each maps
+# (alpha, lam, c, t, n_samples, seed) to its report entries at constant rate.
+_CHECKS = {
+    "telegraph": lambda alpha, lam, c, t, n, seed: [telegraph_residual(lam, c)],
+    "eigenfunction": lambda alpha, lam, c, t, n, seed: [eigenfunction_residual(alpha, lam, c)],
+    "pgf": lambda alpha, lam, c, t, n, seed: [pgf_ode_residual(_const_spec(alpha, lam), t)],
+    "law": lambda alpha, lam, c, t, n, seed: [law_agreement(_const_spec(alpha, lam), c, t)],
+    "mc": _mc_check,
+    "cf": _cf_check,
+}
+CHECK_NAMES = tuple(_CHECKS)
+
+# The default suite as (check, alpha) rows at lambda = c = t = 1, in report
+# order; the mc entries carry an [alpha=...] tag.
+SUITE = (("law", 1.0), ("law", 0.5), ("mc", 1.0), ("mc", 0.5), ("cf", 0.5),
+         ("eigenfunction", 0.5), ("telegraph", 0.5), ("pgf", 0.5))
+
+
+def run_check(name: str, alpha: float, lam: float, c: float, t: float, n_samples: int,
+              seed: int) -> list[CheckResult]:
+    """The report entries of check ``name`` (one of ``CHECK_NAMES``) at order
+    ``alpha``, constant rate ``lam``, speed ``c`` and horizon ``t``; ``mc`` and
+    ``cf`` draw ``n_samples`` endpoints from ``seed``. Raises ``DomainError``
+    for a bad speed or horizon or an unknown name."""
+    _require_speed_horizon(c, t)
+    if name not in _CHECKS:
+        raise DomainError(f"unknown check {name!r}")
+    return _CHECKS[name](alpha, lam, c, t, n_samples, seed)
+
+
 def run_default_suite(seed: int = 20260815, n_samples: int = 100_000) -> VerificationReport:
-    """The standard reconciliation run with fixed seeds."""
+    """The standard reconciliation run: every row of ``SUITE`` through
+    :func:`run_check`, so each row's batch is freed before the next is drawn."""
     checks: list[CheckResult] = []
-    rate1 = RateFunction.constant(1.0)
-
-    spec_classical = FracPoissonSpec(alpha=1.0, rate=rate1)
-    spec_frac = FracPoissonSpec(alpha=0.5, rate=rate1)
-
-    checks.append(law_agreement(spec_classical, c=1.0, t=1.0))
-    checks.append(law_agreement(spec_frac, c=1.0, t=1.0))
-
-    # Each Monte-Carlo batch is dropped once its checks are formed, before the
-    # next one is drawn.
-    for spec, tag in ((spec_classical, "alpha=1"), (spec_frac, "alpha=0.5")):
-        law = planar_law(spec, 1.0, 1.0)
-        cols = endpoint_arrays(MotionConfig(c=1.0, t=1.0, count_spec=spec), n_samples, seed)
-        checks.extend(replace(entry, name=f"{entry.name}[{tag}]") for entry in mc_gof(cols, law))
-        del cols
-
-    x, y = conditioned_endpoints(2, 1.0, 1.0, n_samples, seed)
-    checks.append(empirical_cf(x, y, 2, 1.0, 0.0, 1.0, 1.0))
-    del x, y
-
-    checks.append(eigenfunction_residual(0.5, 1.0, 1.0))
-    checks.append(telegraph_residual(1.0, 1.0))
-    checks.append(pgf_ode_residual(spec_frac, 1.0))
+    for name, alpha in SUITE:
+        entries = run_check(name, alpha, 1.0, 1.0, 1.0, n_samples, seed)
+        if name == "mc":
+            entries = [replace(e, name=f"{e.name}[alpha={alpha:g}]") for e in entries]
+        checks.extend(entries)
     return VerificationReport(checks=checks, manifest=_default_manifest(seed, n_samples))
 
 
@@ -722,17 +754,14 @@ def run_negative_controls(seed: int = 20260815, n_samples: int = 100_000) -> Ver
     """Power test: every entry is a deliberately broken configuration and
     must FAIL its check."""
     checks: list[CheckResult] = []
-    rate1 = RateFunction.constant(1.0)
-    spec_classical = FracPoissonSpec(alpha=1.0, rate=rate1)
-    wrong_law = planar_law(FracPoissonSpec(alpha=0.7, rate=rate1), 1.0, 1.0)
-    cols = endpoint_arrays(MotionConfig(c=1.0, t=1.0, count_spec=spec_classical), n_samples, seed)
+    wrong_law = planar_law(_const_spec(0.7, 1.0), 1.0, 1.0)
+    cols = endpoint_arrays(MotionConfig(c=1.0, t=1.0, count_spec=_const_spec(1.0, 1.0)),
+                           n_samples, seed)
     checks.extend(replace(entry, name=f"{entry.name}-negative-control")
                   for entry in mc_gof(cols, wrong_law) if entry.name == "mc-radial-chi2")
     del cols
     checks.append(eigenfunction_residual(0.5, 1.0, 1.0, eigenvalue_factor=2.0))
-    checks.append(
-        pgf_ode_residual(FracPoissonSpec(alpha=0.5, rate=rate1), 1.0, derivative_alpha=0.75)
-    )
+    checks.append(pgf_ode_residual(_const_spec(0.5, 1.0), 1.0, derivative_alpha=0.75))
     squared = lambda xx, yy, tt: classical_planar_density(1.0, 1.0, tt, xx, yy) ** 2  # noqa: E731
     checks.append(telegraph_residual(1.0, 1.0, density=squared))
     manifest = _default_manifest(seed, n_samples)

@@ -21,6 +21,7 @@ from fracmotion.cli import (
     EXIT_VERIFY_FAILED,
     OUT_DIR_ENV,
     RunConfig,
+    cmd_verify,
     main,
     parse_rate,
 )
@@ -44,6 +45,7 @@ from fracmotion.specfun import (
     RangeOverflowError,
     mittag_leffler,
 )
+from fracmotion.verify import SUITE
 
 
 def read_csv(path):
@@ -436,6 +438,33 @@ def test_verify_default_suite_all_pass(tmp_path):
     for prefix in ("planar-closed-vs-mixture", "mc-radial-chi2", "conditional-cf",
                    "caputo-eigenfunction", "telegraph-pde", "pgf-fractional-ode"):
         assert any(name.startswith(prefix) for name in names)
+
+
+def test_every_suite_row_is_its_single_check(tmp_path):
+    # The suite and ``--check`` share one builder: each row, run on its own
+    # at the suite's seed and sample count, gives the suite's entries, the
+    # Monte-Carlo ones once tagged with the row's alpha.
+    assert main(["verify", "--out", str(tmp_path / "suite.json")]) == EXIT_OK
+    suite = json.loads((tmp_path / "suite.json").read_text())["checks"]
+    rows = []
+    for k, (name, alpha) in enumerate(SUITE):
+        out = tmp_path / f"row{k}.json"
+        argv = ["verify", "--check", name, "--alpha", repr(alpha), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        for entry in json.loads(out.read_text())["checks"]:
+            if name == "mc":
+                entry["check"] += f"[alpha={alpha:g}]"
+            rows.append(entry)
+    assert rows == suite
+
+
+def test_hand_built_verify_config_gets_the_parser_defaults(tmp_path, monkeypatch):
+    monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+    config = RunConfig(command="verify", params={"check": "law", "samples": 100_000, "seed": 9})
+    assert cmd_verify(config) == EXIT_OK
+    parsed = tmp_path / "parsed.json"
+    assert main(["verify", "--check", "law", "--seed", "9", "--out", str(parsed)]) == EXIT_OK
+    assert (tmp_path / "verify_report.json").read_bytes() == parsed.read_bytes()
 
 
 def test_verify_report_reruns_identical(tmp_path):

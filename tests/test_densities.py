@@ -15,6 +15,7 @@ from fracmotion.counting import (
     RateFunction,
     StateDependentSpec,
     count_distribution,
+    pgf,
 )
 from fracmotion.densities import (
     classical_line_density,
@@ -582,3 +583,91 @@ def test_flight_unconditional_array_matches_point_calls(d, lam):
     assert same_bits(got, expected)
     with pytest.raises(DomainError, match="got 1.0"):
         flight_unconditional(spec, 1.0, 1.0, np.array([0.5, 1.0]))
+
+
+# The evaluators that take a raw rate λ rather than a RateFunction.
+RAW_RATE_LAWS = {
+    "planar-const": lambda lam: planar_density_const_rate(0.5, lam, 1.0, 1.0, 0.5, 0.0),
+    "classical-planar": lambda lam: classical_planar_density(lam, 1.0, 1.0, 0.5, 0.0),
+    "classical-line": lambda lam: classical_line_density(lam, 1.0, 1.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("law", list(RAW_RATE_LAWS.values()), ids=list(RAW_RATE_LAWS))
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+def test_raw_rate_evaluators_reject_a_rate_that_is_not_finite_and_nonnegative(law, lam):
+    with pytest.raises(DomainError, match="rate must be finite and >= 0"):
+        law(lam)
+
+
+# ---------------------------------------------------------------------------
+# The bits of the Mittag-Leffler ratio laws where Λ^{1/α} < 40, as the
+# per-point evaluation of the scalar formulas gave them: any change to the
+# order of their log-domain sums shows here as a changed last digit.
+
+C, P, W = RateFunction.constant, RateFunction.power, RateFunction.piecewise
+
+# (α, rate, c, t, singular weight, ((r, ac_density(r, 0)), ...))
+PLANAR_PINS = [
+    (0.5, C(1.0), 1.0, 1.0, "0.19964144074771742",
+     ((0.0, "0.3541629179845952"), (0.3, "0.32533783309007275"), (0.9, "0.194630675304825"))),
+    (0.2, C(2.0), 1.0, 1.0, "2.532833109818846e-15",
+     ((0.0, "25.464790894703317"), (0.5, "1.233359154388542e-06"))),
+    (0.8, P(2.0, 0.5), 1.5, 1.2, "0.1073344848317075",
+     ((0.1, "0.12473510336586943"), (1.0, "0.09499813870001843"))),
+    (1.0, C(3.0), 1.0, 1.0, "0.049787068367863944", ((0.25, "0.44831552055088"),)),
+    (0.35, W((0.5, 3.0), (2.0, 1.0)), 2.0, 2.0, "3.8975847246572077e-07",
+     ((1.5, "0.025321443526337067"), (3.9, "1.8993379876627012e-07"))),
+]
+
+# (α, λ, c, t, x, y, planar_density_const_rate)
+CONST_RATE_PINS = [
+    (0.5, 1.0, 1.0, 1.0, 0.0, 0.0, "0.15915494309189535"),
+    (0.5, 1.0, 1.0, 1.0, 0.6, 0.3, "0.12666677898229023"),
+    (0.2, 2.5, 1.0, 1.0, 0.1, 0.0, "0.035448036139661215"),
+    (0.9, 4.0, 2.0, 0.75, 1.2, -0.4, "0.07254539322083381"),
+    (1.0, 3.0, 1.0, 1.0, 0.0, 0.5, "0.3688565255637349"),
+    (0.35, 0.7, 1.3, 2.0, 2.5, 0.0, "0.005225776133435705"),
+]
+
+# (d, rate, c, t, ((r, flight_unconditional), ...))
+FLIGHT_PINS = [
+    (3, C(2.0), 1.0, 1.0, ((0.0, "1.2883627623718037"), (0.5, "0.4742991965509526"),
+                           (0.99, "0.04032210084578246"))),
+    (4, C(1.0), 1.0, 1.0, ((0.3, "0.4602181142512129"),)),
+    (7, P(3.0, 0.5), 1.0, 1.3, ((0.2, "0.48612554406756114"), (1.2, "0.024744129711744868"))),
+    (10, C(5.0), 2.0, 1.0, ((1.0, "0.1341405500314505"),)),
+]
+
+# (spec, t, ((u, pgf), ...))
+PGF_PINS = [
+    (const_spec(0.5, 1.0), 1.0, ((0.0, "0.19964144074771759"), (0.3, "0.29022859133061873"),
+                                 (0.75, "0.599557517739304"))),
+    (const_spec(0.2, 2.0), 1.0, ((0.5, "2.9945811311682324e-14"), (0.99, "0.20839532478660983"))),
+    (FracPoissonSpec(0.8, P(2.0, 0.5)), 1.2, ((0.4, "0.24171846219083284"),)),
+    (FlightCountSpec(3, C(2.0)), 1.0, ((0.6, "0.10905433636703339"),)),
+    (FlightCountSpec(6, C(4.0)), 1.5, ((0.1, "0.6522094203529873"), (0.9, "0.9552189131748012"))),
+]
+
+
+@pytest.mark.parametrize("alpha,rate,c,t,weight,points", PLANAR_PINS)
+def test_planar_law_keeps_its_pinned_bits(alpha, rate, c, t, weight, points):
+    law = planar_law(FracPoissonSpec(alpha, rate), c, t)
+    assert repr(law.singular_weight) == weight
+    assert [repr(law.ac_density(r, 0.0)) for r, _ in points] == [v for _, v in points]
+
+
+@pytest.mark.parametrize("alpha,lam,c,t,x,y,value", CONST_RATE_PINS)
+def test_planar_density_const_rate_keeps_its_pinned_bits(alpha, lam, c, t, x, y, value):
+    assert repr(planar_density_const_rate(alpha, lam, c, t, x, y)) == value
+
+
+@pytest.mark.parametrize("d,rate,c,t,points", FLIGHT_PINS)
+def test_flight_unconditional_keeps_its_pinned_bits(d, rate, c, t, points):
+    spec = FlightCountSpec(d, rate)
+    assert [repr(flight_unconditional(spec, c, t, r)) for r, _ in points] == [v for _, v in points]
+
+
+@pytest.mark.parametrize("spec,t,points", PGF_PINS)
+def test_pgf_keeps_its_pinned_bits(spec, t, points):
+    assert [repr(pgf(spec, t, u)) for u, _ in points] == [v for _, v in points]

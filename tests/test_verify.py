@@ -22,6 +22,7 @@ from fracmotion.verify import (
     law_agreement,
     mc_gof,
     pgf_ode_residual,
+    run_check,
     telegraph_residual,
 )
 
@@ -538,3 +539,8 @@ def test_default_suite_peak_allocation_is_bounded():
         tracemalloc.stop()
     assert report.all_passed
     assert peak < 8e6
+
+
+def test_run_check_rejects_an_unknown_name():
+    with pytest.raises(DomainError, match="unknown check 'nope'"):
+        run_check("nope", 0.5, 1.0, 1.0, 1.0, 100_000, 1)
