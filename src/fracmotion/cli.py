@@ -4,7 +4,8 @@ run the verification suite, emitting diffable CSV/JSON artifacts.
 Commands
 --------
 ``fracmotion simulate``  draws endpoint batches to CSV (header
-``x,y,n,is_singular``) plus a run-manifest JSON.  ``fracmotion density``
+``x,y,n,is_singular``), one sampler block at a time, plus a run-manifest
+JSON.  ``fracmotion density``
 dumps a named law on a grid to CSV (header ``r,density`` or ``x,density``)
 plus a sidecar JSON recording the singular weight (where the law has one)
 and a count of out-of-support rows, which are written as ``nan``.
@@ -48,7 +49,7 @@ from .densities import (
     planar_density_const_rate,
     planar_law,
 )
-from .motion import MotionConfig, endpoint_arrays
+from .motion import MotionConfig, endpoint_blocks
 from .specfun import ConvergenceError, DomainError, RangeOverflowError
 from .verify import (
     CHECK_NAMES,
@@ -161,21 +162,27 @@ def _row_chunks(*columns: np.ndarray):
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    """Draw an endpoint batch and write ``x,y,n,is_singular`` CSV + manifest."""
+    """Draw an endpoint batch and write ``x,y,n,is_singular`` CSV + manifest,
+    one sampler block at a time."""
     p = config.params
     rate = parse_rate(p["rate"])
     spec = FracPoissonSpec(alpha=p["alpha"], rate=rate)
     cfg = MotionConfig(c=p["c"], t=p["t"], count_spec=spec)
-    cols = endpoint_arrays(cfg, p["samples"], p["seed"])
+    # A bad argument or count table fails here, before the CSV is opened.
+    blocks = endpoint_blocks(cfg, p["samples"], p["seed"])
     out = _resolve_out(p, "endpoints.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
         fh.write("x,y,n,is_singular\n")
-        for rows in _row_chunks(cols.x, cols.y, cols.n, cols.is_singular):
-            fh.writelines(f"{x!r},{y!r},{n},{'true' if s else 'false'}\n" for x, y, n, s in rows)
+        for cols in blocks:
+            for rows in _row_chunks(cols.x, cols.y, cols.n, cols.is_singular):
+                fh.writelines(f"{x!r},{y!r},{n},{'true' if s else 'false'}\n"
+                              for x, y, n, s in rows)
+            # Drop the block before the next one is drawn.
+            del cols, rows
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), config,
-                    {"rows": int(cols.x.size)})
-    print(f"wrote {cols.x.size} endpoints to {out}")
+                    {"rows": p["samples"]})
+    print(f"wrote {p['samples']} endpoints to {out}")
     return EXIT_OK
 
 

@@ -14,29 +14,34 @@ count law at ``Lambda(t)``.
 
 Endpoint batches are reproducible bit-for-bit: sample ``i`` draws from its
 own ``numpy`` substream ``default_rng((seed, i))``, exactly as
-:func:`sample_trajectory` would consume it.  The batch sampler
-:func:`endpoint_arrays` seeds those streams for many ``i`` at once in
-numpy integer arithmetic instead of building one generator per sample.  It
-works in blocks of ``2**14`` samples: it seeds a block's streams, and draws
-their switch counts, in pieces of ``2**12``, then sorts the block's rows by
-count once and draws each group of equal count in chunks of at most
-``2**14`` uniforms.  So beyond its output the sampler holds 32 bytes of
-stream state per sample of one block, one chunk and the longest path it
-follows.  It computes a path's first ``_BULK_DRAWS`` draws in bulk from
-those states; a longer path is drawn by numpy's own PCG64 set to its
-bulk-seeded state.
+:func:`sample_trajectory` would consume it.  The batch sampler seeds those
+streams for many ``i`` at once in numpy integer arithmetic instead of
+building one generator per sample.  It works in blocks of ``2**14``
+samples: it seeds a block's streams, and draws their switch counts, in
+pieces of ``2**12``, then sorts the block's rows by count once and draws
+each group of equal count in chunks of at most ``2**14`` uniforms.  It
+computes a path's first ``_BULK_DRAWS`` draws in bulk from those states; a
+longer path is drawn by numpy's own PCG64 set to its bulk-seeded state.
 A path with more than ``2**20`` switches takes its endpoint from the exact
 law given ``n`` switches instead (radius ``ct * sqrt(1 - v**(2/n))``).
+
+:func:`endpoint_blocks` hands out the blocks one at a time, each drawn when
+it is asked for, so a consumer that reduces or writes a block and drops it
+before asking for the next holds one block: 32 bytes of stream state and
+25 bytes of columns per sample of one block (about 0.9 MB), one chunk and
+the longest path followed, whatever the batch size.  :func:`endpoint_arrays`
+lays the blocks end to end into whole columns, 25 bytes per sample.
 
 Flight-model endpoints (random flights with Dirichlet displacement weights)
 have a radial CDF ``1 - (1 - r**2/(ct)**2)**a`` of the same shape, so
 :func:`flight_radii_batch` samples their radii by the same inversion, radius
-``i`` from substream ``(seed, i)`` too.  Only :func:`conditioned_endpoints`
-draws a whole batch from one ``default_rng(seed)``, all its instants before
-all its directions; it reads the two stream positions with two generators,
-one advanced past the instants, and draws in chunks of at most
-``_DRAW_BUDGET`` uniforms, so its memory is bounded like the batch
-sampler's.
+``i`` from substream ``(seed, i)`` too.  Only the conditioned sampler draws
+a whole batch from one ``default_rng(seed)``, all its instants before all
+its directions; it reads the two stream positions with two generators, one
+advanced past the instants, and draws in chunks of at most ``_DRAW_BUDGET``
+uniforms.  :func:`conditioned_chunks` hands out those chunks one at a time
+as :func:`endpoint_blocks` hands out blocks, and
+:func:`conditioned_endpoints` lays them end to end.
 """
 
 from __future__ import annotations
@@ -58,7 +63,9 @@ __all__ = [
     "EndpointArrays",
     "endpoint_from_path",
     "sample_trajectory",
+    "endpoint_blocks",
     "endpoint_arrays",
+    "conditioned_chunks",
     "conditioned_endpoints",
     "flight_radii_batch",
 ]
@@ -444,12 +451,15 @@ def _endpoints(c: float, t: float, n: int, u: np.ndarray) -> tuple[np.ndarray, n
     return c * x, c * y
 
 
-def _block_endpoints(cfg: MotionConfig, dist: CountDistribution, streams: _Substreams,
-                     xs: np.ndarray, ys: np.ndarray, ns: np.ndarray) -> None:
-    """Fill one block's columns from its streams: draw the counts, sort the
-    rows by count and draw each equal-count group in chunks of at most
+def _block_endpoints(cfg: MotionConfig, dist: CountDistribution, seed: int,
+                     block: slice) -> EndpointArrays:
+    """One block's columns from its streams: draw the counts, sort the rows
+    by count and draw each equal-count group in chunks of at most
     ``_DRAW_BUDGET`` uniforms."""
-    ns[:] = dist.sample_many(streams.first_draws())
+    streams = _block_streams(seed, block)
+    ns = dist.sample_many(streams.first_draws())
+    xs = np.empty(ns.size)
+    ys = np.empty(ns.size)
     # A row's draws do not depend on its place in its group, so any sort will do.
     order = np.argsort(ns)
     for rows in np.split(order, np.flatnonzero(np.diff(ns[order])) + 1):
@@ -466,6 +476,23 @@ def _block_endpoints(cfg: MotionConfig, dist: CountDistribution, streams: _Subst
                 ys[chunk] = r * np.sin(_TWO_PI * u[:, 1])
             else:
                 xs[chunk], ys[chunk] = _endpoints(cfg.c, cfg.t, n, u)
+    return EndpointArrays(x=xs, y=ys, n=ns, is_singular=ns == 0)
+
+
+def endpoint_blocks(cfg: MotionConfig, n_samples: int, seed: int) -> Iterator[EndpointArrays]:
+    """The batch of :func:`endpoint_arrays` as consecutive blocks of
+    ``_BLOCK`` samples (the last one shorter), each drawn only when the
+    iterator is asked for it.
+
+    Bad arguments raise, and the count table is built, at the call, before
+    any block is drawn.  The iterator keeps no reference to a block it has
+    handed out, so a consumer that drops each block before asking for the
+    next holds one block at a time: about 25 bytes per sample of one block,
+    plus the sampler's working set.
+    """
+    blocks = _blocks(n_samples, seed)
+    dist = count_distribution(cfg.count_spec, cfg.t)
+    return (_block_endpoints(cfg, dist, seed, block) for block in blocks)
 
 
 def endpoint_arrays(cfg: MotionConfig, n_samples: int, seed: int) -> EndpointArrays:
@@ -477,26 +504,56 @@ def endpoint_arrays(cfg: MotionConfig, n_samples: int, seed: int) -> EndpointArr
     ``_MAX_PATH_SWITCHES`` switches; past that, draws 1 and 2 give radius
     ``ct * sqrt(1 - (1 - u1)**(2/n))`` and direction ``2*pi*u2``.
 
-    The batch runs in blocks of ``_BLOCK`` samples.  A block's streams are
-    seeded in bulk, and their draws 0 turned into switch counts, in pieces
-    of ``_SEED_PIECE``; then its rows are sorted by count once, and each
-    group of equal count is drawn in chunks of at most ``_DRAW_BUDGET``
-    uniforms.  Paths of fewer than ``_BULK_DRAWS`` uniforms are drawn in
-    bulk; longer ones row by row by numpy's own PCG64 set to each
-    bulk-seeded state.  Beyond the output columns, memory stays bounded by
-    32 bytes of stream state per sample of one block, plus the draw budget,
-    plus the longest path followed.
+    The columns are the blocks of :func:`endpoint_blocks` laid end to end.
+    A block's streams are seeded in bulk, and their draws 0 turned into
+    switch counts, in pieces of ``_SEED_PIECE``; then its rows are sorted by
+    count once, and each group of equal count is drawn in chunks of at most
+    ``_DRAW_BUDGET`` uniforms.  Paths of fewer than ``_BULK_DRAWS`` uniforms
+    are drawn in bulk; longer ones row by row by numpy's own PCG64 set to
+    each bulk-seeded state.  Beyond the output columns, memory stays bounded
+    by one block: 32 bytes of stream state and 25 bytes of columns per
+    sample, plus the draw budget, plus the longest path followed.
     """
-    blocks = _blocks(n_samples, seed)
-    dist = count_distribution(cfg.count_spec, cfg.t)
+    blocks = endpoint_blocks(cfg, n_samples, seed)
     xs = np.empty(n_samples)
     ys = np.empty(n_samples)
     ns = np.empty(n_samples, dtype=np.int64)
+    lo = 0
     for block in blocks:
-        # A block's streams live only in the call, so they are freed before
-        # the next block's are seeded.
-        _block_endpoints(cfg, dist, _block_streams(seed, block), xs[block], ys[block], ns[block])
+        hi = lo + block.n.size
+        xs[lo:hi], ys[lo:hi], ns[lo:hi] = block.x, block.y, block.n
+        lo = hi
     return EndpointArrays(x=xs, y=ys, n=ns, is_singular=ns == 0)
+
+
+def _conditioned_chunk(instants: np.random.Generator, directions: np.random.Generator,
+                       n: int, c: float, t: float, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``rows`` endpoints of :func:`conditioned_chunks`."""
+    u = np.empty((rows, 2 * n + 1))
+    u[:, :n] = instants.random((rows, n))
+    u[:, n:] = directions.random((rows, n + 1))
+    return _endpoints(c, t, n, u)
+
+
+def conditioned_chunks(
+    n: int, c: float, t: float, n_samples: int, seed: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The endpoints of :func:`conditioned_endpoints` as consecutive ``(x,
+    y)`` chunks of ``max(1, _DRAW_BUDGET // (2n + 1))`` rows (the last one
+    shorter), each drawn only when the iterator is asked for it.
+
+    Bad arguments raise at the call.  The iterator keeps no reference to a
+    chunk it has handed out, so a consumer that drops each chunk before
+    asking for the next holds one chunk of draws at a time."""
+    if n < 1:
+        raise DomainError(f"conditioning requires n >= 1, got {n}")
+    _blocks(n_samples, seed)  # validates n_samples and seed
+    instants = np.random.default_rng(seed)
+    directions = np.random.default_rng(seed)
+    directions.bit_generator.advance(n_samples * n)
+    per_chunk = max(1, _DRAW_BUDGET // (2 * n + 1))
+    return (_conditioned_chunk(instants, directions, n, c, t, min(per_chunk, n_samples - lo))
+            for lo in range(0, n_samples, per_chunk))
 
 
 def conditioned_endpoints(
@@ -509,24 +566,18 @@ def conditioned_endpoints(
 
     Two generators read that one stream: one from draw 0 for the instants,
     the other advanced past them (PCG64 spends one output per double) for
-    the directions.  Rows are drawn in chunks of at most ``_DRAW_BUDGET``
-    uniforms, so beyond the output columns memory stays bounded by the draw
-    budget plus one path."""
-    if n < 1:
-        raise DomainError(f"conditioning requires n >= 1, got {n}")
-    _blocks(n_samples, seed)  # validates n_samples and seed
-    instants = np.random.default_rng(seed)
-    directions = np.random.default_rng(seed)
-    directions.bit_generator.advance(n_samples * n)
+    the directions.  The columns are the chunks of
+    :func:`conditioned_chunks` laid end to end, each of at most
+    ``_DRAW_BUDGET`` uniforms, so beyond the output columns memory stays
+    bounded by the draw budget plus one path."""
+    chunks = conditioned_chunks(n, c, t, n_samples, seed)
     xs = np.empty(n_samples)
     ys = np.empty(n_samples)
-    per_chunk = max(1, _DRAW_BUDGET // (2 * n + 1))
-    for lo in range(0, n_samples, per_chunk):
-        rows = min(per_chunk, n_samples - lo)
-        u = np.empty((rows, 2 * n + 1))
-        u[:, :n] = instants.random((rows, n))
-        u[:, n:] = directions.random((rows, n + 1))
-        xs[lo:lo + rows], ys[lo:lo + rows] = _endpoints(c, t, n, u)
+    lo = 0
+    for x, y in chunks:
+        hi = lo + x.size
+        xs[lo:hi], ys[lo:hi] = x, y
+        lo = hi
     return xs, ys
 
 

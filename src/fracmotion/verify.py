@@ -12,6 +12,16 @@ exposes a perturbation hook (wrong eigenvalue, wrong derivative order,
 non-solution density, mismatched law) used as a negative control that must
 fail.
 
+The Monte-Carlo checks never hold a whole endpoint batch.  :func:`mc_gof`
+takes the sampler's blocks one at a time: each adds to the singular count
+and the radial histogram and is dropped before the next is drawn, and only
+the angles are kept, 8 bytes per sample, because the KS test sorts them all
+(16 bytes per sample while they are joined into one array for the sort).
+The ``cf`` check writes each chunk of conditioned endpoints into the
+complex buffer that the empirical characteristic function exponentiates
+and averages, 16 bytes per sample.  Either way the entries keep the bits of
+the whole-batch computation.
+
 Numerical notes
 ---------------
 * The Caputo derivative uses the L1 scheme on a uniform grid.  Its weights
@@ -32,7 +42,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -46,7 +56,7 @@ from .densities import (
     planar_density_const_rate,
     planar_law,
 )
-from .motion import EndpointArrays, MotionConfig, conditioned_endpoints, endpoint_arrays
+from .motion import EndpointArrays, MotionConfig, conditioned_chunks, endpoint_blocks
 from .specfun import (
     _LOG_DOUBLE_MAX,
     DomainError,
@@ -129,6 +139,13 @@ class CheckResult:
             passed=d["pass"],
             details=dict(d.get("details", {})),
         )
+
+
+def _not_applicable(name: str, statistic: float, tolerance: float, reason: str,
+                    details: dict | None = None) -> CheckResult:
+    """A passing entry for a check that has nothing to test at its inputs."""
+    return CheckResult(name=name, statistic=statistic, tolerance=tolerance, passed=True,
+                       details={**(details or {}), "status": "not-applicable", "reason": reason})
 
 
 @dataclass
@@ -387,13 +404,7 @@ def telegraph_residual(
     """
     name = _residual_checkname("telegraph-pde", density is not None)
     if lam == 0.0:
-        return CheckResult(
-            name="telegraph-pde",
-            statistic=0.0,
-            tolerance=100.0 * h * h,
-            passed=True,
-            details={"status": "not-applicable", "reason": "lambda=0 has no smooth part"},
-        )
+        return _not_applicable("telegraph-pde", 0.0, 100.0 * h * h, "lambda=0 has no smooth part")
     if density is None:
         density = lambda xx, yy, tt: classical_planar_density(lam, c, tt, xx, yy)  # noqa: E731
     if cone_margin is None:
@@ -468,63 +479,37 @@ def _radial_profile(law: PlanarLaw) -> Callable[[np.ndarray], np.ndarray]:
     return lambda r: law.ac_density(r, 0.0)
 
 
+_KS_CHUNK = 1 << 14  # sorted samples whose KS gaps are formed at once
+
+
 def _ks_uniform(u: np.ndarray) -> tuple[float, float]:
     """(D, p) of the two-sided Kolmogorov-Smirnov test of samples ``u`` in
     [0, 1] against the uniform law: D = max(D+, D-) from the sorted sample,
     formed as ``scipy.stats.kstest`` forms it, and p =
-    :func:`~fracmotion.specfun.kolmogorov_sf`.  Sorts ``u`` in place."""
+    :func:`~fracmotion.specfun.kolmogorov_sf`.  Sorts ``u`` in place and
+    forms the gaps ``_KS_CHUNK`` at a time."""
     u.sort()
     n = u.size
-    steps = np.arange(0.0, n + 1)
-    steps /= n  # k/n for k = 0 .. n
-    gaps = np.subtract(steps[1:], u)
-    d_plus = gaps.max()
-    d = max(d_plus, np.subtract(u, steps[:-1], out=gaps).max())
+    d_plus = d_minus = -math.inf
+    for lo in range(0, n, _KS_CHUNK):
+        part = u[lo:lo + _KS_CHUNK]
+        steps = np.arange(lo, lo + part.size + 1, dtype=float)
+        steps /= n  # k/n for k = lo .. lo + len(part)
+        gaps = np.subtract(steps[1:], part)
+        d_plus = max(d_plus, gaps.max())
+        d_minus = max(d_minus, np.subtract(part, steps[:-1], out=gaps).max())
+    d = max(d_plus, d_minus)
     return float(d), kolmogorov_sf(n, d)
 
 
-def mc_gof(cols: EndpointArrays, law: PlanarLaw, bins: int = 50) -> list[CheckResult]:
-    """Three-way goodness of fit of an endpoint batch against a planar law.
-
-    Entries: (i) binomial z-test of the singular mass, |z| <= 3;
-    (ii) chi-square over radial bins of the nonsingular samples against
-    ``2*pi*r*ac_density`` with expected counts >= 5 (merging low-count bins,
-    noted in details), p > 0.001; (iii) KS test of the angle against
-    uniform, p > 0.001.
-    """
-    n_total = cols.x.size
-    if n_total < 100_000:
-        raise DomainError(f"goodness-of-fit needs >= 1e5 samples, got {n_total}")
-    ct = law.c * law.t
-
-    k_sing = int(np.count_nonzero(cols.is_singular))
-    p0 = law.singular_weight
-    z = (k_sing - n_total * p0) / math.sqrt(n_total * p0 * (1.0 - p0))
-    singular_entry = CheckResult(
-        name="mc-singular-mass",
-        statistic=abs(z),
-        tolerance=3.0,
-        passed=abs(z) <= 3.0,
-        details={
-            "observed_fraction": k_sing / n_total,
-            "expected_fraction": p0,
-            "z": z,
-            "n_samples": n_total,
-        },
-    )
-
-    moving = ~cols.is_singular
-    r = np.hypot(cols.x[moving], cols.y[moving])
-    edges = np.linspace(0.0, ct, bins + 1)
-    counts, _ = np.histogram(r, bins=edges)
-    masses = _bin_masses(_radial_profile(law), law.c, law.t, edges)
-    probs = masses / masses.sum()
-    expected = probs * r.size
+def _merge_bins(counts: np.ndarray, expected: np.ndarray) -> tuple[list, list]:
+    """Merge consecutive bins, left to right, until each holds an expected
+    count >= 5; a short remainder joins the last merged bin."""
     merged_counts: list[float] = []
     merged_expected: list[float] = []
     acc_c = 0.0
     acc_e = 0.0
-    for k in range(bins):
+    for k in range(counts.size):
         acc_c += counts[k]
         acc_e += expected[k]
         if acc_e >= 5.0:
@@ -539,27 +524,101 @@ def mc_gof(cols: EndpointArrays, law: PlanarLaw, bins: int = 50) -> list[CheckRe
         else:
             merged_counts.append(acc_c)
             merged_expected.append(acc_e)
-    n_merged = bins - len(merged_counts)
-    # Pearson's statistic summed as scipy.stats.chisquare sums it.
-    obs, ex = np.array(merged_counts), np.array(merged_expected)
-    chi2 = float(np.sum((obs - ex) ** 2 / ex))
-    p_radial = chi2_sf(chi2, len(merged_counts) - 1)
-    radial_entry = CheckResult(
-        name="mc-radial-chi2",
-        statistic=float(p_radial),
-        tolerance=0.001,
-        passed=p_radial > 0.001,
+    return merged_counts, merged_expected
+
+
+def mc_gof(cols: EndpointArrays | Iterable[EndpointArrays], law: PlanarLaw,
+           bins: int = 50) -> list[CheckResult]:
+    """Three-way goodness of fit of an endpoint batch against a planar law.
+
+    Entries: (i) binomial z-test of the singular mass, |z| <= 3; where its
+    variance is 0 (a singular weight of 0 or 1 in double precision), z is 0
+    for exact agreement and infinite otherwise; (ii) chi-square over radial
+    bins of the nonsingular samples against ``2*pi*r*ac_density`` with
+    expected counts >= 5 (merging low-count bins, noted in details),
+    p > 0.001, not applicable with fewer than two merged bins; (iii) KS
+    test of the angle against uniform, p > 0.001.
+
+    ``cols`` is one batch, or an iterable of its blocks in sample order as
+    :func:`~fracmotion.motion.endpoint_blocks` yields them.  Each block adds
+    to the singular count and the radial histogram as it arrives and is
+    dropped before the next is asked for; only the angles are kept, 8 bytes
+    per sample, since the KS test sorts them all.  Either input gives the
+    same entries, bit for bit.
+    """
+    ct = law.c * law.t
+    edges = np.linspace(0.0, ct, bins + 1)
+    counts = np.zeros(bins, dtype=np.int64)
+    n_moving = k_sing = 0
+    angles = []
+    for block in [cols] if isinstance(cols, EndpointArrays) else cols:
+        k_sing += int(np.count_nonzero(block.is_singular))
+        moving = ~block.is_singular
+        r = np.hypot(block.x[moving], block.y[moving])
+        n_moving += r.size
+        counts += np.histogram(r, bins=edges)[0]
+        theta = np.arctan2(block.y, block.x)
+        np.mod(theta, 2.0 * math.pi, out=theta)
+        theta /= 2.0 * math.pi
+        angles.append(theta)
+        # Drop the block before the next one is drawn.
+        del block, moving, r, theta
+    theta = angles[0] if len(angles) == 1 else np.concatenate(angles)
+    del angles
+    n_total = theta.size
+    if n_total < 100_000:
+        raise DomainError(f"goodness-of-fit needs >= 1e5 samples, got {n_total}")
+
+    p0 = law.singular_weight
+    variance = n_total * p0 * (1.0 - p0)
+    excess = k_sing - n_total * p0
+    if variance > 0.0:
+        z = excess / math.sqrt(variance)
+    else:
+        z = math.copysign(math.inf, excess) if excess else 0.0
+    singular_entry = CheckResult(
+        name="mc-singular-mass",
+        statistic=abs(z),
+        tolerance=3.0,
+        passed=abs(z) <= 3.0,
         details={
-            "chi2": float(chi2),
-            "bins": len(merged_counts),
-            "bins_merged": n_merged,
-            "nonsingular_samples": int(r.size),
+            "observed_fraction": k_sing / n_total,
+            "expected_fraction": p0,
+            "z": z,
+            "n_samples": n_total,
         },
     )
 
-    theta = np.arctan2(cols.y, cols.x)
-    np.mod(theta, 2.0 * math.pi, out=theta)
-    theta /= 2.0 * math.pi
+    # No expected counts where no sample moved or the law has no
+    # absolutely continuous part.
+    merged_counts: list[float] = []
+    merged_expected: list[float] = []
+    if n_moving:
+        masses = _bin_masses(_radial_profile(law), law.c, law.t, edges)
+        if masses.sum() > 0.0:
+            merged_counts, merged_expected = _merge_bins(counts,
+                                                         masses / masses.sum() * n_moving)
+    n_merged = bins - len(merged_counts)
+    radial_details = {"bins": len(merged_counts), "bins_merged": n_merged,
+                      "nonsingular_samples": n_moving}
+    if len(merged_counts) < 2:
+        radial_entry = _not_applicable(
+            "mc-radial-chi2", 1.0, 0.001,
+            f"{n_moving} nonsingular samples give fewer than two radial bins "
+            "an expected count >= 5", radial_details)
+    else:
+        # Pearson's statistic summed as scipy.stats.chisquare sums it.
+        obs, ex = np.array(merged_counts), np.array(merged_expected)
+        chi2 = float(np.sum((obs - ex) ** 2 / ex))
+        p_radial = chi2_sf(chi2, len(merged_counts) - 1)
+        radial_entry = CheckResult(
+            name="mc-radial-chi2",
+            statistic=float(p_radial),
+            tolerance=0.001,
+            passed=p_radial > 0.001,
+            details={"chi2": chi2, **radial_details},
+        )
+
     ks_stat, p_angle = _ks_uniform(theta)
     angle_entry = CheckResult(
         name="mc-angle-ks",
@@ -569,6 +628,54 @@ def mc_gof(cols: EndpointArrays, law: PlanarLaw, bins: int = 50) -> list[CheckRe
         details={"ks": float(ks_stat), "n_samples": n_total},
     )
     return [singular_entry, radial_entry, angle_entry]
+
+
+def _cf_entry(chunks: Iterable[tuple[np.ndarray, np.ndarray]], n_samples: int, n: int,
+              alpha_freq: float, beta_freq: float, c: float, t: float) -> CheckResult:
+    """:func:`empirical_cf` of ``n_samples`` endpoints given as consecutive
+    ``(x, y)`` chunks, each written into the phase buffer as it arrives."""
+    if n < 1:
+        raise DomainError(f"conditional characteristic function needs n >= 1, got {n}")
+    if n_samples < 100_000:
+        raise DomainError(f"characteristic-function check needs >= 1e5 samples, got {n_samples}")
+    gamma_freq = math.hypot(alpha_freq, beta_freq)
+    if gamma_freq == 0.0:
+        analytic = 1.0
+    else:
+        z = c * t * gamma_freq
+        half = n / 2.0
+        # The reference only has to beat the Monte-Carlo tolerance 4/sqrt(N)
+        # by orders of magnitude, so admit the extended-precision noise floor
+        # of the alternating Bessel series at desk-scale frequencies instead
+        # of demanding full double accuracy.
+        analytic = (2.0 ** half) * gamma_pos(half + 1.0) * bessel_j(half, z, 1e-9) / z ** half
+    # exp(i*phase) in one complex buffer; its real part is +0.0 where 1j*phase
+    # gave -0.0 for a negative phase, and exp(+-0) is exactly 1.
+    w = np.zeros(n_samples, dtype=complex)
+    lo = 0
+    for x, y in chunks:
+        phase = w.imag[lo:lo + x.size]
+        np.multiply(alpha_freq, x, out=phase)
+        phase += beta_freq * y
+        lo += x.size
+        # Drop the chunk before the next one is drawn.
+        del x, y
+    emp = complex(np.mean(np.exp(w, out=w)))
+    deviation = abs(emp - analytic)
+    tol = 4.0 / math.sqrt(n_samples)
+    return CheckResult(
+        name="conditional-cf",
+        statistic=deviation,
+        tolerance=tol,
+        passed=deviation <= tol,
+        details={
+            "n": n,
+            "frequency": [alpha_freq, beta_freq],
+            "empirical": [emp.real, emp.imag],
+            "analytic": analytic,
+            "n_samples": n_samples,
+        },
+    )
 
 
 def empirical_cf(
@@ -584,47 +691,12 @@ def empirical_cf(
     switches versus the Bessel closed form ``2^{n/2} Gamma(n/2+1)
     J_{n/2}(ct*g) / (ct*g)^{n/2}`` with ``g = sqrt(a^2 + b^2)``.
 
-    Tolerance is the Monte-Carlo scale ``4 / sqrt(N)``.
+    Tolerance is the Monte-Carlo scale ``4 / sqrt(N)``.  Holds the complex
+    buffer ``exp(i*(a*x + b*y))``, 16 bytes per sample.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if n < 1:
-        raise DomainError(f"conditional characteristic function needs n >= 1, got {n}")
-    if x.size < 100_000:
-        raise DomainError(f"characteristic-function check needs >= 1e5 samples, got {x.size}")
-    gamma_freq = math.hypot(alpha_freq, beta_freq)
-    if gamma_freq == 0.0:
-        analytic = 1.0
-    else:
-        z = c * t * gamma_freq
-        half = n / 2.0
-        # The reference only has to beat the Monte-Carlo tolerance 4/sqrt(N)
-        # by orders of magnitude, so admit the extended-precision noise floor
-        # of the alternating Bessel series at desk-scale frequencies instead
-        # of demanding full double accuracy.
-        analytic = (2.0 ** half) * gamma_pos(half + 1.0) * bessel_j(half, z, 1e-9) / z ** half
-    # exp(i*phase) in one complex buffer; its real part is +0.0 where 1j*phase
-    # gave -0.0 for a negative phase, and exp(+-0) is exactly 1.
-    w = np.zeros(x.size, dtype=complex)
-    phase = w.imag
-    np.multiply(alpha_freq, x, out=phase)
-    phase += beta_freq * y
-    emp = complex(np.mean(np.exp(w, out=w)))
-    deviation = abs(emp - analytic)
-    tol = 4.0 / math.sqrt(x.size)
-    return CheckResult(
-        name="conditional-cf",
-        statistic=deviation,
-        tolerance=tol,
-        passed=deviation <= tol,
-        details={
-            "n": n,
-            "frequency": [alpha_freq, beta_freq],
-            "empirical": [emp.real, emp.imag],
-            "analytic": analytic,
-            "n_samples": int(x.size),
-        },
-    )
+    return _cf_entry([(x, y)], x.size, n, alpha_freq, beta_freq, c, t)
 
 
 # ---------------------------------------------------------------------------
@@ -644,11 +716,18 @@ def law_agreement(
     The constant-rate single-series form is evaluated alongside and its
     maximum relative deviation from the mixture is recorded in the details —
     it coincides at ``alpha = 1`` but is a genuinely different function for
-    ``alpha < 1``; no agreement is asserted for it.
+    ``alpha < 1``; no agreement is asserted for it.  ``Lambda(t) = 0``
+    leaves no absolutely continuous part (every mixture term is 0) and is
+    marked not applicable.
     """
+    law = planar_law(spec, c, t)
+    tol = 1e-10
+    if cumulative_rate(spec.rate, t) == 0.0:
+        return _not_applicable("planar-closed-vs-mixture", 0.0, tol,
+                               "Lambda=0 has no absolutely continuous part",
+                               {"alpha": spec.alpha, "singular_weight": law.singular_weight})
     if radii is None:
         radii = c * t * np.linspace(0.0, 0.995, 40)
-    law = planar_law(spec, c, t)
     lam_is_const = spec.rate.kind == "constant"
     radii = np.asarray(radii, dtype=float)
     mix = np.array([mixture_density(spec, c, t, r) for r in radii.tolist()])
@@ -661,7 +740,6 @@ def law_agreement(
         max_rel_const = float(np.max(np.abs(const_form - mix[pos]) / mix[pos], initial=0.0))
     mass = disk_mass(_radial_profile(law), c, t)
     mass_err = abs(mass + law.singular_weight - 1.0)
-    tol = 1e-10
     details = {
         "alpha": spec.alpha,
         "n_radii": int(np.asarray(radii).size),
@@ -699,13 +777,13 @@ def _const_spec(alpha: float, lam: float) -> FracPoissonSpec:
 
 def _mc_check(alpha, lam, c, t, n_samples, seed):
     spec = _const_spec(alpha, lam)
-    cols = endpoint_arrays(MotionConfig(c=c, t=t, count_spec=spec), n_samples, seed)
-    return mc_gof(cols, planar_law(spec, c, t))
+    blocks = endpoint_blocks(MotionConfig(c=c, t=t, count_spec=spec), n_samples, seed)
+    return mc_gof(blocks, planar_law(spec, c, t))
 
 
 def _cf_check(alpha, lam, c, t, n_samples, seed):
-    x, y = conditioned_endpoints(2, c, t, n_samples, seed)
-    return [empirical_cf(x, y, 2, 1.0, 0.0, c, t)]
+    chunks = conditioned_chunks(2, c, t, n_samples, seed)
+    return [_cf_entry(chunks, n_samples, 2, 1.0, 0.0, c, t)]
 
 
 # The checks by name, in the order ``verify --check`` lists them: each maps
@@ -755,11 +833,10 @@ def run_negative_controls(seed: int = 20260815, n_samples: int = 100_000) -> Ver
     must FAIL its check."""
     checks: list[CheckResult] = []
     wrong_law = planar_law(_const_spec(0.7, 1.0), 1.0, 1.0)
-    cols = endpoint_arrays(MotionConfig(c=1.0, t=1.0, count_spec=_const_spec(1.0, 1.0)),
-                           n_samples, seed)
+    blocks = endpoint_blocks(MotionConfig(c=1.0, t=1.0, count_spec=_const_spec(1.0, 1.0)),
+                             n_samples, seed)
     checks.extend(replace(entry, name=f"{entry.name}-negative-control")
-                  for entry in mc_gof(cols, wrong_law) if entry.name == "mc-radial-chi2")
-    del cols
+                  for entry in mc_gof(blocks, wrong_law) if entry.name == "mc-radial-chi2")
     checks.append(eigenfunction_residual(0.5, 1.0, 1.0, eigenvalue_factor=2.0))
     checks.append(pgf_ode_residual(_const_spec(0.5, 1.0), 1.0, derivative_alpha=0.75))
     squared = lambda xx, yy, tt: classical_planar_density(1.0, 1.0, tt, xx, yy) ** 2  # noqa: E731

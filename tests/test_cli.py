@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from fracmotion.counting import (
     count_distribution,
     cumulative_rate,
 )
+from fracmotion import motion
 from fracmotion.densities import (
     classical_line_density,
     flight_unconditional,
@@ -149,6 +151,46 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
     assert manifest_without_timestamp(
         tmp_path / "a.csv.manifest.json"
     ) == manifest_without_timestamp(tmp_path / "b.csv.manifest.json")
+
+
+def csv_of_batch(cols) -> str:
+    """The ``simulate`` CSV of a whole batch, formatted in one piece."""
+    rows = zip(cols.x.tolist(), cols.y.tolist(), cols.n.tolist(), cols.is_singular.tolist())
+    return "x,y,n,is_singular\n" + "".join(
+        f"{x!r},{y!r},{n},{'true' if s else 'false'}\n" for x, y, n, s in rows)
+
+
+@pytest.mark.parametrize("rate,n_samples", [
+    ("const:1", 2 * motion._BLOCK + 7), ("const:10", motion._BLOCK + 1), ("power:2,0.5", 3)])
+@pytest.mark.parametrize("seed", [20260815, 77])
+def test_simulate_streams_the_bytes_of_the_whole_batch(tmp_path, seed, rate, n_samples):
+    # Rows are written block by block; across block edges they are the
+    # batch that endpoint_arrays draws.
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--alpha", "0.5", "--rate", rate, "--samples", str(n_samples),
+                 "--seed", str(seed), "--out", str(out)]) == EXIT_OK
+    cfg = motion.MotionConfig(c=1.0, t=1.0, count_spec=FracPoissonSpec(0.5, parse_rate(rate)))
+    assert out.read_text() == csv_of_batch(motion.endpoint_arrays(cfg, n_samples, seed))
+    assert json.loads((tmp_path / "sim.csv.manifest.json").read_text())["rows"] == n_samples
+
+
+def traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_peak_allocation_does_not_grow_with_samples(tmp_path):
+    # One block is alive at a time: 2**18 samples peak within one block's
+    # columns (25 bytes per sample) of 2**15; whole batches grew by 5.5 MB.
+    argv = ["simulate", "--alpha", "0.5", "--rate", "const:1", "--out", str(tmp_path / "s.csv")]
+    traced_peak([*argv, "--samples", "10"])  # count table, parser and caches
+    small = traced_peak([*argv, "--samples", str(2**15)])
+    large = traced_peak([*argv, "--samples", str(2**18)])
+    assert large - small < 25 * motion._BLOCK
 
 
 def test_simulate_fractional_order(tmp_path):
@@ -474,6 +516,65 @@ def test_verify_report_reruns_identical(tmp_path):
                    "--samples", "100000", "--seed", "7", "--out", str(out)])
         assert rc == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+# Monte-Carlo and law checks where the singular weight is 0 or 1 in double
+# precision.  Paths past 64 switches take their endpoints from the exact law
+# given the count, two draws each: the entries under test depend on the
+# counts alone, and the full paths would take about a minute at alpha 0.2.
+
+
+def verify_entries(tmp_path, capsys, *argv) -> tuple[int, dict, str]:
+    out = tmp_path / "report.json"
+    rc = main(["verify", *argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    entries = {e["check"]: e for e in json.loads(out.read_text())["checks"]} if rc < 2 else {}
+    return rc, entries, err
+
+
+@pytest.mark.parametrize("argv", [["--lambda", "0"], ["--lambda", "40"],
+                                  ["--alpha", "0.2", "--lambda", "5"]])
+def test_mc_check_with_a_singular_weight_of_0_or_1_agrees_exactly(tmp_path, capsys,
+                                                                   monkeypatch, argv):
+    monkeypatch.setattr(motion, "_MAX_PATH_SWITCHES", 64)
+    rc, entries, err = verify_entries(tmp_path, capsys, "--check", "mc", *argv)
+    assert rc == EXIT_OK, err
+    singular = entries["mc-singular-mass"]
+    assert singular["details"]["expected_fraction"] in (0.0, 1.0)
+    assert singular["details"]["z"] == 0.0 and singular["pass"]
+
+
+def test_mc_check_without_nonsingular_samples_marks_the_radial_test_not_applicable(
+        tmp_path, capsys):
+    rc, entries, err = verify_entries(tmp_path, capsys, "--check", "mc", "--lambda", "1e-9")
+    assert rc == EXIT_OK, err
+    radial = entries["mc-radial-chi2"]
+    assert radial["pass"] and radial["details"]["status"] == "not-applicable"
+    assert radial["details"]["nonsingular_samples"] == 0
+
+
+def test_law_check_at_zero_rate_is_not_applicable(tmp_path, capsys):
+    rc, entries, err = verify_entries(tmp_path, capsys, "--check", "law", "--lambda", "0")
+    assert rc == EXIT_OK, err
+    assert entries["planar-closed-vs-mixture"]["details"]["status"] == "not-applicable"
+
+
+@settings(deadline=None, max_examples=24,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(check=st.sampled_from(["mc", "cf", "law"]),
+       alpha=st.floats(min_value=0.1, max_value=1.0),
+       lam=st.floats(min_value=0.0, max_value=60.0))
+def test_any_verify_check_exits_with_a_documented_code(tmp_path, capsys, monkeypatch,
+                                                        check, alpha, lam):
+    monkeypatch.setattr(motion, "_MAX_PATH_SWITCHES", 64)
+    out = tmp_path / "report.json"
+    rc = main(["verify", "--check", check, "--alpha", repr(alpha), "--lambda", repr(lam),
+               "--out", str(out)])
+    stdout, err = capsys.readouterr()
+    assert rc in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_USAGE, EXIT_NUMERIC)
+    assert "Traceback" not in err
+    assert (rc == EXIT_VERIFY_FAILED) == any(line.startswith("FAIL ")
+                                             for line in stdout.splitlines())
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -23,8 +24,10 @@ from fracmotion.motion import (
     MotionConfig,
     Trajectory,
     _Substreams,
+    conditioned_chunks,
     conditioned_endpoints,
     endpoint_arrays,
+    endpoint_blocks,
     endpoint_from_path,
     flight_radii_batch,
     sample_trajectory,
@@ -444,6 +447,68 @@ def test_conditioned_endpoints_peak_allocation_is_bounded(n_samples, bound):
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+# ---------------------------------------------------------------------------
+# Streamed blocks and chunks
+
+
+@pytest.mark.parametrize("seed", [20260815, 77])
+@pytest.mark.parametrize("n_samples", [1, motion._BLOCK - 1, motion._BLOCK, motion._BLOCK + 1,
+                                       2 * motion._BLOCK + 7])
+def test_endpoint_blocks_lay_out_endpoint_arrays(n_samples, seed):
+    # Block k holds samples k*_BLOCK onwards, so the blocks laid end to end
+    # are the batch, bit for bit, across every block edge.
+    cfg = const_cfg(alpha=0.5, lam=1.0)
+    blocks = list(endpoint_blocks(cfg, n_samples, seed))
+    sizes = [b.n.size for b in blocks]
+    assert sizes[:-1] == [motion._BLOCK] * (len(sizes) - 1) and sum(sizes) == n_samples
+    whole = endpoint_arrays(cfg, n_samples, seed)
+    for field in whole._fields:
+        assert np.array_equal(np.concatenate([getattr(b, field) for b in blocks]),
+                              getattr(whole, field)), field
+
+
+def test_endpoint_blocks_validate_and_build_the_table_at_the_call(monkeypatch):
+    # Errors come before any block is drawn, not at the first next().
+    with pytest.raises(DomainError):
+        endpoint_blocks(const_cfg(), 0, seed=1)
+    with pytest.raises(DomainError):
+        endpoint_blocks(const_cfg(), 10, seed=-1)
+    with pytest.raises(ConvergenceError):
+        endpoint_blocks(const_cfg(alpha=0.1, lam=60.0), 10, seed=1)
+    drawn = []
+    monkeypatch.setattr(motion, "_block_endpoints", lambda *args: drawn.append(args))
+    endpoint_blocks(const_cfg(), 3 * motion._BLOCK, seed=1)
+    assert drawn == []
+
+
+def test_endpoint_blocks_keep_no_reference_to_a_handed_out_block():
+    # A consumer that drops a block before asking for the next holds one.
+    blocks = endpoint_blocks(const_cfg(alpha=0.5, lam=1.0), 2 * motion._BLOCK, seed=3)
+    block = next(blocks)
+    columns = [weakref.ref(col) for col in (block.x, block.y, block.n)]
+    del block
+    assert all(ref() is None for ref in columns)
+    assert next(blocks).n.size == motion._BLOCK
+
+
+@pytest.mark.parametrize("seed", [0, 77])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_conditioned_chunks_lay_out_conditioned_endpoints(n, seed):
+    per_chunk = motion._DRAW_BUDGET // (2 * n + 1)
+    n_samples = 2 * per_chunk + 5
+    chunks = list(conditioned_chunks(n, 1.7, 0.6, n_samples, seed))
+    assert [x.size for x, _ in chunks] == [per_chunk, per_chunk, 5]
+    x, y = conditioned_endpoints(n, 1.7, 0.6, n_samples, seed)
+    assert np.array_equal(np.concatenate([cx for cx, _ in chunks]), x)
+    assert np.array_equal(np.concatenate([cy for _, cy in chunks]), y)
+
+
+def test_conditioned_chunks_validate_at_the_call():
+    for n, n_samples, seed in ((0, 10, 1), (2, 0, 1), (2, 10, -1)):
+        with pytest.raises(DomainError):
+            conditioned_chunks(n, 1.0, 1.0, n_samples, seed)
 
 
 # ---------------------------------------------------------------------------

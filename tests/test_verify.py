@@ -4,13 +4,20 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fracmotion.counting import FracPoissonSpec, RateFunction
 from fracmotion.densities import classical_planar_density, planar_law
-from fracmotion.motion import MotionConfig, conditioned_endpoints, endpoint_arrays
+from fracmotion.motion import (
+    EndpointArrays,
+    MotionConfig,
+    conditioned_endpoints,
+    endpoint_arrays,
+    endpoint_blocks,
+)
 from fracmotion.specfun import DomainError, MLParams, mittag_leffler
 from fracmotion.verify import (
     CheckResult,
@@ -353,6 +360,89 @@ def test_ks_uniform_matches_kstest(n):
     assert pelz_good >= 2
 
 
+@pytest.mark.parametrize("alpha,lam,law_alpha,bins", [
+    (1.0, 1.0, 1.0, 50), (0.5, 1.0, 0.5, 50), (1.0, 1.0, 0.7, 50), (0.5, 2.0, 0.5, 2000)])
+def test_mc_gof_over_blocks_equals_mc_gof_over_one_batch(alpha, lam, law_alpha, bins):
+    # Reducing each block as it arrives gives every entry's bits.
+    cfg = MotionConfig(c=1.3, t=0.8, count_spec=const_spec(alpha, lam))
+    law = planar_law(const_spec(law_alpha, lam), 1.3, 0.8)
+    n_samples = 7 * 2**14 + 123
+    streamed = mc_gof(endpoint_blocks(cfg, n_samples, seed=77), law, bins=bins)
+    whole = mc_gof(endpoint_arrays(cfg, n_samples, seed=77), law, bins=bins)
+    assert [e.to_dict() for e in streamed] == [e.to_dict() for e in whole]
+
+
+def one_pass_ks_statistic(u):
+    """D of the two-sided KS test from one array of steps k/n."""
+    u = np.sort(u)
+    steps = np.arange(0.0, u.size + 1) / u.size
+    return max((steps[1:] - u).max(), (u - steps[:-1]).max())
+
+
+@pytest.mark.parametrize("n", [100_000, 6 * 2**14, 6 * 2**14 + 1])
+def test_ks_uniform_in_chunks_gives_the_one_pass_statistic(n):
+    from fracmotion.verify import _ks_uniform
+
+    u = np.random.default_rng(n).random(n) ** 1.003
+    assert _ks_uniform(u.copy())[0] == one_pass_ks_statistic(u)
+
+
+def batch_on_the_rim(n_singular: int, n_moving: int, seed: int = 5) -> EndpointArrays:
+    """Singular endpoints on the unit circle, then moving ones inside it."""
+    rng = np.random.default_rng(seed)
+    theta = 2.0 * math.pi * rng.random(n_singular + n_moving)
+    r = np.ones(theta.size)
+    r[n_singular:] = np.sqrt(rng.random(n_moving))
+    n = np.zeros(theta.size, dtype=np.int64)
+    n[n_singular:] = 1
+    return EndpointArrays(x=r * np.cos(theta), y=r * np.sin(theta), n=n, is_singular=n == 0)
+
+
+@pytest.mark.parametrize("lam,n_singular,n_moving,z", [
+    (0.0, 100_000, 0, 0.0),  # singular weight 1
+    (0.0, 99_999, 1, -math.inf),
+    (40.0, 0, 100_000, 0.0),  # singular weight 0.0 in double precision
+    (40.0, 1, 99_999, math.inf),
+])
+def test_singular_mass_with_zero_variance_is_exact_agreement(lam, n_singular, n_moving, z):
+    law = planar_law(const_spec(0.5, lam), 1.0, 1.0)
+    assert law.singular_weight in (0.0, 1.0)
+    entry = mc_gof(batch_on_the_rim(n_singular, n_moving), law)[0]
+    assert entry.name == "mc-singular-mass"
+    assert entry.details["z"] == z and entry.statistic == abs(z)
+    assert entry.passed == (z == 0.0)
+
+
+@pytest.mark.parametrize("n_moving", [0, 3])
+def test_radial_test_without_two_merged_bins_is_not_applicable(n_moving):
+    law = planar_law(const_spec(0.5, 1e-9), 1.0, 1.0)
+    radial = mc_gof(batch_on_the_rim(100_000 - n_moving, n_moving), law)[1]
+    assert radial.name == "mc-radial-chi2"
+    assert radial.passed and radial.statistic == 1.0
+    assert radial.details["status"] == "not-applicable"
+    assert radial.details["nonsingular_samples"] == n_moving
+    assert radial.details["bins"] == (1 if n_moving else 0)
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["mc", "cf"])
+def test_monte_carlo_rows_peak_allocation_is_bounded(name):
+    # At 2**18 samples the mc row keeps the angles (2.1 MB), joined once for
+    # the sort (4.2 MB), and the cf row its complex buffer (4.2 MB), each
+    # with one sampler block or chunk; holding whole batches took 14.9 and
+    # 10.5 MB.
+    run_check(name, 0.5, 1.0, 1.0, 1.0, 100_000, 1)  # count table and rules
+    assert traced_peak(run_check, name, 0.5, 1.0, 1.0, 1.0, 2**18, 20260815) < 6e6
+
+
 # ---------------------------------------------------------------------------
 # Conditional characteristic function
 
@@ -360,6 +450,15 @@ def test_ks_uniform_matches_kstest(n):
 @pytest.fixture(scope="module")
 def cf_samples():
     return conditioned_endpoints(2, 1.0, 1.0, 100_000, seed=99)
+
+
+@pytest.mark.parametrize("n_samples,seed,c,t", [
+    (100_000, 20260815, 1.0, 1.0), (3276 * 40 + 1, 77, 1.5, 0.8)])
+def test_cf_row_equals_empirical_cf_of_the_whole_batch(n_samples, seed, c, t):
+    # The row writes each chunk's phases into the buffer the whole batch fills.
+    (row,) = run_check("cf", 0.5, 1.0, c, t, n_samples, seed)
+    x, y = conditioned_endpoints(2, c, t, n_samples, seed)
+    assert row.to_dict() == empirical_cf(x, y, 2, 1.0, 0.0, c, t).to_dict()
 
 
 def test_cf_zero_frequency_is_exact(cf_samples):
@@ -401,6 +500,14 @@ def test_law_agreement_asserts_mixture_identity():
     assert check.statistic <= 1e-10
     assert check.details["const_rate_form_max_rel_diff"] > 0.1
     assert check.details["disk_mass_error"] <= 1e-8
+
+
+def test_law_agreement_at_zero_rate_is_not_applicable():
+    # Lambda = 0 leaves no absolutely continuous part and every mixture term is 0.
+    check = law_agreement(const_spec(0.5, 0.0), 1.0, 1.0)
+    assert check.passed and check.statistic == 0.0
+    assert check.details["status"] == "not-applicable"
+    assert check.details["singular_weight"] == 1.0
 
 
 def test_law_agreement_classical_forms_coincide():
