@@ -83,15 +83,6 @@ class RunConfig:
     command: str
     params: dict
 
-    def to_json(self) -> str:
-        return json.dumps({"command": self.command, "params": self.params},
-                          sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        payload = json.loads(text)
-        return cls(command=payload["command"], params=dict(payload["params"]))
-
 
 def parse_rate(text: str) -> RateFunction:
     """Parse the rate mini-grammar into a RateFunction.
@@ -175,9 +166,9 @@ def cmd_simulate(config: RunConfig) -> int:
     with out.open("w", newline="") as fh:
         fh.write("x,y,n,is_singular\n")
         for cols in blocks:
-            for rows in _row_chunks(cols.x, cols.y, cols.n, cols.is_singular):
-                fh.writelines(f"{x!r},{y!r},{n},{'true' if s else 'false'}\n"
-                              for x, y, n, s in rows)
+            for rows in _row_chunks(cols.x, cols.y, cols.n):
+                fh.writelines(f"{x!r},{y!r},{n},{'true' if n == 0 else 'false'}\n"
+                              for x, y, n in rows)
             # Drop the block before the next one is drawn.
             del cols, rows
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), config,

@@ -28,9 +28,9 @@ law given ``n`` switches instead (radius ``ct * sqrt(1 - v**(2/n))``).
 :func:`endpoint_blocks` hands out the blocks one at a time, each drawn when
 it is asked for, so a consumer that reduces or writes a block and drops it
 before asking for the next holds one block: 32 bytes of stream state and
-25 bytes of columns per sample of one block (about 0.9 MB), one chunk and
+24 bytes of columns per sample of one block (about 0.9 MB), one chunk and
 the longest path followed, whatever the batch size.  :func:`endpoint_arrays`
-lays the blocks end to end into whole columns, 25 bytes per sample.
+lays the blocks end to end into whole columns, 24 bytes per sample.
 
 Flight-model endpoints (random flights with Dirichlet displacement weights)
 have a radial CDF ``1 - (1 - r**2/(ct)**2)**a`` of the same shape, so
@@ -38,10 +38,9 @@ have a radial CDF ``1 - (1 - r**2/(ct)**2)**a`` of the same shape, so
 ``i`` from substream ``(seed, i)`` too.  Only the conditioned sampler draws
 a whole batch from one ``default_rng(seed)``, all its instants before all
 its directions; it reads the two stream positions with two generators, one
-advanced past the instants, and draws in chunks of at most ``_DRAW_BUDGET``
-uniforms.  :func:`conditioned_chunks` hands out those chunks one at a time
-as :func:`endpoint_blocks` hands out blocks, and
-:func:`conditioned_endpoints` lays them end to end.
+advanced past the instants, and :func:`conditioned_chunks` hands out chunks
+of at most ``_DRAW_BUDGET`` uniforms one at a time, as
+:func:`endpoint_blocks` hands out blocks.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ __all__ = [
     "endpoint_blocks",
     "endpoint_arrays",
     "conditioned_chunks",
-    "conditioned_endpoints",
     "flight_radii_batch",
 ]
 
@@ -164,7 +162,11 @@ class EndpointArrays(NamedTuple):
     x: np.ndarray
     y: np.ndarray
     n: np.ndarray
-    is_singular: np.ndarray
+
+    @property
+    def is_singular(self) -> np.ndarray:
+        """Whether each path kept its first direction (no switch)."""
+        return self.n == 0
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +478,7 @@ def _block_endpoints(cfg: MotionConfig, dist: CountDistribution, seed: int,
                 ys[chunk] = r * np.sin(_TWO_PI * u[:, 1])
             else:
                 xs[chunk], ys[chunk] = _endpoints(cfg.c, cfg.t, n, u)
-    return EndpointArrays(x=xs, y=ys, n=ns, is_singular=ns == 0)
+    return EndpointArrays(x=xs, y=ys, n=ns)
 
 
 def endpoint_blocks(cfg: MotionConfig, n_samples: int, seed: int) -> Iterator[EndpointArrays]:
@@ -487,7 +489,7 @@ def endpoint_blocks(cfg: MotionConfig, n_samples: int, seed: int) -> Iterator[En
     Bad arguments raise, and the count table is built, at the call, before
     any block is drawn.  The iterator keeps no reference to a block it has
     handed out, so a consumer that drops each block before asking for the
-    next holds one block at a time: about 25 bytes per sample of one block,
+    next holds one block at a time: about 24 bytes per sample of one block,
     plus the sampler's working set.
     """
     blocks = _blocks(n_samples, seed)
@@ -497,22 +499,13 @@ def endpoint_blocks(cfg: MotionConfig, n_samples: int, seed: int) -> Iterator[En
 
 def endpoint_arrays(cfg: MotionConfig, n_samples: int, seed: int) -> EndpointArrays:
     """Draw ``n_samples`` endpoints as columns, deterministic in
-    ``(cfg, n_samples, seed)``.
+    ``(cfg, n_samples, seed)``: the blocks of :func:`endpoint_blocks` laid
+    end to end, 24 bytes per sample.
 
     Sample ``i`` is the path :func:`sample_trajectory` draws from
     ``np.random.default_rng((seed, i))``, bit for bit, up to
     ``_MAX_PATH_SWITCHES`` switches; past that, draws 1 and 2 give radius
     ``ct * sqrt(1 - (1 - u1)**(2/n))`` and direction ``2*pi*u2``.
-
-    The columns are the blocks of :func:`endpoint_blocks` laid end to end.
-    A block's streams are seeded in bulk, and their draws 0 turned into
-    switch counts, in pieces of ``_SEED_PIECE``; then its rows are sorted by
-    count once, and each group of equal count is drawn in chunks of at most
-    ``_DRAW_BUDGET`` uniforms.  Paths of fewer than ``_BULK_DRAWS`` uniforms
-    are drawn in bulk; longer ones row by row by numpy's own PCG64 set to
-    each bulk-seeded state.  Beyond the output columns, memory stays bounded
-    by one block: 32 bytes of stream state and 25 bytes of columns per
-    sample, plus the draw budget, plus the longest path followed.
     """
     blocks = endpoint_blocks(cfg, n_samples, seed)
     xs = np.empty(n_samples)
@@ -523,7 +516,7 @@ def endpoint_arrays(cfg: MotionConfig, n_samples: int, seed: int) -> EndpointArr
         hi = lo + block.n.size
         xs[lo:hi], ys[lo:hi], ns[lo:hi] = block.x, block.y, block.n
         lo = hi
-    return EndpointArrays(x=xs, y=ys, n=ns, is_singular=ns == 0)
+    return EndpointArrays(x=xs, y=ys, n=ns)
 
 
 def _conditioned_chunk(instants: np.random.Generator, directions: np.random.Generator,
@@ -538,13 +531,19 @@ def _conditioned_chunk(instants: np.random.Generator, directions: np.random.Gene
 def conditioned_chunks(
     n: int, c: float, t: float, n_samples: int, seed: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The endpoints of :func:`conditioned_endpoints` as consecutive ``(x,
-    y)`` chunks of ``max(1, _DRAW_BUDGET // (2n + 1))`` rows (the last one
-    shorter), each drawn only when the iterator is asked for it.
+    """Endpoints conditioned on exactly ``n >= 1`` switches, all drawn from
+    one ``default_rng(seed)``: the batch's ``n_samples * n`` instants first,
+    row by row, then its ``n_samples * (n + 1)`` directions.  Row ``j`` is
+    :func:`endpoint_from_path` of row ``j``'s draws, bit for bit.
 
-    Bad arguments raise at the call.  The iterator keeps no reference to a
-    chunk it has handed out, so a consumer that drops each chunk before
-    asking for the next holds one chunk of draws at a time."""
+    The rows come as consecutive ``(x, y)`` chunks of ``max(1, _DRAW_BUDGET
+    // (2n + 1))`` rows (the last one shorter), each drawn only when the
+    iterator is asked for it.  Two generators read the one stream: one from
+    draw 0 for the instants, the other advanced past them (PCG64 spends one
+    output per double) for the directions.  Bad arguments raise at the
+    call.  The iterator keeps no reference to a chunk it has handed out, so
+    a consumer that drops each chunk before asking for the next holds one
+    chunk of draws at a time."""
     if n < 1:
         raise DomainError(f"conditioning requires n >= 1, got {n}")
     _blocks(n_samples, seed)  # validates n_samples and seed
@@ -554,31 +553,6 @@ def conditioned_chunks(
     per_chunk = max(1, _DRAW_BUDGET // (2 * n + 1))
     return (_conditioned_chunk(instants, directions, n, c, t, min(per_chunk, n_samples - lo))
             for lo in range(0, n_samples, per_chunk))
-
-
-def conditioned_endpoints(
-    n: int, c: float, t: float, n_samples: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints conditioned on exactly ``n >= 1`` switches, all drawn from
-    one ``default_rng(seed)``: the batch's ``n_samples * n`` instants first,
-    row by row, then its ``n_samples * (n + 1)`` directions.  Row ``j`` is
-    :func:`endpoint_from_path` of row ``j``'s draws, bit for bit.
-
-    Two generators read that one stream: one from draw 0 for the instants,
-    the other advanced past them (PCG64 spends one output per double) for
-    the directions.  The columns are the chunks of
-    :func:`conditioned_chunks` laid end to end, each of at most
-    ``_DRAW_BUDGET`` uniforms, so beyond the output columns memory stays
-    bounded by the draw budget plus one path."""
-    chunks = conditioned_chunks(n, c, t, n_samples, seed)
-    xs = np.empty(n_samples)
-    ys = np.empty(n_samples)
-    lo = 0
-    for x, y in chunks:
-        hi = lo + x.size
-        xs[lo:hi], ys[lo:hi] = x, y
-        lo = hi
-    return xs, ys
 
 
 def flight_radii_batch(

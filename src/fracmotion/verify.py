@@ -17,10 +17,10 @@ takes the sampler's blocks one at a time: each adds to the singular count
 and the radial histogram and is dropped before the next is drawn, and only
 the angles are kept, 8 bytes per sample, because the KS test sorts them all
 (16 bytes per sample while they are joined into one array for the sort).
-The ``cf`` check writes each chunk of conditioned endpoints into the
-complex buffer that the empirical characteristic function exponentiates
-and averages, 16 bytes per sample.  Either way the entries keep the bits of
-the whole-batch computation.
+:func:`empirical_cf` takes the chunks of conditioned endpoints one at a
+time and writes each into the complex buffer that it exponentiates and
+averages, 16 bytes per sample.  Either way the entries keep the bits of the
+whole-batch computation.
 
 Numerical notes
 ---------------
@@ -130,16 +130,6 @@ class CheckResult:
             "details": self.details,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CheckResult":
-        return cls(
-            name=d["check"],
-            statistic=d["statistic"],
-            tolerance=d["tolerance"],
-            passed=d["pass"],
-            details=dict(d.get("details", {})),
-        )
-
 
 def _not_applicable(name: str, statistic: float, tolerance: float, reason: str,
                     details: dict | None = None) -> CheckResult:
@@ -166,14 +156,6 @@ class VerificationReport:
             "all_passed": self.all_passed,
         }
         return json.dumps(payload, sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        payload = json.loads(text)
-        return cls(
-            checks=[CheckResult.from_dict(d) for d in payload["checks"]],
-            manifest=dict(payload.get("manifest", {})),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +509,7 @@ def _merge_bins(counts: np.ndarray, expected: np.ndarray) -> tuple[list, list]:
     return merged_counts, merged_expected
 
 
-def mc_gof(cols: EndpointArrays | Iterable[EndpointArrays], law: PlanarLaw,
+def mc_gof(blocks: Iterable[EndpointArrays], law: PlanarLaw,
            bins: int = 50) -> list[CheckResult]:
     """Three-way goodness of fit of an endpoint batch against a planar law.
 
@@ -539,21 +521,23 @@ def mc_gof(cols: EndpointArrays | Iterable[EndpointArrays], law: PlanarLaw,
     p > 0.001, not applicable with fewer than two merged bins; (iii) KS
     test of the angle against uniform, p > 0.001.
 
-    ``cols`` is one batch, or an iterable of its blocks in sample order as
-    :func:`~fracmotion.motion.endpoint_blocks` yields them.  Each block adds
-    to the singular count and the radial histogram as it arrives and is
-    dropped before the next is asked for; only the angles are kept, 8 bytes
-    per sample, since the KS test sorts them all.  Either input gives the
-    same entries, bit for bit.
+    ``blocks`` is the batch as consecutive blocks, as
+    :func:`~fracmotion.motion.endpoint_blocks` yields them (``[cols]`` for
+    one batch in one piece).  Each block adds to the singular count and the
+    radial histogram as it arrives and is dropped before the next is asked
+    for; only the angles are kept, 8 bytes per sample, since the KS test
+    sorts them all.  Any split of the batch gives the same entries, bit for
+    bit.
     """
     ct = law.c * law.t
     edges = np.linspace(0.0, ct, bins + 1)
     counts = np.zeros(bins, dtype=np.int64)
     n_moving = k_sing = 0
     angles = []
-    for block in [cols] if isinstance(cols, EndpointArrays) else cols:
-        k_sing += int(np.count_nonzero(block.is_singular))
-        moving = ~block.is_singular
+    for block in blocks:
+        singular = block.is_singular
+        k_sing += int(np.count_nonzero(singular))
+        moving = ~singular
         r = np.hypot(block.x[moving], block.y[moving])
         n_moving += r.size
         counts += np.histogram(r, bins=edges)[0]
@@ -562,7 +546,7 @@ def mc_gof(cols: EndpointArrays | Iterable[EndpointArrays], law: PlanarLaw,
         theta /= 2.0 * math.pi
         angles.append(theta)
         # Drop the block before the next one is drawn.
-        del block, moving, r, theta
+        del block, singular, moving, r, theta
     theta = angles[0] if len(angles) == 1 else np.concatenate(angles)
     del angles
     n_total = theta.size
@@ -630,10 +614,19 @@ def mc_gof(cols: EndpointArrays | Iterable[EndpointArrays], law: PlanarLaw,
     return [singular_entry, radial_entry, angle_entry]
 
 
-def _cf_entry(chunks: Iterable[tuple[np.ndarray, np.ndarray]], n_samples: int, n: int,
-              alpha_freq: float, beta_freq: float, c: float, t: float) -> CheckResult:
-    """:func:`empirical_cf` of ``n_samples`` endpoints given as consecutive
-    ``(x, y)`` chunks, each written into the phase buffer as it arrives."""
+def empirical_cf(chunks: Iterable[tuple[np.ndarray, np.ndarray]], n_samples: int, n: int,
+                 alpha_freq: float, beta_freq: float, c: float, t: float) -> CheckResult:
+    """Empirical characteristic function of ``n_samples`` endpoints
+    conditioned on ``n`` switches versus the Bessel closed form ``2^{n/2}
+    Gamma(n/2+1) J_{n/2}(ct*g) / (ct*g)^{n/2}`` with ``g = sqrt(a^2 + b^2)``.
+
+    The endpoints come as consecutive ``(x, y)`` chunks, as
+    :func:`~fracmotion.motion.conditioned_chunks` yields them (``[(x, y)]``
+    for one batch in one piece); each chunk's phases ``a*x + b*y`` are
+    written into one complex buffer, 16 bytes per sample, as it arrives.
+    Chunks holding other than ``n_samples`` rows raise ``DomainError``.
+    Tolerance is the Monte-Carlo scale ``4 / sqrt(N)``.
+    """
     if n < 1:
         raise DomainError(f"conditional characteristic function needs n >= 1, got {n}")
     if n_samples < 100_000:
@@ -654,12 +647,16 @@ def _cf_entry(chunks: Iterable[tuple[np.ndarray, np.ndarray]], n_samples: int, n
     w = np.zeros(n_samples, dtype=complex)
     lo = 0
     for x, y in chunks:
-        phase = w.imag[lo:lo + x.size]
-        np.multiply(alpha_freq, x, out=phase)
-        phase += beta_freq * y
-        lo += x.size
+        hi = lo + x.size
+        if hi <= n_samples:
+            phase = w.imag[lo:hi]
+            np.multiply(alpha_freq, x, out=phase)
+            phase += beta_freq * y
+        lo = hi
         # Drop the chunk before the next one is drawn.
         del x, y
+    if lo != n_samples:
+        raise DomainError(f"chunks hold {lo} endpoints, but n_samples is {n_samples}")
     emp = complex(np.mean(np.exp(w, out=w)))
     deviation = abs(emp - analytic)
     tol = 4.0 / math.sqrt(n_samples)
@@ -678,58 +675,33 @@ def _cf_entry(chunks: Iterable[tuple[np.ndarray, np.ndarray]], n_samples: int, n
     )
 
 
-def empirical_cf(
-    x: np.ndarray,
-    y: np.ndarray,
-    n: int,
-    alpha_freq: float,
-    beta_freq: float,
-    c: float,
-    t: float,
-) -> CheckResult:
-    """Empirical characteristic function of endpoints conditioned on ``n``
-    switches versus the Bessel closed form ``2^{n/2} Gamma(n/2+1)
-    J_{n/2}(ct*g) / (ct*g)^{n/2}`` with ``g = sqrt(a^2 + b^2)``.
-
-    Tolerance is the Monte-Carlo scale ``4 / sqrt(N)``.  Holds the complex
-    buffer ``exp(i*(a*x + b*y))``, 16 bytes per sample.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return _cf_entry([(x, y)], x.size, n, alpha_freq, beta_freq, c, t)
-
-
 # ---------------------------------------------------------------------------
 # Law-agreement quantification (closed form vs series mixture vs the
 # constant-rate printed form).
 
 
-def law_agreement(
-    spec: FracPoissonSpec,
-    c: float,
-    t: float,
-    radii: np.ndarray | None = None,
-) -> CheckResult:
+def law_agreement(spec: FracPoissonSpec, c: float, t: float) -> CheckResult:
     """Pointwise agreement between the closed-form planar density and the
-    term-by-term mixture over the switch count, asserted at 1e-10 relative.
+    term-by-term mixture over the switch count at 40 radii from 0 to
+    ``0.995 ct``, asserted at 1e-10 relative.
 
     The constant-rate single-series form is evaluated alongside and its
     maximum relative deviation from the mixture is recorded in the details —
     it coincides at ``alpha = 1`` but is a genuinely different function for
-    ``alpha < 1``; no agreement is asserted for it.  ``Lambda(t) = 0``
-    leaves no absolutely continuous part (every mixture term is 0) and is
-    marked not applicable.
+    ``alpha < 1``; no agreement is asserted for it.  ``Lambda(t)`` below
+    the smallest normal double is marked not applicable: at 0 there is no
+    absolutely continuous part (every mixture term is 0), and a subnormal
+    ``Lambda`` keeps too few bits for a relative comparison.
     """
     law = planar_law(spec, c, t)
     tol = 1e-10
-    if cumulative_rate(spec.rate, t) == 0.0:
+    if cumulative_rate(spec.rate, t) < sys.float_info.min:
         return _not_applicable("planar-closed-vs-mixture", 0.0, tol,
-                               "Lambda=0 has no absolutely continuous part",
+                               "Lambda is 0 or subnormal: no absolutely continuous "
+                               "part to compare in double precision",
                                {"alpha": spec.alpha, "singular_weight": law.singular_weight})
-    if radii is None:
-        radii = c * t * np.linspace(0.0, 0.995, 40)
+    radii = c * t * np.linspace(0.0, 0.995, 40)
     lam_is_const = spec.rate.kind == "constant"
-    radii = np.asarray(radii, dtype=float)
     mix = np.array([mixture_density(spec, c, t, r) for r in radii.tolist()])
     pos = mix > 0.0
     closed = law.ac_density(radii[pos], 0.0)
@@ -742,7 +714,7 @@ def law_agreement(
     mass_err = abs(mass + law.singular_weight - 1.0)
     details = {
         "alpha": spec.alpha,
-        "n_radii": int(np.asarray(radii).size),
+        "n_radii": radii.size,
         "disk_mass_error": mass_err,
         "singular_weight": law.singular_weight,
     }
@@ -783,7 +755,7 @@ def _mc_check(alpha, lam, c, t, n_samples, seed):
 
 def _cf_check(alpha, lam, c, t, n_samples, seed):
     chunks = conditioned_chunks(2, c, t, n_samples, seed)
-    return [_cf_entry(chunks, n_samples, 2, 1.0, 0.0, c, t)]
+    return [empirical_cf(chunks, n_samples, 2, 1.0, 0.0, c, t)]
 
 
 # The checks by name, in the order ``verify --check`` lists them: each maps

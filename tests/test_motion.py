@@ -25,7 +25,6 @@ from fracmotion.motion import (
     Trajectory,
     _Substreams,
     conditioned_chunks,
-    conditioned_endpoints,
     endpoint_arrays,
     endpoint_blocks,
     endpoint_from_path,
@@ -35,6 +34,16 @@ from fracmotion.motion import (
 from fracmotion.specfun import ConvergenceError, DomainError, RangeOverflowError
 
 P_FLOOR = 0.001
+
+
+def laid_out_conditioned(n, c, t, n_samples, seed):
+    """The chunks of :func:`conditioned_chunks` laid end to end in two columns."""
+    xs, ys = np.empty(n_samples), np.empty(n_samples)
+    lo = 0
+    for x, y in conditioned_chunks(n, c, t, n_samples, seed):
+        xs[lo:lo + x.size], ys[lo:lo + x.size] = x, y
+        lo += x.size
+    return xs, ys
 
 
 def const_cfg(alpha: float = 1.0, lam: float = 1.0, c: float = 1.0, t: float = 1.0,
@@ -300,6 +309,7 @@ def test_batch_singular_samples_sit_on_circle():
     cols = endpoint_arrays(const_cfg(lam=1.0, c=2.0, t=0.5), 5000, seed=1)
     r = np.hypot(cols.x, cols.y)
     assert np.all(r <= 1.0 + 1e-12)
+    assert cols._fields == ("x", "y", "n")
     assert np.array_equal(cols.is_singular, cols.n == 0)
     on_circle = np.abs(r[cols.is_singular] - 1.0)
     assert float(on_circle.max(initial=0.0)) < 1e-12
@@ -331,7 +341,7 @@ def test_singular_fraction_within_3_sigma():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_conditioned_radius_matches_conditional_law(n):
-    x, y = conditioned_endpoints(n, 1.0, 1.0, 100_000, seed=40 + n)
+    x, y = laid_out_conditioned(n, 1.0, 1.0, 100_000, seed=40 + n)
     r = np.hypot(x, y)
     cdf = lambda v: 1.0 - (1.0 - np.clip(v, 0.0, 1.0) ** 2) ** (n / 2.0)  # noqa: E731
     p = scipy.stats.kstest(r, cdf).pvalue
@@ -339,7 +349,7 @@ def test_conditioned_radius_matches_conditional_law(n):
 
 
 def test_conditioned_angle_is_uniform():
-    x, y = conditioned_endpoints(2, 1.0, 1.0, 100_000, seed=8)
+    x, y = laid_out_conditioned(2, 1.0, 1.0, 100_000, seed=8)
     theta = np.mod(np.arctan2(y, x), 2.0 * math.pi)
     p = scipy.stats.kstest(theta / (2.0 * math.pi), "uniform").pvalue
     assert p > P_FLOOR
@@ -391,25 +401,13 @@ def test_conditioned_endpoints_replay_their_paths(n):
     # Row j is endpoint_from_path of row j's draws from one default_rng(seed):
     # the (N, n) instants first, then the (N, n + 1) directions.
     c, t, n_samples, seed = 2.5, 0.7, 300, 17
-    x, y = conditioned_endpoints(n, c, t, n_samples, seed)
+    x, y = laid_out_conditioned(n, c, t, n_samples, seed)
     rng = np.random.default_rng(seed)
     instants, directions = rng.random((n_samples, n)), rng.random((n_samples, n + 1))
     for j in range(n_samples):
         times = tuple(t * v for v in sorted(instants[j].tolist()))
         angles = tuple(2.0 * math.pi * v for v in directions[j].tolist())
         assert (x[j], y[j]) == endpoint_from_path(times, angles, c, t)
-
-
-def test_conditioned_endpoints_validation():
-    with pytest.raises(DomainError):
-        conditioned_endpoints(0, 1.0, 1.0, 100, seed=1)
-    with pytest.raises(DomainError):
-        conditioned_endpoints(2, 1.0, 1.0, 0, seed=1)
-
-
-def test_conditioned_endpoints_reject_negative_seed():
-    with pytest.raises(DomainError):
-        conditioned_endpoints(2, 1.0, 1.0, 10, seed=-1)
 
 
 def one_shot_conditioned_endpoints(n, c, t, n_samples, seed):
@@ -431,7 +429,7 @@ def test_chunked_conditioned_endpoints_match_the_one_shot_batch(n, seed, budget,
     for n_samples in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 1):
         if n_samples < 1:
             continue
-        x, y = conditioned_endpoints(n, 1.7, 0.6, n_samples, seed)
+        x, y = laid_out_conditioned(n, 1.7, 0.6, n_samples, seed)
         ref_x, ref_y = one_shot_conditioned_endpoints(n, 1.7, 0.6, n_samples, seed)
         assert np.array_equal(x, ref_x) and np.array_equal(y, ref_y), n_samples
 
@@ -442,7 +440,7 @@ def test_conditioned_endpoints_peak_allocation_is_bounded(n_samples, bound):
     # one chunk of draws and its temporaries.
     tracemalloc.start()
     try:
-        conditioned_endpoints(2, 1.0, 1.0, n_samples, seed=20260815)
+        laid_out_conditioned(2, 1.0, 1.0, n_samples, seed=20260815)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -500,7 +498,7 @@ def test_conditioned_chunks_lay_out_conditioned_endpoints(n, seed):
     n_samples = 2 * per_chunk + 5
     chunks = list(conditioned_chunks(n, 1.7, 0.6, n_samples, seed))
     assert [x.size for x, _ in chunks] == [per_chunk, per_chunk, 5]
-    x, y = conditioned_endpoints(n, 1.7, 0.6, n_samples, seed)
+    x, y = one_shot_conditioned_endpoints(n, 1.7, 0.6, n_samples, seed)
     assert np.array_equal(np.concatenate([cx for cx, _ in chunks]), x)
     assert np.array_equal(np.concatenate([cy for _, cy in chunks]), y)
 

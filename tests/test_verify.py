@@ -14,7 +14,7 @@ from fracmotion.densities import classical_planar_density, planar_law
 from fracmotion.motion import (
     EndpointArrays,
     MotionConfig,
-    conditioned_endpoints,
+    conditioned_chunks,
     endpoint_arrays,
     endpoint_blocks,
 )
@@ -296,7 +296,7 @@ def test_telegraph_margin_leaving_no_interior_is_rejected():
 
 def test_mc_gof_passes_on_matched_law(classical_batch):
     law = planar_law(const_spec(1.0, 1.0), 1.0, 1.0)
-    entries = {e.name: e for e in mc_gof(classical_batch, law)}
+    entries = {e.name: e for e in mc_gof([classical_batch], law)}
     assert entries["mc-singular-mass"].passed
     assert entries["mc-radial-chi2"].passed
     assert entries["mc-angle-ks"].passed
@@ -304,13 +304,13 @@ def test_mc_gof_passes_on_matched_law(classical_batch):
 
 def test_mc_gof_detects_mismatched_law(classical_batch):
     wrong = planar_law(const_spec(0.7, 1.0), 1.0, 1.0)
-    entries = {e.name: e for e in mc_gof(classical_batch, wrong)}
+    entries = {e.name: e for e in mc_gof([classical_batch], wrong)}
     assert not entries["mc-radial-chi2"].passed
 
 
 def test_mc_gof_merges_thin_bins(classical_batch):
     law = planar_law(const_spec(1.0, 1.0), 1.0, 1.0)
-    entries = {e.name: e for e in mc_gof(classical_batch, law, bins=2000)}
+    entries = {e.name: e for e in mc_gof([classical_batch], law, bins=2000)}
     assert entries["mc-radial-chi2"].details["bins_merged"] > 0
     assert entries["mc-radial-chi2"].passed
 
@@ -319,14 +319,14 @@ def test_mc_gof_requires_enough_samples():
     law = planar_law(const_spec(1.0, 1.0), 1.0, 1.0)
     cfg = MotionConfig(c=1.0, t=1.0, count_spec=const_spec(1.0, 1.0))
     with pytest.raises(DomainError):
-        mc_gof(endpoint_arrays(cfg, 1000, seed=0), law)
+        mc_gof(endpoint_blocks(cfg, 1000, seed=0), law)
 
 
 def test_mc_gof_p_values_match_scipy(classical_batch):
     from scipy import stats
 
     law = planar_law(const_spec(1.0, 1.0), 1.0, 1.0)
-    entries = {e.name: e for e in mc_gof(classical_batch, law)}
+    entries = {e.name: e for e in mc_gof([classical_batch], law)}
     radial = entries["mc-radial-chi2"]
     ref = stats.chi2.sf(radial.details["chi2"], radial.details["bins"] - 1)
     assert radial.statistic == pytest.approx(ref, rel=1e-12)
@@ -368,7 +368,7 @@ def test_mc_gof_over_blocks_equals_mc_gof_over_one_batch(alpha, lam, law_alpha, 
     law = planar_law(const_spec(law_alpha, lam), 1.3, 0.8)
     n_samples = 7 * 2**14 + 123
     streamed = mc_gof(endpoint_blocks(cfg, n_samples, seed=77), law, bins=bins)
-    whole = mc_gof(endpoint_arrays(cfg, n_samples, seed=77), law, bins=bins)
+    whole = mc_gof([endpoint_arrays(cfg, n_samples, seed=77)], law, bins=bins)
     assert [e.to_dict() for e in streamed] == [e.to_dict() for e in whole]
 
 
@@ -395,7 +395,7 @@ def batch_on_the_rim(n_singular: int, n_moving: int, seed: int = 5) -> EndpointA
     r[n_singular:] = np.sqrt(rng.random(n_moving))
     n = np.zeros(theta.size, dtype=np.int64)
     n[n_singular:] = 1
-    return EndpointArrays(x=r * np.cos(theta), y=r * np.sin(theta), n=n, is_singular=n == 0)
+    return EndpointArrays(x=r * np.cos(theta), y=r * np.sin(theta), n=n)
 
 
 @pytest.mark.parametrize("lam,n_singular,n_moving,z", [
@@ -407,7 +407,7 @@ def batch_on_the_rim(n_singular: int, n_moving: int, seed: int = 5) -> EndpointA
 def test_singular_mass_with_zero_variance_is_exact_agreement(lam, n_singular, n_moving, z):
     law = planar_law(const_spec(0.5, lam), 1.0, 1.0)
     assert law.singular_weight in (0.0, 1.0)
-    entry = mc_gof(batch_on_the_rim(n_singular, n_moving), law)[0]
+    entry = mc_gof([batch_on_the_rim(n_singular, n_moving)], law)[0]
     assert entry.name == "mc-singular-mass"
     assert entry.details["z"] == z and entry.statistic == abs(z)
     assert entry.passed == (z == 0.0)
@@ -416,7 +416,7 @@ def test_singular_mass_with_zero_variance_is_exact_agreement(lam, n_singular, n_
 @pytest.mark.parametrize("n_moving", [0, 3])
 def test_radial_test_without_two_merged_bins_is_not_applicable(n_moving):
     law = planar_law(const_spec(0.5, 1e-9), 1.0, 1.0)
-    radial = mc_gof(batch_on_the_rim(100_000 - n_moving, n_moving), law)[1]
+    radial = mc_gof([batch_on_the_rim(100_000 - n_moving, n_moving)], law)[1]
     assert radial.name == "mc-radial-chi2"
     assert radial.passed and radial.statistic == 1.0
     assert radial.details["status"] == "not-applicable"
@@ -448,8 +448,8 @@ def test_monte_carlo_rows_peak_allocation_is_bounded(name):
 
 
 @pytest.fixture(scope="module")
-def cf_samples():
-    return conditioned_endpoints(2, 1.0, 1.0, 100_000, seed=99)
+def cf_chunks():
+    return list(conditioned_chunks(2, 1.0, 1.0, 100_000, seed=99))
 
 
 @pytest.mark.parametrize("n_samples,seed,c,t", [
@@ -457,37 +457,44 @@ def cf_samples():
 def test_cf_row_equals_empirical_cf_of_the_whole_batch(n_samples, seed, c, t):
     # The row writes each chunk's phases into the buffer the whole batch fills.
     (row,) = run_check("cf", 0.5, 1.0, c, t, n_samples, seed)
-    x, y = conditioned_endpoints(2, c, t, n_samples, seed)
-    assert row.to_dict() == empirical_cf(x, y, 2, 1.0, 0.0, c, t).to_dict()
+    x, y = (np.concatenate(col) for col in zip(*conditioned_chunks(2, c, t, n_samples, seed)))
+    assert row.to_dict() == empirical_cf([(x, y)], n_samples, 2, 1.0, 0.0, c, t).to_dict()
 
 
-def test_cf_zero_frequency_is_exact(cf_samples):
-    x, y = cf_samples
-    check = empirical_cf(x, y, 2, 0.0, 0.0, 1.0, 1.0)
+def test_cf_zero_frequency_is_exact(cf_chunks):
+    check = empirical_cf(cf_chunks, 100_000, 2, 0.0, 0.0, 1.0, 1.0)
     assert check.details["analytic"] == 1.0
     assert check.statistic <= 1e-12
 
 
-def test_cf_matches_bessel_form(cf_samples):
-    x, y = cf_samples
-    check = empirical_cf(x, y, 2, 1.0, 0.0, 1.0, 1.0)
+def test_cf_matches_bessel_form(cf_chunks):
+    check = empirical_cf(cf_chunks, 100_000, 2, 1.0, 0.0, 1.0, 1.0)
     assert check.passed
     assert check.details["analytic"] == pytest.approx(0.8801012, abs=1e-7)
 
 
-def test_cf_high_frequency_decays(cf_samples):
-    x, y = cf_samples
-    check = empirical_cf(x, y, 2, 30.0, 0.0, 1.0, 1.0)
+def test_cf_high_frequency_decays(cf_chunks):
+    check = empirical_cf(cf_chunks, 100_000, 2, 30.0, 0.0, 1.0, 1.0)
     assert abs(check.details["analytic"]) < 0.05
     assert check.passed
 
 
-def test_cf_validation(cf_samples):
-    x, y = cf_samples
+def test_cf_validation(cf_chunks):
     with pytest.raises(DomainError):
-        empirical_cf(x, y, 0, 1.0, 0.0, 1.0, 1.0)
+        empirical_cf(cf_chunks, 100_000, 0, 1.0, 0.0, 1.0, 1.0)
     with pytest.raises(DomainError):
-        empirical_cf(x[:100], y[:100], 2, 1.0, 0.0, 1.0, 1.0)
+        empirical_cf(cf_chunks[:1], 100, 2, 1.0, 0.0, 1.0, 1.0)
+
+
+def test_cf_rejects_chunks_short_of_n_samples(cf_chunks):
+    # The phases left unwritten would each add exp(0) = 1 to the mean.
+    with pytest.raises(DomainError, match="chunks hold 3276 endpoints, but n_samples is 100000"):
+        empirical_cf(cf_chunks[:1], 100_000, 2, 1.0, 0.0, 1.0, 1.0)
+
+
+def test_cf_rejects_chunks_past_n_samples(cf_chunks):
+    with pytest.raises(DomainError, match="chunks hold 200000 endpoints, but n_samples is 100000"):
+        empirical_cf(cf_chunks + cf_chunks, 100_000, 2, 1.0, 0.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -606,24 +613,20 @@ def test_check_result_coerces_numpy_scalars():
     json.dumps(check.to_dict())
 
 
-def test_report_roundtrip_and_stable_order():
+def test_report_entry_schema():
+    entry = CheckResult("demo", 1.0, 2.0, True, {"k": 1}).to_dict()
+    assert set(entry) == {"check", "statistic", "tolerance", "pass", "details"}
+
+
+def test_report_json_keeps_entry_order_and_sorts_keys():
     checks = [
         CheckResult("b-check", 0.1, 1.0, True, {"n": 2}),
         CheckResult("a-check", 0.9, 0.5, False, {}),
     ]
-    report = VerificationReport(checks=checks, manifest={"seed": 7, "alpha": 0.5})
-    text = report.to_json()
-    again = VerificationReport.from_json(text)
-    assert again.to_json() == text
-    assert [c.name for c in again.checks] == ["b-check", "a-check"]
-    assert not again.all_passed
-    payload = json.loads(text)
+    payload = json.loads(VerificationReport(checks=checks, manifest={"seed": 7}).to_json())
+    assert [entry["check"] for entry in payload["checks"]] == ["b-check", "a-check"]
+    assert payload["all_passed"] is False
     assert list(payload["checks"][0]) == sorted(payload["checks"][0])
-
-
-def test_report_entry_schema():
-    entry = CheckResult("demo", 1.0, 2.0, True, {"k": 1}).to_dict()
-    assert set(entry) == {"check", "statistic", "tolerance", "pass", "details"}
 
 
 # ---------------------------------------------------------------------------
