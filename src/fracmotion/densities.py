@@ -49,6 +49,7 @@ from .counting import (
     cumulative_rate,
 )
 from .specfun import (
+    ConvergenceError,
     DomainError,
     MLParams,
     WrightSeriesSpec,
@@ -191,9 +192,28 @@ def _count_mixture(spec, c: float, t: float, r: float, kernel: Callable[[int], f
 def mixture_density(spec: FracPoissonSpec, c: float, t: float, r: float) -> float:
     """Term-by-term mixture Σ_{n≥1} f_n(r)·P{N=n}: the independent
     cross-check for the collapsed form in :func:`planar_law`, summed at
-    rel_tol 1e-14 with at most 500 terms."""
-    return _count_mixture(spec, c, t, r, lambda n: conditional_density(n, c, t, r),
-                          1, 500, 0, "planar mixture")
+    rel_tol 1e-14 with at most 500 terms.  Each term has the arithmetic of
+    :func:`conditional_density`, whose arguments are checked once per call.
+    Where every term is 0 (at Λ = 0, or at a Λ so small that every term
+    underflows) the value is 0.0."""
+    ct = c * t
+    w2 = c * c * t * t - r * r
+
+    def kernel(n: int) -> float:
+        return n * w2 ** (n / 2.0 - 1.0) / (_TWO_PI * ct ** n)
+
+    try:
+        return _count_mixture(spec, c, t, r, kernel, 1, 500, 0, "planar mixture")
+    except ConvergenceError as err:
+        # positive_series cannot tell leading terms that underflowed before
+        # the series rises from a series of zeros.  The count law's
+        # log-weight n·ln Λ − ln Γ(αn + 1) is concave in n, so past its table
+        # the pmf only falls: once it is 0 there, so is every later term.
+        dist = count_distribution(spec, t)
+        end = 1 + err.terms_used
+        if err.partial_sum == 0.0 and end >= dist.support_size and dist.pmf(end) == 0.0:
+            return 0.0
+        raise
 
 
 def planar_density_const_rate(alpha: float, lam: float, c: float, t: float, x, y):

@@ -25,6 +25,13 @@ longer path is drawn by numpy's own PCG64 set to its bulk-seeded state.
 A path with more than ``2**20`` switches takes its endpoint from the exact
 law given ``n`` switches instead (radius ``ct * sqrt(1 - v**(2/n))``).
 
+The endpoint kernel sorts the instants of many short rows by a sorting
+network of whole-column compare-exchanges, and lays segments and products
+out draw-major, one column per segment, so that ``np.add.reduce`` sums each
+row by adding whole columns left to right, the order of the scalar loop,
+without writing prefix sums.  A one-row chunk is contiguous along the sum,
+where numpy would add pairwise, so it takes a running sum instead.
+
 :func:`endpoint_blocks` hands out the blocks one at a time, each drawn when
 it is asked for, so a consumer that reduces or writes a block and drops it
 before asking for the next holds one block: 32 bytes of stream state and
@@ -426,6 +433,42 @@ def _radii(ct: float, u: np.ndarray, inv_a: float) -> np.ndarray:
     return ct * np.sqrt(-np.expm1(np.log1p(-u) * inv_a))
 
 
+# Size-optimal sorting networks of 1 .. 8 keys (Knuth, TAOCP vol. 3,
+# 5.3.4).  A compare-exchange of two whole columns costs about as much as
+# sorting 30 to 40 rows with ``sort(axis=1)``, so a network sorts only
+# groups with more than 40 rows per compare-exchange.
+_SORT_NETWORKS = {
+    1: (),
+    2: ((0, 1),),
+    3: ((0, 2), (0, 1), (1, 2)),
+    4: ((0, 2), (1, 3), (0, 1), (2, 3), (1, 2)),
+    5: ((0, 3), (1, 4), (0, 2), (1, 3), (0, 1), (2, 4), (1, 2), (3, 4), (2, 3)),
+    6: ((0, 5), (1, 3), (2, 4), (1, 2), (3, 4), (0, 3), (2, 5), (0, 1), (2, 3), (4, 5),
+        (1, 2), (3, 4)),
+    7: ((0, 6), (2, 3), (4, 5), (0, 2), (1, 4), (3, 6), (0, 1), (2, 5), (3, 4), (1, 2),
+        (4, 6), (2, 3), (4, 5), (1, 2), (3, 4), (5, 6)),
+    8: ((0, 2), (1, 3), (4, 6), (5, 7), (0, 4), (1, 5), (2, 6), (3, 7), (0, 1), (2, 3),
+        (4, 5), (6, 7), (2, 4), (3, 5), (1, 4), (3, 6), (1, 2), (3, 4), (5, 6)),
+}
+_NETWORK_ROWS_PER_EXCHANGE = 40
+
+
+def _sort_rows(times: np.ndarray) -> None:
+    """Sort each row of ``times`` in place, by a sorting network for short
+    rows of many paths, else by ``sort``.  Either way each row only permutes
+    its values."""
+    network = _SORT_NETWORKS.get(times.shape[1])
+    if network is None or times.shape[0] <= _NETWORK_ROWS_PER_EXCHANGE * len(network):
+        times.sort(axis=1)
+        return
+    low = np.empty(times.shape[0])
+    for i, j in network:
+        a, b = times[:, i], times[:, j]
+        np.minimum(a, b, out=low)
+        np.maximum(a, b, out=b)
+        a[...] = low
+
+
 def _endpoints(c: float, t: float, n: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints of paths with ``n`` switches from their uniforms (one row
     per path: ``n`` instants, then ``n + 1`` directions), in the arithmetic
@@ -436,21 +479,30 @@ def _endpoints(c: float, t: float, n: int, u: np.ndarray) -> tuple[np.ndarray, n
         ct = c * t
         return ct * np.cos(theta[:, 0]), ct * np.sin(theta[:, 0])
     times = u[:, :n]
-    times.sort(axis=1)
+    _sort_rows(times)
     times *= t
-    seg = np.empty_like(theta)  # edges 1 .. n + 1, less edges 0 .. n
+    # Draw-major, one column per segment, for _row_sums.
+    seg = np.empty((n + 1, u.shape[0])).T  # edges 1 .. n + 1, less edges 0 .. n
     seg[:, :n] = times
     seg[:, n] = t
     seg[:, 1:] -= times
-    # Row sums accumulate left to right like the scalar loop; its leading
-    # 0.0 turns a -0.0 total into 0.0, hence the + 0.0.
-    prod = np.cos(theta)
+    # The scalar loop's leading 0.0 turns a -0.0 total into 0.0, hence + 0.0.
+    prod = np.cos(theta, out=np.empty_like(seg))
     prod *= seg
-    x = np.cumsum(prod, axis=1, out=prod)[:, -1] + 0.0
+    x = _row_sums(prod) + 0.0
     np.sin(theta, out=prod)
     prod *= seg
-    y = np.cumsum(prod, axis=1, out=prod)[:, -1] + 0.0
+    y = _row_sums(prod) + 0.0
     return c * x, c * y
+
+
+def _row_sums(prod: np.ndarray) -> np.ndarray:
+    """Left-to-right row sums of a draw-major array: whole columns added in
+    turn.  One row is contiguous along the sum, where numpy would add
+    pairwise, so it takes a running sum instead."""
+    if prod.shape[0] == 1:
+        return np.cumsum(prod, axis=1, out=prod)[:, -1]
+    return np.add.reduce(prod, axis=1)
 
 
 def _block_endpoints(cfg: MotionConfig, dist: CountDistribution, seed: int,

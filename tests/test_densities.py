@@ -186,6 +186,17 @@ def test_underflowed_leading_terms_do_not_end_a_series():
         mixture_density(spec, 1.0, 1.0, 0.3)
 
 
+@pytest.mark.parametrize("lam", [0.0, 5e-324])
+def test_mixture_density_is_zero_where_every_term_is_zero(lam):
+    # No switch at Lambda = 0; at the smallest subnormal Lambda the n = 1
+    # term underflows and the pmf of every n >= 2 is 0.
+    assert mixture_density(const_spec(0.5, lam), 1.0, 1.0, 0.3) == 0.0
+
+
+def test_mixture_density_keeps_a_subnormal_value():
+    assert mixture_density(const_spec(0.5, 1e-310), 1.0, 1.0, 0.3) == 1.8825845699433e-311
+
+
 @pytest.mark.parametrize("method", ["series", "wright"])
 def test_line_density_below_double_range_is_zero(method):
     # At alpha = 0.2, Lambda = 5 the density at |x| >= 0.35 is below the double

@@ -410,6 +410,39 @@ def test_conditioned_endpoints_replay_their_paths(n):
         assert (x[j], y[j]) == endpoint_from_path(times, angles, c, t)
 
 
+# ---------------------------------------------------------------------------
+# The endpoint kernel
+
+
+@pytest.mark.parametrize("n", sorted(motion._SORT_NETWORKS))
+def test_sort_networks_sort_every_zero_one_row(n, monkeypatch):
+    # A comparator network that sorts every 0/1 input sorts every input.
+    monkeypatch.setattr(motion, "_NETWORK_ROWS_PER_EXCHANGE", 0)
+    rows = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(float)
+    want = np.sort(rows, axis=1)
+    motion._sort_rows(rows)
+    assert np.array_equal(rows, want)
+
+
+@pytest.mark.parametrize("network_rows", [None, 0])
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 20, 60])
+@pytest.mark.parametrize("rows", [1, 2, 3, 40, 400])
+def test_endpoint_kernel_rows_replay_their_paths(rows, n, layout, network_rows, monkeypatch):
+    # One row takes a running sum, more rows add whole columns; short rows
+    # of enough paths sort by a network (every group of 2 .. 8 instants at
+    # network_rows = 0).  Either way row j is endpoint_from_path of its draws.
+    if network_rows is not None:
+        monkeypatch.setattr(motion, "_NETWORK_ROWS_PER_EXCHANGE", network_rows)
+    c, t = 1.3, 0.7
+    draws = np.random.default_rng((rows, n)).random((rows, 2 * n + 1))
+    x, y = motion._endpoints(c, t, n, np.array(draws, order=layout))
+    for j, row in enumerate(draws.tolist()):
+        times = tuple(t * v for v in sorted(row[:n]))
+        angles = tuple(2.0 * math.pi * v for v in row[n:])
+        assert (x[j], y[j]) == endpoint_from_path(times, angles, c, t), j
+
+
 def one_shot_conditioned_endpoints(n, c, t, n_samples, seed):
     """The whole batch in one call: all instants, then all directions."""
     rng = np.random.default_rng(seed)

@@ -260,6 +260,62 @@ def test_telegraph_bands_do_not_change_the_result(negative, monkeypatch):
     assert results[0] == results[1] == results[2]
 
 
+def full_square_telegraph(lam, c, t, h, density=None, cone_margin=None):
+    """telegraph_residual's entry from the density and the stencil at every
+    point of the square at once."""
+    name = "telegraph-pde" if density is None else "telegraph-pde-negative-control"
+    if density is None:
+        density = lambda xx, yy, tt: classical_planar_density(lam, c, tt, xx, yy)  # noqa: E731
+    if cone_margin is None:
+        cone_margin = max(5.0 * h * max(1.0, c), 0.05 * c * t)
+    n_side = int(math.floor(c * t / h))
+    axis = h * np.arange(-n_side, n_side + 1)
+    x, y = axis[:, None], axis[None, :]
+    p_lo, p_mid, p_hi = (density(x, y, tt) for tt in (t - h, t, t + h))
+    lap = np.full_like(p_mid, np.nan)
+    lap[1:-1, 1:-1] = (
+        p_mid[2:, 1:-1] + p_mid[:-2, 1:-1] + p_mid[1:-1, 2:] + p_mid[1:-1, :-2]
+        - 4.0 * p_mid[1:-1, 1:-1]
+    ) / (h * h)
+    resid = ((p_hi - 2.0 * p_mid + p_lo) / (h * h) + 2.0 * lam * ((p_hi - p_lo) / (2.0 * h))
+             - c * c * lap)
+    mask = np.sqrt(x * x + y * y) <= c * (t - h) - cone_margin
+    assert not np.isnan(resid[mask]).any()
+    statistic = float(np.max(np.abs(resid[mask])) / np.max(np.abs(c * c * lap[mask])))
+    interior = int(np.count_nonzero(mask))
+    return {
+        "check": name,
+        "statistic": statistic,
+        "tolerance": 100.0 * h * h,
+        "pass": statistic <= 100.0 * h * h,
+        "details": {"lambda": lam, "c": c, "t": t, "h": h, "interior_points": interior,
+                    "excluded_points": mask.size - interior, "cone_margin": cone_margin},
+    }
+
+
+@pytest.mark.parametrize("lam,c,t,h,margin", [
+    (3.0, 0.7, 1.3, 1.0 / 128.0, None),
+    (3.0, 1.5, 1.3, 1.0 / 128.0, None),
+    (3.0, 0.7, 1.3, 1.0 / 64.0, None),
+    (3.0, 0.7, 1.3, 1.0 / 128.0, 5.0 / 128.0),
+    # The disk's edge on the grid point y = 0.59 of the middle row, where
+    # floor(radius / h) rounds to 58: that column is a guard column's.
+    (1.0, 1.0, 1.0, 1.0 / 100.0, 0.4),
+])
+def test_telegraph_disk_columns_give_the_full_square_entry(lam, c, t, h, margin):
+    # Each band evaluates only the columns that can hold a disk point; the
+    # entry is the one of the whole square, bit for bit.
+    got = telegraph_residual(lam, c, t, h, cone_margin=margin).to_dict()
+    assert got == full_square_telegraph(lam, c, t, h, cone_margin=margin)
+
+
+def test_telegraph_negative_control_gives_the_full_square_entry():
+    squared = lambda x, y, t: classical_planar_density(1.0, 1.0, t, x, y) ** 2  # noqa: E731
+    got = telegraph_residual(1.0, 1.0, density=squared).to_dict()
+    assert got == full_square_telegraph(1.0, 1.0, 2.0, 1.0 / 256.0, density=squared)
+    assert not got["pass"]
+
+
 def test_telegraph_default_check_memory():
     import tracemalloc
 
