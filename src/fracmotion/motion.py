@@ -433,10 +433,12 @@ def _radii(ct: float, u: np.ndarray, inv_a: float) -> np.ndarray:
     return ct * np.sqrt(-np.expm1(np.log1p(-u) * inv_a))
 
 
-# Size-optimal sorting networks of 1 .. 8 keys (Knuth, TAOCP vol. 3,
+# Size-optimal sorting networks of 1 .. 6 keys (Knuth, TAOCP vol. 3,
 # 5.3.4).  A compare-exchange of two whole columns costs about as much as
 # sorting 30 to 40 rows with ``sort(axis=1)``, so a network sorts only
-# groups with more than 40 rows per compare-exchange.
+# groups with more than 40 rows per compare-exchange.  A block of 2**14
+# samples seldom holds enough rows of 7 or more instants for a network to
+# pay, so those rows always take ``sort``.
 _SORT_NETWORKS = {
     1: (),
     2: ((0, 1),),
@@ -445,10 +447,6 @@ _SORT_NETWORKS = {
     5: ((0, 3), (1, 4), (0, 2), (1, 3), (0, 1), (2, 4), (1, 2), (3, 4), (2, 3)),
     6: ((0, 5), (1, 3), (2, 4), (1, 2), (3, 4), (0, 3), (2, 5), (0, 1), (2, 3), (4, 5),
         (1, 2), (3, 4)),
-    7: ((0, 6), (2, 3), (4, 5), (0, 2), (1, 4), (3, 6), (0, 1), (2, 5), (3, 4), (1, 2),
-        (4, 6), (2, 3), (4, 5), (1, 2), (3, 4), (5, 6)),
-    8: ((0, 2), (1, 3), (4, 6), (5, 7), (0, 4), (1, 5), (2, 6), (3, 7), (0, 1), (2, 3),
-        (4, 5), (6, 7), (2, 4), (3, 5), (1, 4), (3, 6), (1, 2), (3, 4), (5, 6)),
 }
 _NETWORK_ROWS_PER_EXCHANGE = 40
 
@@ -499,7 +497,12 @@ def _endpoints(c: float, t: float, n: int, u: np.ndarray) -> tuple[np.ndarray, n
 def _row_sums(prod: np.ndarray) -> np.ndarray:
     """Left-to-right row sums of a draw-major array: whole columns added in
     turn.  One row is contiguous along the sum, where numpy would add
-    pairwise, so it takes a running sum instead."""
+    pairwise, so it takes a running sum instead.
+
+    That ``np.add.reduce`` adds a non-contiguous axis column by column is
+    how numpy's iterator lays out the loop, not a documented guarantee;
+    ``test_endpoint_kernel_rows_replay_their_paths`` checks it against the
+    scalar loop, and CI runs that test on the oldest numpy allowed too."""
     if prod.shape[0] == 1:
         return np.cumsum(prod, axis=1, out=prod)[:, -1]
     return np.add.reduce(prod, axis=1)
