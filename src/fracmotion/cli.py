@@ -223,6 +223,9 @@ def cmd_density(config: RunConfig) -> int:
     """Dump a law on a grid: ``coord,density`` CSV plus sidecar JSON."""
     p = config.params
     coord_name, evaluate, singular_weight, in_support = _density_evaluator(p)
+    # --grid-min and --grid-max are finite, but their difference can overflow.
+    if not math.isfinite(p["grid_max"] - p["grid_min"]):
+        raise DomainError(f"grid [{p['grid_min']}, {p['grid_max']}] is not a finite range")
     grid = np.linspace(p["grid_min"], p["grid_max"], p["grid_points"])
     inside = in_support(grid)
     values = np.full(grid.size, math.nan)
@@ -312,6 +315,16 @@ def _rate_value(text: str) -> float:
     return value
 
 
+def _finite_value(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every
@@ -350,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="flight dimension (flight law only)")
     den.add_argument("--method", choices=["series", "wright"], default="series",
                      help="line-law evaluation path")
-    den.add_argument("--grid-min", dest="grid_min", type=float, default=0.0)
-    den.add_argument("--grid-max", dest="grid_max", type=float, default=1.0)
+    den.add_argument("--grid-min", dest="grid_min", type=_finite_value, default=0.0)
+    den.add_argument("--grid-max", dest="grid_max", type=_finite_value, default=1.0)
     den.add_argument("--grid-points", dest="grid_points", type=_positive_int, default=100)
     den.add_argument("--out", default=None, help="CSV path")
 

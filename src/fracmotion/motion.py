@@ -30,7 +30,13 @@ network of whole-column compare-exchanges, and lays segments and products
 out draw-major, one column per segment, so that ``np.add.reduce`` sums each
 row by adding whole columns left to right, the order of the scalar loop,
 without writing prefix sums.  A one-row chunk is contiguous along the sum,
-where numpy would add pairwise, so it takes a running sum instead.
+where numpy would add pairwise, so it takes a running sum instead.  The
+kernel forms a chunk's x (cosines) on one daemon worker thread, started at
+the first such chunk, while the caller forms its y (sines): numpy releases
+the GIL over each elementwise loop, and the bits are those of the serial
+code.  Both coordinates stay on the caller for a chunk of fewer than
+``_PAIR_MIN_ANGLES`` angles, in a process bound to one CPU, and while the
+worker serves another thread.
 
 :func:`endpoint_blocks` hands out the blocks one at a time, each drawn when
 it is asked for, so a consumer that reduces or writes a block and drops it
@@ -53,6 +59,8 @@ of at most ``_DRAW_BUDGET`` uniforms one at a time, as
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Sequence
@@ -470,12 +478,19 @@ def _sort_rows(times: np.ndarray) -> None:
 def _endpoints(c: float, t: float, n: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints of paths with ``n`` switches from their uniforms (one row
     per path: ``n`` instants, then ``n + 1`` directions), in the arithmetic
-    order of :func:`endpoint_from_path`.  Overwrites ``u``."""
+    order of :func:`endpoint_from_path`.  Overwrites ``u``.
+
+    The two coordinates are formed apart, x from the cosines and y from the
+    sines, by :func:`_pair`: x on its worker thread while y is formed here,
+    or both here, one after the other, for a chunk of fewer than
+    ``_PAIR_MIN_ANGLES`` angles, on one CPU, or while the worker serves
+    another thread."""
     theta = u[:, n:]
     theta *= _TWO_PI
     if n == 0:
         ct = c * t
-        return ct * np.cos(theta[:, 0]), ct * np.sin(theta[:, 0])
+        angle = theta[:, 0]
+        return _pair(angle.size, lambda: ct * np.cos(angle), lambda: ct * np.sin(angle))
     times = u[:, :n]
     _sort_rows(times)
     times *= t
@@ -484,14 +499,14 @@ def _endpoints(c: float, t: float, n: int, u: np.ndarray) -> tuple[np.ndarray, n
     seg[:, :n] = times
     seg[:, n] = t
     seg[:, 1:] -= times
-    # The scalar loop's leading 0.0 turns a -0.0 total into 0.0, hence + 0.0.
-    prod = np.cos(theta, out=np.empty_like(seg))
-    prod *= seg
-    x = _row_sums(prod) + 0.0
-    np.sin(theta, out=prod)
-    prod *= seg
-    y = _row_sums(prod) + 0.0
-    return c * x, c * y
+
+    def coordinate(trig) -> np.ndarray:
+        prod = trig(theta, out=np.empty_like(seg))
+        prod *= seg
+        # The scalar loop's leading 0.0 turns a -0.0 total into 0.0, hence + 0.0.
+        return c * (_row_sums(prod) + 0.0)
+
+    return _pair(theta.size, lambda: coordinate(np.cos), lambda: coordinate(np.sin))
 
 
 def _row_sums(prod: np.ndarray) -> np.ndarray:
@@ -506,6 +521,92 @@ def _row_sums(prod: np.ndarray) -> np.ndarray:
     if prod.shape[0] == 1:
         return np.cumsum(prod, axis=1, out=prod)[:, -1]
     return np.add.reduce(prod, axis=1)
+
+
+# ---------------------------------------------------------------------------
+# The two coordinates on two cores.
+#
+# Each coordinate of a chunk is a few elementwise numpy calls (cos or sin,
+# the products, the row sums), which release the GIL over their loops, so
+# one daemon thread forms x while the calling thread forms y, with the bits
+# of the serial code.  Work passes through two SimpleQueues.  Handing a
+# chunk over and waking the worker cost about as much as one coordinate of
+# 1 000 to 2 500 angles takes, so a smaller chunk stays on the caller.
+
+_PAIR_MIN_ANGLES = 2048  # a chunk of fewer angles forms both coordinates on the caller
+_PAIR_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)  # CPUs the process may run on
+_pair_lock = threading.Lock()  # held by the one caller the worker serves
+_pair_queues = None  # the worker's (todo, done) queues, once it has started
+
+
+def _pair(angles: int, first, second) -> tuple:
+    """``(first(), second())`` for a chunk of ``angles`` angles: ``first``
+    on the worker thread while ``second`` runs here.  Both run here, one
+    after the other, for fewer than ``_PAIR_MIN_ANGLES`` angles, in a
+    process bound to one CPU, or while the worker serves another thread.
+    An exception raised by ``first`` is raised here."""
+    global _pair_queues
+    lock = _pair_lock
+    if angles < _PAIR_MIN_ANGLES or _PAIR_CPUS < 2 or not lock.acquire(blocking=False):
+        return first(), second()
+    try:
+        if _pair_queues is None:
+            _pair_queues = _start_worker()
+        todo, done = _pair_queues
+        todo.put(first)
+        try:
+            ours = second()
+        finally:
+            try:
+                ok, theirs = done.get()
+            except BaseException:
+                # Interrupted (say by KeyboardInterrupt) before the worker's
+                # result came: leave that worker and its queues behind, so
+                # that no later call reads this call's result as its own.
+                _pair_queues = None
+                raise
+        if not ok:
+            raise theirs
+        return theirs, ours
+    finally:
+        lock.release()
+
+
+def _start_worker() -> tuple:
+    """Start the worker thread and return its ``(todo, done)`` queues."""
+    import queue  # only a process that pairs a chunk loads it
+
+    todo, done = queue.SimpleQueue(), queue.SimpleQueue()
+    threading.Thread(target=_serve, args=(todo, done), name="fracmotion-pair",
+                     daemon=True).start()
+    return todo, done
+
+
+def _serve(todo, done) -> None:
+    """The worker's loop: call each function put on ``todo`` and put
+    ``(True, result)`` or ``(False, exception)`` on ``done``."""
+    while True:
+        done.put(_call(todo.get()))
+
+
+def _call(f) -> tuple:
+    try:
+        return True, f()
+    except BaseException as exc:  # the caller raises it; left uncaught, the caller would hang
+        return False, exc
+
+
+def _forget_worker() -> None:
+    """In a forked child, where the worker thread did not come along: the
+    next paired call starts a worker of the child's own."""
+    global _pair_lock, _pair_queues
+    _pair_lock = threading.Lock()
+    _pair_queues = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _block_endpoints(cfg: MotionConfig, dist: CountDistribution, seed: int,

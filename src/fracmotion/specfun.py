@@ -363,7 +363,8 @@ def _log_window_sum(log_terms, z, n_hat, order: float, what: str):
     log-term m plus ln(fsum(exp(log-terms - m))): no row depends on another.
     """
     peak = np.floor(n_hat)
-    half = np.ceil(np.sqrt(2.0 * _ML_TAIL_NATS * np.maximum(n_hat, 1.0) / order)) + 16.0
+    with np.errstate(over="ignore"):  # an infinite width is refused just below
+        half = np.ceil(np.sqrt(2.0 * _ML_TAIL_NATS * np.maximum(n_hat, 1.0) / order)) + 16.0
     _check_window(2.0 * half + 1.0, z, what)
     floor = log_terms(np.arange(peak.size), peak[:, None])[:, 0] - _ML_TAIL_NATS
     lo, hi = (_window_edge(log_terms, peak, half, floor, side, z, what) for side in (-1.0, 1.0))

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -361,6 +362,45 @@ def test_bad_lambda_is_rejected_at_parse_time(tmp_path, capsys, check, lam):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--grid-min", "--grid-max"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
+def test_non_finite_grid_bound_is_rejected_at_parse_time(tmp_path, capsys, flag, value):
+    # A nan or infinite bound used to write an all-nan grid and exit 0.
+    out = tmp_path / "bad.csv"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["density", "--law", "planar", f"{flag}={value}", "--out", str(out)])
+    assert excinfo.value.code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"argument {flag}: must be a finite number, got {value}")
+    assert not out.exists()
+
+
+def test_grid_range_past_the_double_range_is_usage_error(tmp_path, capsys):
+    # Finite bounds whose difference overflows give no finite grid either.
+    out = tmp_path / "bad.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["density", "--law", "line", "--grid-min=-1e308", "--grid-max", "1e308",
+                   "--out", str(out)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["fracmotion: invalid configuration: grid [-1e+308, 1e+308] is not a "
+                   "finite range"]
+    assert not out.exists()
+
+
+def test_window_past_the_double_range_exits_3_without_a_numpy_warning(tmp_path):
+    # The window width overflows to inf before the cap refuses it; numpy's
+    # overflow warning must not reach stderr on the way.
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "fracmotion.cli", "simulate", "--samples", "10",
+         "--t", "1e308", "--out", str(tmp_path / "x.csv")],
+        env=package_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_NUMERIC
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("fracmotion: numeric failure: ")
+
+
 @pytest.mark.parametrize("lam", ["27", "50", "1000"])
 def test_eigenfunction_profile_past_double_range_is_a_numeric_error(tmp_path, capsys, lam):
     # At alpha = 0.5 the profile tops out at E_{1/2}(lam) ~ 2 exp(lam^2),
@@ -626,7 +666,7 @@ codes = [
     main(["verify", "--check", "mc", "--out", out + "/verify_report.json"]),
     main(["simulate", "--alpha", "0.5", "--samples", "100", "--out", out + "/sim.csv"]),
 ]
-heavy = ("scipy", "importlib.metadata", "email")
+heavy = ("scipy", "importlib.metadata", "email", "concurrent.futures")
 print(json.dumps({"codes": codes, "loaded": sorted(m for m in sys.modules if m.startswith(heavy))}))
 """
 
@@ -651,6 +691,20 @@ def run_script(script: str, tmp_path: Path) -> dict:
 def test_cli_commands_load_no_scipy(tmp_path):
     result = run_script(NO_SCIPY_SCRIPT, tmp_path)
     assert result == {"codes": [EXIT_OK, EXIT_OK, EXIT_OK], "loaded": []}
+
+
+IMPORT_SCRIPT = """
+import json, sys, threading
+before = threading.active_count()
+import fracmotion.cli
+print(json.dumps({"threads": threading.active_count() - before,
+                  "loaded": sorted(m for m in sys.modules if m.startswith("concurrent"))}))
+"""
+
+
+def test_importing_the_cli_starts_no_thread(tmp_path):
+    # The endpoint kernel's worker thread starts at the first paired chunk.
+    assert run_script(IMPORT_SCRIPT, tmp_path) == {"threads": 0, "loaded": []}
 
 
 # The same commands with scipy not importable at all.

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
 
@@ -424,6 +429,17 @@ def test_sort_networks_sort_every_zero_one_row(n, monkeypatch):
     assert np.array_equal(rows, want)
 
 
+def assert_kernel_rows_replay(rows, n, layout):
+    """Row j of the kernel's endpoints is endpoint_from_path of its draws."""
+    c, t = 1.3, 0.7
+    draws = np.random.default_rng((rows, n)).random((rows, 2 * n + 1))
+    x, y = motion._endpoints(c, t, n, np.array(draws, order=layout))
+    for j, row in enumerate(draws.tolist()):
+        times = tuple(t * v for v in sorted(row[:n]))
+        angles = tuple(2.0 * math.pi * v for v in row[n:])
+        assert (x[j], y[j]) == endpoint_from_path(times, angles, c, t), j
+
+
 @pytest.mark.parametrize("network_rows", [None, 0])
 @pytest.mark.parametrize("layout", ["C", "F"])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 20, 60])
@@ -434,13 +450,123 @@ def test_endpoint_kernel_rows_replay_their_paths(rows, n, layout, network_rows, 
     # network_rows = 0).  Either way row j is endpoint_from_path of its draws.
     if network_rows is not None:
         monkeypatch.setattr(motion, "_NETWORK_ROWS_PER_EXCHANGE", network_rows)
-    c, t = 1.3, 0.7
-    draws = np.random.default_rng((rows, n)).random((rows, 2 * n + 1))
-    x, y = motion._endpoints(c, t, n, np.array(draws, order=layout))
-    for j, row in enumerate(draws.tolist()):
-        times = tuple(t * v for v in sorted(row[:n]))
-        angles = tuple(2.0 * math.pi * v for v in row[n:])
-        assert (x[j], y[j]) == endpoint_from_path(times, angles, c, t), j
+    assert_kernel_rows_replay(rows, n, layout)
+
+
+def force_pair(monkeypatch, paired: bool) -> None:
+    """Form the kernel's x on the worker thread at every chunk size, even
+    on one CPU, or never."""
+    monkeypatch.setattr(motion, "_PAIR_MIN_ANGLES", 0 if paired else math.inf)
+    if paired:
+        monkeypatch.setattr(motion, "_PAIR_CPUS", 2)
+
+
+@pytest.mark.parametrize("paired", [True, False])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 60])
+@pytest.mark.parametrize("rows", [1, 2, 3, 40, 400])
+def test_paired_endpoint_kernel_rows_replay_their_paths(rows, n, paired, monkeypatch):
+    # x formed on the worker thread while y is formed here, or both here:
+    # the same bits, in both branches (n = 0 and n >= 1).
+    force_pair(monkeypatch, paired)
+    assert_kernel_rows_replay(rows, n, "C")
+
+
+def test_concurrent_batches_get_the_sequential_bits(monkeypatch):
+    # Caller threads share one worker: whichever finds it busy forms both
+    # coordinates itself, so none waits for another's chunks.  More callers
+    # than CPUs, switching often, each get the bits of a sequential draw.
+    force_pair(monkeypatch, True)
+    cfg = const_cfg(alpha=0.5, lam=10.0)
+    seeds = range(max(4, (os.cpu_count() or 1) + 1))
+    want = {seed: endpoint_arrays(cfg, 2000, seed) for seed in seeds}
+    got = {}
+
+    def draw(seed):
+        got[seed] = endpoint_arrays(cfg, 2000, seed)
+
+    threads = [threading.Thread(target=draw, args=(seed,)) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for seed in seeds:
+        for field in want[seed]._fields:
+            assert np.array_equal(getattr(got[seed], field), getattr(want[seed], field)), seed
+
+
+def test_pair_raises_either_half_and_keeps_working(monkeypatch):
+    force_pair(monkeypatch, True)
+
+    def fail():
+        raise ZeroDivisionError("half failed")
+
+    first, second = motion._pair(1, threading.get_ident, threading.get_ident)
+    assert first != second == threading.get_ident()
+    with pytest.raises(ZeroDivisionError, match="half failed"):
+        motion._pair(1, fail, lambda: "y")
+    assert motion._pair(1, lambda: "x", lambda: "y") == ("x", "y")
+    # The worker's result of a call whose own half failed is collected, not
+    # handed to the next call.
+    with pytest.raises(ZeroDivisionError, match="half failed"):
+        motion._pair(1, lambda: "stale", fail)
+    assert motion._pair(1, lambda: "x", lambda: "y") == ("x", "y")
+
+
+def test_an_interrupted_wait_hands_no_stale_result_to_the_next_call(monkeypatch):
+    # An interrupt while the worker's half is still running leaves its
+    # result to come; the next call must not take it for its own.
+    force_pair(monkeypatch, True)
+    todo, done = motion._start_worker()
+
+    class InterruptedOnce:
+        interrupted = False
+
+        def get(self):
+            if not self.interrupted:
+                self.interrupted = True
+                raise KeyboardInterrupt
+            return done.get()
+
+    monkeypatch.setattr(motion, "_pair_queues", (todo, InterruptedOnce()))
+    with pytest.raises(KeyboardInterrupt):
+        motion._pair(1, lambda: "stale", lambda: "y")
+    assert motion._pair(1, lambda: "x", lambda: "y") == ("x", "y")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_worker(monkeypatch):
+    # The parent's worker thread does not come along into a forked child;
+    # waiting on it there would hang.
+    force_pair(monkeypatch, True)
+    cfg = const_cfg(alpha=0.5, lam=10.0)
+    want = endpoint_arrays(cfg, 500, seed=5)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            got = endpoint_arrays(cfg, 500, seed=5)
+            first, second = motion._pair(1, threading.get_ident, threading.get_ident)
+            same = all(np.array_equal(getattr(got, f), getattr(want, f)) for f in want._fields)
+            code = 0 if same and first != second else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish within 60 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def one_shot_conditioned_endpoints(n, c, t, n_samples, seed):
