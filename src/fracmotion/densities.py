@@ -53,7 +53,6 @@ from .specfun import (
     DomainError,
     MLParams,
     WrightSeriesSpec,
-    _log_ml_window,
     _log_window_sum,
     _math_log,
     _ml_ratio,
@@ -92,6 +91,12 @@ def _require_speed_horizon(c: float, t: float) -> None:
         raise DomainError(f"need finite c > 0 and t > 0, got c={c}, t={t}")
 
 
+def _require_radius(c: float, t: float, r: float) -> None:
+    _require_speed_horizon(c, t)
+    if not (0.0 <= r < c * t):
+        raise DomainError(f"radius must lie in [0, ct), got r={r}, ct={c * t}")
+
+
 def _frac_alpha(spec, law: str) -> float:
     """α of a fractional spec: the planar and line laws need one."""
     if isinstance(spec, FracPoissonSpec):
@@ -100,17 +105,18 @@ def _frac_alpha(spec, law: str) -> float:
     raise DomainError(f"{law} needs a FracPoissonSpec, got {type(spec).__name__}{hint}")
 
 
+def _f_n(n: int, w2: float, ct: float) -> float:
+    """n (c²t² − r²)^{n/2−1} / (2π (ct)^n) from w2 = c²t² − r² and ct."""
+    return n * w2 ** (n / 2.0 - 1.0) / (_TWO_PI * ct ** n)
+
+
 def conditional_density(n: int, c: float, t: float, r: float) -> float:
     """Endpoint density at radius r given exactly n ≥ 1 direction changes:
     n (c²t² − r²)^{n/2−1} / (2π (ct)^n)."""
-    _require_speed_horizon(c, t)
+    _require_radius(c, t, r)
     if int(n) != n or n < 1:
         raise DomainError(f"conditional density needs an integer n >= 1, got {n}")
-    if not (0.0 <= r < c * t):
-        raise DomainError(f"radius must lie in [0, ct), got r={r}, ct={c * t}")
-    n = int(n)
-    w2 = c * c * t * t - r * r
-    return n * w2 ** (n / 2.0 - 1.0) / (_TWO_PI * (c * t) ** n)
+    return _f_n(int(n), c * c * t * t - r * r, c * t)
 
 
 @dataclass(frozen=True)
@@ -176,9 +182,7 @@ def _count_mixture(spec, c: float, t: float, r: float, kernel: Callable[[int], f
     summed by :func:`~fracmotion.specfun.positive_series` at rel_tol 1e-14.
     Scalar arithmetic per term: the verify report compares the planar sum
     with the closed form at the level of single ulps."""
-    _require_speed_horizon(c, t)
-    if not (0.0 <= r < c * t):
-        raise DomainError(f"radius must lie in [0, ct), got {r}")
+    _require_radius(c, t, r)
     dist = count_distribution(spec, t)
 
     def terms(k):
@@ -192,18 +196,14 @@ def _count_mixture(spec, c: float, t: float, r: float, kernel: Callable[[int], f
 def mixture_density(spec: FracPoissonSpec, c: float, t: float, r: float) -> float:
     """Term-by-term mixture Σ_{n≥1} f_n(r)·P{N=n}: the independent
     cross-check for the collapsed form in :func:`planar_law`, summed at
-    rel_tol 1e-14 with at most 500 terms.  Each term has the arithmetic of
+    rel_tol 1e-14 with at most 500 terms.  Each term is the f_n of
     :func:`conditional_density`, whose arguments are checked once per call.
     Where every term is 0 (at Λ = 0, or at a Λ so small that every term
     underflows) the value is 0.0."""
-    ct = c * t
     w2 = c * c * t * t - r * r
-
-    def kernel(n: int) -> float:
-        return n * w2 ** (n / 2.0 - 1.0) / (_TWO_PI * ct ** n)
-
     try:
-        return _count_mixture(spec, c, t, r, kernel, 1, 500, 0, "planar mixture")
+        return _count_mixture(spec, c, t, r, lambda n: _f_n(n, w2, c * t), 1, 500, 0,
+                              "planar mixture")
     except ConvergenceError as err:
         # positive_series cannot tell leading terms that underflowed before
         # the series rises from a series of zeros.  The count law's
@@ -307,10 +307,9 @@ def line_density(spec: FracPoissonSpec, c: float, t: float, x, method: str = "se
     if lam == 0.0:
         return _shaped(1.0 / (math.pi * w), x)
     z = np.maximum(lam * w / (c * t), _TINY)
-    # Both methods take the window sum, not log_mittag_leffler's closed
-    # form: the series' log-terms round as the window's do (see log_terms).
-    log_norm = float(_log_ml_window(MLParams(alpha, 1.0), np.array([lam]))[0][0])
-    log_prefix = -_LOG_SQRT_PI - _math_log(w) - log_norm
+    # Both methods take the count law's window sum, not log_mittag_leffler's
+    # closed form: the series' log-terms round as the window's do (see log_terms).
+    log_prefix = -_LOG_SQRT_PI - _math_log(w) - count_distribution(spec, t).log_normalizer
     if method == "wright":
         return _shaped(np.exp(log_wright_series(projection_wright_spec(alpha), z) + log_prefix), x)
     lnz = _math_log(z)
@@ -370,9 +369,7 @@ def flight_marginal(d: int, n: int, c: float, t: float, r: float, variant: str =
     variant-specific exponent a (the printed Gamma-ratio prefactor
     Γ(a+1)/Γ(a) equals a).  Formed as a (1 − (r/ct)²)^{a−1} / (π (ct)²):
     ``ct ** (2a)`` alone leaves the double range at large a."""
-    _require_speed_horizon(c, t)
-    if not (0.0 <= r < c * t):
-        raise DomainError(f"radius must lie in [0, ct), got {r}")
+    _require_radius(c, t, r)
     a = flight_exponent(d, n, variant)
     ct = c * t
     q = r / ct

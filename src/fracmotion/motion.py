@@ -86,6 +86,14 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
+def _require_speed_horizon(c: float, t: float) -> None:
+    """The rule of :class:`MotionConfig`: finite, positive ``c`` and ``t``."""
+    if not (c > 0.0 and math.isfinite(c)):
+        raise DomainError(f"speed c must be finite and positive, got {c}")
+    if not (t > 0.0 and math.isfinite(t)):
+        raise DomainError(f"horizon t must be finite and positive, got {t}")
+
+
 @dataclass(frozen=True)
 class MotionConfig:
     """Speed, horizon and driving counting law for a planar motion.
@@ -99,10 +107,7 @@ class MotionConfig:
     count_spec: CountingSpec
 
     def __post_init__(self) -> None:
-        if not (self.c > 0.0 and math.isfinite(self.c)):
-            raise DomainError(f"speed c must be finite and positive, got {self.c}")
-        if not (self.t > 0.0 and math.isfinite(self.t)):
-            raise DomainError(f"horizon t must be finite and positive, got {self.t}")
+        _require_speed_horizon(self.c, self.t)
 
 
 @dataclass(frozen=True)
@@ -379,18 +384,12 @@ class _Substreams:
             return self._pcg64_uniforms(start, count, x_hi, x_lo, inc_hi, inc_lo)
         # Tables come in powers of two, so that a few serve every read.
         table = _draw_table(1 << (start + count - 1).bit_length())
-        mult, shift = (tuple(limb[start:start + count] for limb in part) for part in table)
-        # Lay the longer of the two axes innermost, so that numpy's inner
-        # loops stay long for many short streams and for few long ones.
-        draws_inner = count > inc_hi.size
-        if draws_inner:
-            x_hi, x_lo, inc_hi, inc_lo = (a[:, None] for a in (x_hi, x_lo, inc_hi, inc_lo))
-        else:
-            mult, shift = (tuple(limb[:, None] for limb in part) for part in (mult, shift))
+        # Draw-major, the streams innermost: nearly every read is of many
+        # streams, and the endpoint kernel works on columns.
+        mult, shift = (tuple(limb[start:start + count, None] for limb in part) for part in table)
         hi, lo = _mul128(x_hi, x_lo, mult)
         _add128(hi, lo, *_mul128(inc_hi, inc_lo, shift))
-        u = _to_uniform(hi, lo)
-        return u if draws_inner else u.T
+        return _to_uniform(hi, lo).T
 
     @cached_property
     def _generator(self) -> np.random.Generator:
@@ -642,14 +641,16 @@ def endpoint_blocks(cfg: MotionConfig, n_samples: int, seed: int) -> Iterator[En
     ``_BLOCK`` samples (the last one shorter), each drawn only when the
     iterator is asked for it.
 
-    Bad arguments raise, and the count table is built, at the call, before
-    any block is drawn.  The iterator keeps no reference to a block it has
-    handed out, so a consumer that drops each block before asking for the
-    next holds one block at a time: about 24 bytes per sample of one block,
-    plus the sampler's working set.
+    Bad arguments and every count-law error raise at the call, before any
+    block is drawn, and the call builds the count table, which the law
+    otherwise builds on its first draw.  The iterator keeps no reference to
+    a block it has handed out, so a consumer that drops each block before
+    asking for the next holds one block at a time: about 24 bytes per
+    sample of one block, plus the sampler's working set.
     """
     blocks = _blocks(n_samples, seed)
     dist = count_distribution(cfg.count_spec, cfg.t)
+    dist.support_size  # builds the table
     return (_block_endpoints(cfg, dist, seed, block) for block in blocks)
 
 
@@ -702,6 +703,7 @@ def conditioned_chunks(
     chunk of draws at a time."""
     if n < 1:
         raise DomainError(f"conditioning requires n >= 1, got {n}")
+    _require_speed_horizon(c, t)
     _blocks(n_samples, seed)  # validates n_samples and seed
     instants = np.random.default_rng(seed)
     directions = np.random.default_rng(seed)
@@ -715,7 +717,9 @@ def flight_radii_batch(
     d: int, n: int, c: float, t: float, variant: str, n_samples: int, seed: int
 ) -> np.ndarray:
     """Flight radii for fixed ``(d, n)`` by inversion of the marginal's
-    radial CDF, radius ``i`` from draw 0 of substream ``(seed, i)``."""
+    radial CDF, radius ``i`` from draw 0 of substream ``(seed, i)``.  Bad
+    arguments raise before any draw."""
+    _require_speed_horizon(c, t)
     inv_a = 1.0 / flight_exponent(d, n, variant)
     blocks = _blocks(n_samples, seed)
     radii = np.empty(n_samples)

@@ -20,7 +20,9 @@ n^ = max(0, (z^(1/alpha) - beta)/alpha), lo clipped at 0; an edge still
 within 60 nats doubles its distance from the peak and is bisected back to
 within 16 terms of the last term within 60 nats, so the width stays near
 2*sqrt(120*n*/alpha), 1.94e6 terms at alpha=0.2, z=50. A window wider
-than 2 000 000 terms raises ``ConvergenceError`` before it is allocated.
+than 2 000 000 terms raises ``ConvergenceError`` before it is allocated;
+one wider than ``_ML_CHUNK`` terms forms its log-terms ``_ML_CHUNK`` at a
+time into one array (8 bytes a term: 15.5 MB at alpha=0.2, z=50).
 Log-terms of size n* ln(z) carry its rounding: at n* ~ 1e9 they are near
 6e9 nats and cost about 1e-6 relative.
 
@@ -104,7 +106,7 @@ class RangeOverflowError(OverflowError):
 # series may keep (a margin below the double range).
 _SERIES_BLOCK = 64
 _MAX_TERM = math.exp(709.0)
-# _log_window_sum: log-terms held at once, the nats below the peak term a
+# _log_window_sum: log-terms formed at once, the nats below the peak term a
 # window reaches (e^-60 is below a double's precision), its widest window.
 _ML_CHUNK = 1 << 15
 _ML_TAIL_NATS = 60.0
@@ -270,11 +272,8 @@ def _log_gamma_lanczos(x: np.ndarray) -> np.ndarray:
     """ln Gamma on an array of arguments >= 0.5 (or NaN): the Lanczos sum
     in log form."""
     z = x - 1.0
-    a = np.full_like(z, _LANCZOS_C[0])
-    for i in range(1, len(_LANCZOS_C)):
-        a += _LANCZOS_C[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return _LOG_SQRT_TWO_PI + (z + 0.5) * np.log(t) - t + np.log(a)
+    return _LOG_SQRT_TWO_PI + (z + 0.5) * np.log(t) - t + np.log(_lanczos_sum(z))
 
 
 def _as_ml_params(params) -> MLParams:
@@ -352,6 +351,16 @@ def _window_edge(log_terms, peak, half, floor, side: float, z, what: str):
     return np.maximum(outer, 0.0)
 
 
+def _in_pieces(rule, start, stop) -> np.ndarray:
+    """``rule(k)`` of the elementwise rule ``rule`` at k = start .. stop - 1,
+    in one array filled ``_ML_CHUNK`` indices at a time, so that the rule's
+    temporaries stay that small whatever the width."""
+    out = np.empty(int(stop - start))
+    for lo in range(0, out.size, _ML_CHUNK):
+        out[lo:lo + _ML_CHUNK] = rule(np.arange(start + lo, min(start + lo + _ML_CHUNK, stop)))
+    return out
+
+
 def _log_window_sum(log_terms, z, n_hat, order: float, what: str):
     """(ln sum_{lo <= k < hi} exp(log-term), lo, hi) for each row of a family
     of log-concave series: row i has argument ``z[i]``, its peak near
@@ -359,8 +368,9 @@ def _log_window_sum(log_terms, z, n_hat, order: float, what: str):
     ``log_terms(rows, k)`` for an index array ``rows`` at integer-valued
     ``k`` of shape (len(rows), 1) or (1, m). Rows of nearby windows share
     one array of at most ``_ML_CHUNK`` log-terms (a wider window goes
-    alone), each masked to its own window and summed as its largest
-    log-term m plus ln(fsum(exp(log-terms - m))): no row depends on another.
+    alone, its log-terms formed by :func:`_in_pieces`), each masked to its
+    own window and summed as its largest log-term m plus
+    ln(fsum(exp(log-terms - m))): no row depends on another.
     """
     peak = np.floor(n_hat)
     with np.errstate(over="ignore"):  # an infinite width is refused just below
@@ -379,9 +389,12 @@ def _log_window_sum(log_terms, z, n_hat, order: float, what: str):
         while j < rows.size and (j + 1 - i) * (max(last, his[j]) - los[i]) <= _ML_CHUNK:
             last, j = max(last, his[j]), j + 1
         idx = rows[i:j]
-        k = np.arange(los[i], last)
-        lt = log_terms(idx, k[None, :])
-        lt[(k < lo[idx, None]) | (k >= hi[idx, None])] = -np.inf
+        if last - los[i] > _ML_CHUNK:  # a lone row, so nothing to mask
+            lt = _in_pieces(lambda k: log_terms(idx, k[None, :])[0], los[i], last)[None, :]
+        else:
+            k = np.arange(los[i], last)
+            lt = log_terms(idx, k[None, :])
+            lt[(k < lo[idx, None]) | (k >= hi[idx, None])] = -np.inf
         m = lt.max(axis=1)
         np.exp(np.subtract(lt, m[:, None], out=lt), out=lt)
         # A memoryview hands fsum one Python float at a time.

@@ -401,6 +401,20 @@ def test_window_past_the_double_range_exits_3_without_a_numpy_warning(tmp_path):
     assert line.startswith("fracmotion: numeric failure: ")
 
 
+@pytest.mark.parametrize("rate", ["power:1,1e308", "const:1e308"])
+@pytest.mark.parametrize("command", [["simulate", "--samples", "3"],
+                                     ["density", "--law", "line", "--alpha", "0.5"]])
+def test_cumulative_rate_past_the_double_range_is_a_numeric_error(tmp_path, capsys, rate,
+                                                                  command):
+    # Lambda(10) leaves the double range: a bare OverflowError from float **
+    # (exit 3 by luck) or an inf that reached the count law.
+    out = tmp_path / "x.csv"
+    assert main([*command, "--rate", rate, "--t", "10", "--out", str(out)]) == EXIT_NUMERIC
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("fracmotion: numeric failure: cumulative rate") and "exceeds" in line
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lam", ["27", "50", "1000"])
 def test_eigenfunction_profile_past_double_range_is_a_numeric_error(tmp_path, capsys, lam):
     # At alpha = 0.5 the profile tops out at E_{1/2}(lam) ~ 2 exp(lam^2),

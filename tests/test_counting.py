@@ -9,7 +9,6 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from fracmotion import counting
 from fracmotion.counting import (
     CountDistribution,
     FlightCountSpec,
@@ -26,6 +25,7 @@ from fracmotion.specfun import (
     ConvergenceError,
     DomainError,
     MLParams,
+    RangeOverflowError,
     _log_ml_window,
     log_gamma_pos,
     mittag_leffler,
@@ -67,6 +67,30 @@ def test_cumulative_rate_is_nondecreasing_and_zero_at_zero():
     grid = np.linspace(0.0, 5.0, 40)
     values = [cumulative_rate(rate, t) for t in grid]
     assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+def test_cumulative_rate_rejects_nan_time_and_lambda_past_the_double_range():
+    with pytest.raises(DomainError):
+        cumulative_rate(RateFunction.constant(1.0), math.nan)
+    # float ** raised a bare OverflowError here, and const:1e308 gave inf.
+    for rate in (RateFunction.power(1.0, 1e308), RateFunction.constant(1e308)):
+        with pytest.raises(RangeOverflowError, match="exceeds double range"):
+            cumulative_rate(rate, 10.0)
+        with pytest.raises(RangeOverflowError, match="exceeds double range"):
+            pmf(FracPoissonSpec(0.5, rate), 10.0, 0)
+    with pytest.raises(RangeOverflowError):
+        cumulative_rate(RateFunction.constant(1.0), math.inf)
+
+
+def test_cumulative_rate_at_infinite_time_of_a_rate_that_stops():
+    rate = RateFunction.piecewise([1.0, 2.0], [2.0, 1.0])
+    assert cumulative_rate(rate, math.inf) == 3.0
+    spec = FracPoissonSpec(0.5, rate)
+    assert pmf(spec, math.inf, 2) == pmf(spec, 2.0, 2) > 0.0
+    # A zero rate adds 0 over an infinite span, not 0 * inf.
+    assert cumulative_rate(RateFunction.piecewise([1.0, math.inf], [2.0, 0.0]), math.inf) == 2.0
+    assert cumulative_rate(RateFunction.constant(0.0), math.inf) == 0.0
+    assert cumulative_rate(RateFunction.power(0.0, 1.0), math.inf) == 0.0
 
 
 def test_rate_validation():
@@ -130,6 +154,50 @@ def test_pmf_derived_point():
     assert pmf(const_spec(0.5, 1.0), 1.0, 1) == pytest.approx(
         0.225271242628657455193007, rel=1e-11
     )
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+def test_one_time_rule_for_every_entry_point(t):
+    # count_distribution(spec, 0.0) gave pmf(0) = 1 where pmf raised, and
+    # at t = nan it raised ConvergenceError.
+    spec = const_spec(0.5, 1.0)
+    for call in (lambda: count_distribution(spec, t), lambda: CountDistribution(spec, t),
+                 lambda: pmf(spec, t, 0), lambda: pgf(spec, t, 0.5)):
+        with pytest.raises(DomainError, match="time must be > 0"):
+            call()
+
+
+def test_pmf_and_the_line_law_read_the_cached_law_without_a_table():
+    from fracmotion.densities import line_density
+
+    spec = const_spec(0.2, 7.125)  # a law no other test caches
+    misses = count_distribution.cache_info().misses
+    peak = round(7.125**5 / 0.2)
+    value = pmf(spec, 1.0, peak)
+    dist = count_distribution(spec, 1.0)
+    assert count_distribution.cache_info().misses == misses + 1
+    assert value == min(1.0, dist.pmf(peak)) > 0.0
+    line_density(spec, 1.0, 1.0, 0.0)
+    assert count_distribution.cache_info().misses == misses + 1
+    assert "_cum" not in vars(dist)
+    dist.cdf(peak)
+    assert "_cum" in vars(dist)
+
+
+def test_alpha_02_lambda_50_law_and_table_stay_small():
+    # The window sum and the table form their 1.94e6 log-weights a piece at
+    # a time into one array: 15.5 MB.  Measured peak: 18.1 MB (124 MB when
+    # each was formed whole).
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        dist = CountDistribution(const_spec(0.2, 50.0), 1)
+        assert dist.support_size - dist.n_lo == 1_592_723
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_pmf_validation():
@@ -397,7 +465,8 @@ def _spec_id(spec):
 def test_merged_log_weight_matches_per_family_reference(spec):
     ref_weight, ref_norm = reference_log_terms(spec, 1.0)
     lam = cumulative_rate(spec.rate, 1.0)
-    log_weight, log_norm, _, _ = counting._count_law(spec, lam)
+    dist = CountDistribution(spec, 1.0)
+    log_weight, log_norm = dist.log_weight, dist.log_normalizer
     # Only the fractional law at Lambda = 0 moved its normalizer: from 0.0
     # to -ln Gamma(1), the Lanczos value 8.9e-16, which its weight at n = 0
     # carries too, so the normalized log-weights still agree.
@@ -409,7 +478,6 @@ def test_merged_log_weight_matches_per_family_reference(spec):
     for k in (0, 1, 2, 7, 100, 1000, 99_999):
         ref = min(1.0, float(np.exp(ref_weight(k) - ref_norm)))
         assert _bits([pmf(spec, 1.0, k)]) == _bits([ref])
-    dist = CountDistribution(spec, 1.0)
     table = [dist.pmf(k) for k in range(dist.support_size)]
     assert _bits(table) == _bits(np.exp(ref_weight(np.arange(dist.support_size)) - ref_norm))
 
@@ -417,9 +485,8 @@ def test_merged_log_weight_matches_per_family_reference(spec):
 def test_alpha_02_lambda_50_table_matches_reference():
     spec = const_spec(0.2, 50.0)
     ref_weight, ref_norm = reference_log_terms(spec, 1.0)
-    log_norm = counting._count_law(spec, cumulative_rate(spec.rate, 1.0))[1]
-    assert _bits([log_norm]) == _bits([ref_norm])
     dist = CountDistribution(spec, 1.0)
+    assert _bits([dist.log_normalizer]) == _bits([ref_norm])
     held = np.arange(dist.n_lo, dist.support_size)
     assert 1.5e9 < dist.n_lo and held.size < 2_000_000
     assert _bits([dist.pmf(k) for k in held[::1000].tolist()]) == _bits(
@@ -660,9 +727,10 @@ def test_state_dependent_table_starts_at_its_window():
 ])
 def test_state_dependent_table_holds_every_count_near_the_peak(alphas, lam, from_zero):
     spec = StateDependentSpec(alphas, RateFunction.constant(lam))
-    log_weight, _, n_lo, n_hi = counting._count_law(spec, lam)
+    dist = CountDistribution(spec, 1.0)
+    n_lo, n_hi = dist.n_lo, dist.n_hi
     assert (n_lo == 0) == from_zero
-    lw = log_weight(np.arange(n_hi + 200))
+    lw = dist.log_weight(np.arange(n_hi + 200))
     near = np.flatnonzero(lw >= lw.max() - 60.0)
     assert n_lo <= near[0] and near[-1] < n_hi
-    assert CountDistribution(spec, 1.0).n_lo == n_lo
+    assert n_lo < dist.support_size <= n_hi

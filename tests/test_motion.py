@@ -636,8 +636,12 @@ def test_endpoint_blocks_validate_and_build_the_table_at_the_call(monkeypatch):
         endpoint_blocks(const_cfg(alpha=0.1, lam=60.0), 10, seed=1)
     drawn = []
     monkeypatch.setattr(motion, "_block_endpoints", lambda *args: drawn.append(args))
-    endpoint_blocks(const_cfg(), 3 * motion._BLOCK, seed=1)
+    cfg = const_cfg(alpha=0.5, lam=2.71828)  # a law no other test caches
+    dist = count_distribution(cfg.count_spec, cfg.t)
+    assert "_cum" not in vars(dist)
+    endpoint_blocks(cfg, 3 * motion._BLOCK, seed=1)
     assert drawn == []
+    assert "_cum" in vars(dist)
 
 
 def test_endpoint_blocks_keep_no_reference_to_a_handed_out_block():
@@ -668,6 +672,17 @@ def test_conditioned_chunks_validate_at_the_call():
             conditioned_chunks(n, 1.0, 1.0, n_samples, seed)
 
 
+BAD_SPEED_HORIZON = [(math.nan, 1.0), (-1.0, 1.0), (0.0, 1.0), (math.inf, 1.0),
+                     (1.0, math.nan), (1.0, -1.0), (1.0, 0.0), (1.0, math.inf)]
+
+
+@pytest.mark.parametrize("c,t", BAD_SPEED_HORIZON)
+def test_conditioned_chunks_reject_a_bad_speed_or_horizon_at_the_call(c, t):
+    # Before, a NaN speed gave NaN endpoints and c = -1 finite ones.
+    with pytest.raises(DomainError, match="must be finite and positive"):
+        conditioned_chunks(2, c, t, 3, 0)
+
+
 # ---------------------------------------------------------------------------
 # Flight radius sampler
 
@@ -692,6 +707,14 @@ def test_flight_radius_endpoint_uniforms(monkeypatch):
     r = flight_radii_batch(4, 1, 1.0, 1.0, "Y", 2, seed=0)
     assert r[0] == 0.0
     assert 1.0 - 1e-8 < r[1] < 1.0
+
+
+@pytest.mark.parametrize("c,t", BAD_SPEED_HORIZON)
+def test_flight_radii_batch_rejects_a_bad_speed_or_horizon(monkeypatch, c, t):
+    # Before, a NaN horizon gave NaN radii.  No stream is read.
+    monkeypatch.setattr(motion, "_block_streams", None)
+    with pytest.raises(DomainError, match="must be finite and positive"):
+        flight_radii_batch(3, 1, c, t, "Y", 3, 0)
 
 
 def test_flight_radius_median(monkeypatch):
