@@ -20,8 +20,12 @@ Rates use the mini-grammar ``const:<lam>``, ``power:<a>,<b>`` and
 ``piecewise:<t1>:<v1>,<t2>:<v2>,...`` mirroring the RateFunction kinds.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
-error.  The environment variable ``FRACMOTION_OUT_DIR`` sets the default
-output directory when ``--out`` is not given.
+error.  A speed ``c``, horizon ``t`` or support radius ``c·t`` that is not
+finite and positive is a usage error in every command, and so, in
+``density`` and the checks that evaluate a law, is a ``c·t`` whose square
+is not a positive normal double.  The environment variable
+``FRACMOTION_OUT_DIR`` sets the default output directory when ``--out`` is
+not given.
 """
 
 from __future__ import annotations
@@ -42,7 +46,10 @@ import numpy as np
 from . import __version__
 from .counting import FlightCountSpec, FracPoissonSpec, RateFunction
 from .densities import (
-    _require_speed_horizon,
+    _in_disk,
+    _in_line,
+    _in_radius,
+    _law_radius,
     classical_line_density,
     flight_unconditional,
     line_density,
@@ -180,42 +187,38 @@ def cmd_simulate(config: RunConfig) -> int:
 def _density_evaluator(p: dict):
     """(coordinate header, evaluator, singular weight or None, support
     predicate) for a law name.  The evaluator maps an array of in-support
-    points to their densities, the predicate maps the grid to a boolean
-    array; points failing it become ``nan`` rows counted in the sidecar."""
+    points to their densities, the predicate is the law's own from
+    :mod:`fracmotion.densities`; grid points failing it, and negative
+    radii, become ``nan`` rows counted in the sidecar."""
     law_name = p["law"]
     c, t = p["c"], p["t"]
-    # A bad speed or horizon could put every point outside the support,
-    # so reject it before any point is evaluated.
-    _require_speed_horizon(c, t)
-    ct = c * t
-    radial_support = lambda r: (0.0 <= r) & (r < ct)  # noqa: E731
-    line_support = lambda x: (-ct < x) & (x < ct)  # noqa: E731
+    # A speed or horizon the laws refuse could put every point outside the
+    # support, so reject it before any point is evaluated.
+    _law_radius(c, t)
     if law_name == "planar":
         spec = FracPoissonSpec(alpha=p["alpha"], rate=parse_rate(p["rate"]))
         law = planar_law(spec, c, t)
-        return "r", lambda r: law.ac_density(r, 0.0), law.singular_weight, radial_support
+        return "r", lambda r: law.ac_density(r, 0.0), law.singular_weight, _in_radius
     if law_name == "planar-const":
         lam = parse_rate(p["rate"])
         if lam.kind != "constant":
             raise DomainError("the single-series planar form needs a constant rate")
         lam0 = lam.params[0]
-        # The law's own test: c²t² − r² can round to 0 for r just below ct.
-        const_support = lambda r: (0.0 <= r) & (c * c * t * t - r * r > 0.0)  # noqa: E731
         return ("r", lambda r: planar_density_const_rate(p["alpha"], lam0, c, t, r, 0.0),
-                None, const_support)
+                None, _in_disk)
     if law_name == "line":
         spec = FracPoissonSpec(alpha=p["alpha"], rate=parse_rate(p["rate"]))
         method = p.get("method", "series")
-        return "x", lambda x: line_density(spec, c, t, x, method=method), None, line_support
+        return "x", lambda x: line_density(spec, c, t, x, method=method), None, _in_line
     if law_name == "line-classical":
         lam = parse_rate(p["rate"])
         if lam.kind != "constant":
             raise DomainError("the classical line form needs a constant rate")
         lam0 = lam.params[0]
-        return "x", lambda x: classical_line_density(lam0, c, t, x), None, line_support
+        return "x", lambda x: classical_line_density(lam0, c, t, x), None, _in_line
     if law_name == "flight":
         spec = FlightCountSpec(d=p["d"], rate=parse_rate(p["rate"]))
-        return "r", lambda r: flight_unconditional(spec, c, t, r), None, radial_support
+        return "r", lambda r: flight_unconditional(spec, c, t, r), None, _in_radius
     raise DomainError(f"unknown law {law_name!r}")
 
 
@@ -227,7 +230,8 @@ def cmd_density(config: RunConfig) -> int:
     if not math.isfinite(p["grid_max"] - p["grid_min"]):
         raise DomainError(f"grid [{p['grid_min']}, {p['grid_max']}] is not a finite range")
     grid = np.linspace(p["grid_min"], p["grid_max"], p["grid_points"])
-    inside = in_support(grid)
+    # A radial grid holds no negative radius, whatever the law's support.
+    inside = in_support(p["c"], p["t"], grid) & ((grid >= 0.0) | (coord_name == "x"))
     values = np.full(grid.size, math.nan)
     values[inside] = evaluate(grid[inside])
     nan_rows = int(np.count_nonzero(np.isnan(values)))

@@ -43,6 +43,7 @@ from .specfun import (
     _in_pieces,
     _log_ml_window,
     _ml_ratio,
+    _shaped,
     log_gamma_pos,
     log_mittag_leffler,
     positive_series,
@@ -256,7 +257,7 @@ def pgf(spec: CountingSpec, t: float, u):
     out = np.ones(u.shape)
     if lam > 0.0:
         out.flat = _ml_ratio(p, u.ravel() * lam, log_mittag_leffler(p, lam))
-    return out if out.ndim else float(out)
+    return _shaped(out)
 
 
 class CountDistribution:
@@ -287,10 +288,10 @@ class CountDistribution:
 
     The window sum and the table form their log-weights ``_ML_CHUNK``
     counts at a time into one array of 8 bytes a count: at α = 0.2, Λ = 50
-    (1.94e6 counts from n = 1.56e9 on) the object peaks near 18 MB traced,
-    and holds 15.5 MB once the table is built. Rounding grows like n*·ln Λ
-    at the peak count n*: at n* ~ 1e9 about 1e-6 relative in each
-    probability.
+    (1.94e6 counts from n = 1.56e9 on) the object peaks near 18 MB traced.
+    The table is that array trimmed in place to its 1.59e6 counts, so the
+    object then holds 12.7 MB. Rounding grows like n*·ln Λ at the peak
+    count n*: at n* ~ 1e9 about 1e-6 relative in each probability.
     """
 
     def __init__(self, spec, t: float):
@@ -347,7 +348,9 @@ class CountDistribution:
         cum -= cum.max()
         np.cumsum(np.exp(cum, out=cum), out=cum)
         cum /= cum[-1]
-        return cum[: np.searchsorted(cum, 1.0) + 1]
+        # Trimmed in place, so that the counts past the table are freed.
+        cum.resize(np.searchsorted(cum, 1.0) + 1, refcheck=False)
+        return cum
 
     @property
     def support_size(self) -> int:
@@ -362,8 +365,7 @@ class CountDistribution:
         counts = np.asarray(n)
         if not np.all((counts >= 0) & (counts == np.floor(counts))):
             raise DomainError(f"counts must be nonnegative integers, got {n}")
-        p = np.exp(self.log_weight(counts) - self.log_normalizer)
-        return p if p.ndim else float(p)
+        return _shaped(np.exp(self.log_weight(counts) - self.log_normalizer))
 
     def cdf(self, n: int) -> float:
         n = _require_count(n)

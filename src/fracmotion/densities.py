@@ -21,16 +21,23 @@ the verification harness quantifies the difference rather than hiding
 it.
 
 Projection onto a line and the random-flight marginals (with their own
-Mittag-Leffler mixture law) complete the family; the planar and line laws
-take a fractional spec only. Evaluators compute in the log domain wherever
-normalizers can leave double range. Every closed form takes scalars or
-arrays of points and computes its normalizers once per call, and every
-value keeps the bits of its one-point call: the Mittag-Leffler ratios go
-through ``specfun._ml_ratio`` (one array call of ``log_mittag_leffler``,
-then ``math.exp`` per value, as numpy's differs in the last ulp), and the
-line laws sum their Mittag-Leffler-type series for all points in one
-window-kernel call, prefactors added in the log domain. The mixtures take
-one point at a time.
+Mittag-Leffler mixture law) complete the family. This module holds the one
+rule for a speed and a horizon (c, t and ct finite and positive), which the
+motion, the checks and the command line call too; every law here also
+refuses a ct whose square is not a positive normal double, and checks its
+points against one support predicate each: [0, ct) for radii, (−ct, ct) on
+the line, and the constant-rate law's own disk test. The planar law is 0
+off the disk and the classical planar law ``nan``; the others raise
+``DomainError`` naming the first point off the support. The planar and
+line laws take a fractional spec only. Evaluators compute in the log
+domain wherever normalizers can leave double range. Every closed form
+takes scalars or arrays of points and computes its normalizers once per
+call, and every value keeps the bits of its one-point call: the
+Mittag-Leffler ratios go through ``specfun._ml_ratio`` (one array call of
+``log_mittag_leffler``, then ``math.exp`` per value, as numpy's differs in
+the last ulp), and the line laws sum their Mittag-Leffler-type series for
+all points in one window-kernel call, prefactors added in the log domain.
+The mixtures take one point at a time.
 """
 
 from __future__ import annotations
@@ -82,19 +89,65 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
-# Stands in for an underflowed series argument, so that k·ln z stays finite.
+# The smallest normal double: it stands in for an underflowed series
+# argument, so that k·ln z stays finite, and bounds (ct)² from below.
 _TINY = float(np.finfo(float).tiny)
 
 
-def _require_speed_horizon(c: float, t: float) -> None:
-    if not (0.0 < c < math.inf and 0.0 < t < math.inf):
-        raise DomainError(f"need finite c > 0 and t > 0, got c={c}, t={t}")
+def _require_speed_horizon(c: float, t: float) -> float:
+    """The one rule for a speed and a horizon: ``c``, ``t`` and the support
+    radius ``c·t`` finite and positive, checked in that order. Returns
+    ``ct``. The motion, the laws, the checks and the command line all call
+    it. ``(ct)²`` may leave the double range here: only the laws form it
+    (see :func:`_law_radius`)."""
+    for name, value in (("speed c", c), ("horizon t", t), ("support radius c*t", c * t)):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise DomainError(f"{name} must be finite and positive, got {value}")
+    return c * t
 
 
-def _require_radius(c: float, t: float, r: float) -> None:
-    _require_speed_horizon(c, t)
-    if not (0.0 <= r < c * t):
-        raise DomainError(f"radius must lie in [0, ct), got r={r}, ct={c * t}")
+def _law_radius(c: float, t: float) -> float:
+    """``ct`` by :func:`_require_speed_horizon`, refused unless ``(ct)²`` is a
+    positive normal double: every law forms ``c²t² − r²``."""
+    ct = _require_speed_horizon(c, t)
+    if not _TINY <= ct * ct < math.inf:
+        raise DomainError(f"(c*t)^2 must be a positive normal double, got c*t={ct}")
+    return ct
+
+
+# The supports, one predicate each, for a scalar or an array of points.
+
+
+def _in_radius(c: float, t: float, r):
+    """Radii in [0, ct)."""
+    return (0.0 <= r) & (r < c * t)
+
+
+def _in_line(c: float, t: float, x):
+    """Positions in (−ct, ct)."""
+    return np.abs(x) < c * t
+
+
+def _in_disk(c: float, t: float, x, y=0.0):
+    """Points of the open disk as the constant-rate planar law tests them:
+    c²t² − x² − y² > 0, which can fail for r just below ct."""
+    return c * c * t * t - (x * x + y * y) > 0.0
+
+
+def _require_inside(inside, where: str, *point) -> None:
+    """Raise ``DomainError`` naming the first point (one coordinate, or the
+    pair x, y) where ``inside`` is false."""
+    inside = np.asarray(inside)
+    if not inside.all():
+        first = [float(np.broadcast_to(v, inside.shape)[~inside].flat[0]) for v in point]
+        raise DomainError(f"{where}, got {first[0] if len(first) == 1 else tuple(first)}")
+
+
+def _require_radius(c: float, t: float, r) -> float:
+    """``ct`` by :func:`_law_radius`, with every radius of ``r`` in [0, ct)."""
+    ct = _law_radius(c, t)
+    _require_inside(_in_radius(c, t, r), f"radius must lie in [0, ct), ct={ct}", r)
+    return ct
 
 
 def _frac_alpha(spec, law: str) -> float:
@@ -145,14 +198,12 @@ def planar_law(spec: FracPoissonSpec, c: float, t: float) -> PlanarLaw:
     one Mittag-Leffler call per call. The singular weight is
     P{N=0} = 1/E_{α,1}(Λ).
     """
-    _require_speed_horizon(c, t)
+    ct = _law_radius(c, t)
     alpha = _frac_alpha(spec, "planar_law")
     lam = cumulative_rate(spec.rate, t)
-    ct = c * t
     if lam == 0.0:
         def no_density(x, y):
-            out = np.zeros(np.broadcast(x, y).shape)
-            return out if out.ndim else float(out)
+            return _shaped(np.zeros(np.broadcast(x, y).shape))
 
         return PlanarLaw(ac_density=no_density, singular_weight=1.0, c=c, t=t)
     log_norm = log_mittag_leffler(MLParams(alpha, 1.0), lam)
@@ -166,7 +217,7 @@ def planar_law(spec: FracPoissonSpec, c: float, t: float) -> PlanarLaw:
         w = np.sqrt(w2[inside])
         out[inside] = _ml_ratio(MLParams(alpha, alpha), lam * w / ct, log_norm, math.log(lam),
                                 _math_log(_TWO_PI * alpha * ct * w))
-        return out if out.ndim else float(out)
+        return _shaped(out)
 
     return PlanarLaw(
         ac_density=ac_density,
@@ -226,25 +277,22 @@ def planar_density_const_rate(alpha: float, lam: float, c: float, t: float, x, y
     α < 1 it differs from the mixture law (see the verification
     harness's law-comparison check).
     """
-    _require_speed_horizon(c, t)
+    ct = _law_radius(c, t)
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     if not 0.0 <= lam < math.inf:
         raise DomainError(f"rate must be finite and >= 0, got {lam}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    _require_inside(_in_disk(c, t, x, y), f"point must lie in the open disk, ct={ct}", x, y)
     w2 = c * c * t * t - (x * x + y * y)
-    outside = w2 <= 0.0
-    if np.any(outside):
-        xb, yb = (float(v[outside].flat[0]) for v in np.broadcast_arrays(x, y))
-        raise DomainError(f"point ({xb}, {yb}) lies outside the open disk of radius {c * t}")
     out = np.zeros(w2.shape)
     if lam > 0.0:
         w = np.sqrt(w2.ravel())
         ml = MLParams(alpha, 1.0)
         out.flat = _ml_ratio(ml, lam * w / c, log_mittag_leffler(ml, lam * t), math.log(lam),
                              _math_log(_TWO_PI * c * w))
-    return out if out.ndim else float(out)
+    return _shaped(out)
 
 
 def classical_planar_density(lam: float, c: float, t: float, x, y):
@@ -252,14 +300,14 @@ def classical_planar_density(lam: float, c: float, t: float, x, y):
     (λ/2πc) e^{−λt + (λ/c)w} / w at scalar or array points (broadcast
     together); ``nan`` outside the open disk, which the telegraph
     residual's stencil relies on to detect the support boundary."""
-    _require_speed_horizon(c, t)
+    _law_radius(c, t)
     if not 0.0 <= lam < math.inf:
         raise DomainError(f"rate must be finite and >= 0, got {lam}")
     w2 = (c * t) ** 2 - x * x - y * y
     with np.errstate(invalid="ignore", divide="ignore"):
         w = np.sqrt(np.where(w2 > 0.0, w2, np.nan))
         val = lam / (2.0 * math.pi * c) * np.exp(-lam * t + lam * w / c) / w
-    return val if np.ndim(val) else float(val)
+    return _shaped(val)
 
 
 def projection_wright_spec(alpha: float) -> WrightSeriesSpec:
@@ -276,9 +324,7 @@ def _on_line(c: float, t: float, x):
     in (−ct, ct)."""
     ct = c * t
     x = np.asarray(x, dtype=float)
-    outside = ~(np.abs(x) < ct)
-    if np.any(outside):
-        raise DomainError(f"position must lie in (−ct, ct), got {float(x[outside].flat[0])}")
+    _require_inside(_in_line(c, t, x), f"position must lie in (−ct, ct), ct={ct}", x)
     x = x.ravel()
     return np.sqrt(ct * ct - x * x)
 
@@ -298,7 +344,7 @@ def line_density(spec: FracPoissonSpec, c: float, t: float, x, method: str = "se
     double range is 0.0). They agree to 1e-10 while the log-terms stay
     under about 5e5 nats, and to n*·ln(Λ)·2e-16 beyond.
     """
-    _require_speed_horizon(c, t)
+    _law_radius(c, t)
     if method not in ("series", "wright"):
         raise DomainError(f"unknown line-density method {method!r}")
     alpha = _frac_alpha(spec, "line_density")
@@ -332,7 +378,7 @@ def classical_line_density(lam: float, c: float, t: float, x):
     evaluation used to cross-check the general projection at α = 1.
     Takes a scalar x or an array of x, every one in (−ct, ct); one
     window-kernel call, its terms peaking near k = λw/c."""
-    _require_speed_horizon(c, t)
+    _law_radius(c, t)
     if not 0.0 <= lam < math.inf:
         raise DomainError(f"rate must be finite and >= 0, got {lam}")
     w = _on_line(c, t, x)
@@ -369,9 +415,8 @@ def flight_marginal(d: int, n: int, c: float, t: float, r: float, variant: str =
     variant-specific exponent a (the printed Gamma-ratio prefactor
     Γ(a+1)/Γ(a) equals a).  Formed as a (1 − (r/ct)²)^{a−1} / (π (ct)²):
     ``ct ** (2a)`` alone leaves the double range at large a."""
-    _require_radius(c, t, r)
+    ct = _require_radius(c, t, r)
     a = flight_exponent(d, n, variant)
-    ct = c * t
     q = r / ct
     return a * (1.0 - q * q) ** (a - 1.0) / (math.pi * ct * ct)
 
@@ -384,15 +429,11 @@ def flight_unconditional(spec: FlightCountSpec, c: float, t: float, r):
 
     at a scalar radius or an array of radii, every one in [0, ct).
     """
-    _require_speed_horizon(c, t)
     r = np.asarray(r, dtype=float)
-    inside = (0.0 <= r) & (r < c * t)
-    if not np.all(inside):
-        raise DomainError(f"radius must lie in [0, ct), got {float(r[~inside].flat[0])}")
+    ct = _require_radius(c, t, r)
     norm_params = _ml_params(spec)
     gamma_order = norm_params.alpha
     lam = cumulative_rate(spec.rate, t)
-    ct = c * t
     radii = r.ravel().tolist()
     if lam == 0.0:
         # Only the n = 0 conditional survives.
@@ -404,8 +445,7 @@ def flight_unconditional(spec: FlightCountSpec, c: float, t: float, r):
                 - 2.0 * gamma_order * math.log(ct))
         out = _ml_ratio(MLParams(gamma_order, gamma_order), lam * q,
                         log_mittag_leffler(norm_params, lam), head)
-    out = out.reshape(r.shape)
-    return out if out.ndim else float(out)
+    return _shaped(out, r)
 
 
 def flight_mixture_density(spec: FlightCountSpec, c: float, t: float, r: float,

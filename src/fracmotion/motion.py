@@ -68,7 +68,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .counting import CountDistribution, CountingSpec, count_distribution
-from .densities import flight_exponent
+from .densities import _require_speed_horizon, flight_exponent
 from .specfun import DomainError
 
 __all__ = [
@@ -86,20 +86,13 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-def _require_speed_horizon(c: float, t: float) -> None:
-    """The rule of :class:`MotionConfig`: finite, positive ``c`` and ``t``."""
-    if not (c > 0.0 and math.isfinite(c)):
-        raise DomainError(f"speed c must be finite and positive, got {c}")
-    if not (t > 0.0 and math.isfinite(t)):
-        raise DomainError(f"horizon t must be finite and positive, got {t}")
-
-
 @dataclass(frozen=True)
 class MotionConfig:
     """Speed, horizon and driving counting law for a planar motion.
 
     Given the number of switches, the switch instants are sorted uniforms on
-    ``(0, t)``, whatever the rate.
+    ``(0, t)``, whatever the rate.  ``c``, ``t`` and ``c·t`` must be finite
+    and positive.
     """
 
     c: float
@@ -719,10 +712,10 @@ def flight_radii_batch(
     """Flight radii for fixed ``(d, n)`` by inversion of the marginal's
     radial CDF, radius ``i`` from draw 0 of substream ``(seed, i)``.  Bad
     arguments raise before any draw."""
-    _require_speed_horizon(c, t)
+    ct = _require_speed_horizon(c, t)
     inv_a = 1.0 / flight_exponent(d, n, variant)
     blocks = _blocks(n_samples, seed)
     radii = np.empty(n_samples)
     for block in blocks:
-        radii[block] = _radii(c * t, _block_streams(seed, block).first_draws(), inv_a)
+        radii[block] = _radii(ct, _block_streams(seed, block).first_draws(), inv_a)
     return radii

@@ -312,8 +312,10 @@ def _math_log(v: np.ndarray) -> np.ndarray:
     return np.array([math.log(e) for e in v.tolist()])
 
 
-def _shaped(out: np.ndarray, like):
-    out = out.reshape(np.shape(like))
+def _shaped(out: np.ndarray, like=None):
+    """``out``, reshaped to the shape of ``like`` if given, as a float where
+    it has no dimension: how every array law returns."""
+    out = out.reshape(np.shape(out if like is None else like))
     return out if out.ndim else float(out)
 
 
@@ -508,6 +510,7 @@ def wright_series(spec: WrightSeriesSpec, z: float) -> float:
 
 
 _LD_EPS = float(np.finfo(np.longdouble).eps)
+_LD_DOUBLE_MAX = np.longdouble(sys.float_info.max)
 
 
 def bessel_j(nu: float, x: float, rel_tol: float = 1e-12) -> float:
@@ -525,7 +528,9 @@ def bessel_j(nu: float, x: float, rel_tol: float = 1e-12) -> float:
     both relative to the result and relative to the leading term (the
     second clause keeps genuine zeros of J_nu, where relative error is
     meaningless, from tripping the guard) -- callers working at large x
-    must request a tolerance the series can actually deliver.
+    must request a tolerance the series can actually deliver. Once the sum
+    of |t_k|, about I_nu(x), passes the largest double (from x near 714 on)
+    it raises ``ConvergenceError`` too, before a term can overflow.
     """
     if not 0.0 < rel_tol < 1.0:
         raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol}")
@@ -533,28 +538,35 @@ def bessel_j(nu: float, x: float, rel_tol: float = 1e-12) -> float:
     x = float(x)
     if nu < 0.0:
         raise DomainError(f"bessel_j requires nu >= 0, got {nu}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError(f"bessel_j requires x >= 0, got {x}")
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
 
     half = np.longdouble(x) / 2.0
-    term = half**np.longdouble(nu) / np.longdouble(gamma_pos(nu + 1.0))
-    lead = abs(term)
-    total = term
-    abs_total = abs(term)
-    for k in range(_BESSEL_MAX_TERMS):
-        term = -term * half * half / np.longdouble((k + 1.0) * (nu + k + 1.0))
-        total += term
-        abs_total += abs(term)
-        if abs(term) < np.longdouble(1e-25) * abs_total and k > 4:
-            break
-    else:
-        raise ConvergenceError(
-            f"Bessel series did not converge in {_BESSEL_MAX_TERMS} terms",
-            float(total),
-            _BESSEL_MAX_TERMS,
-        )
+    # Where long double is double, half**2 or a term can overflow before the
+    # range check below sees it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        term = half**np.longdouble(nu) / np.longdouble(gamma_pos(nu + 1.0))
+        lead = abs(term)
+        total = term
+        abs_total = abs(term)
+        for k in range(_BESSEL_MAX_TERMS):
+            term = -term * half * half / np.longdouble((k + 1.0) * (nu + k + 1.0))
+            total += term
+            abs_total += abs(term)
+            if not abs_total <= _LD_DOUBLE_MAX:
+                raise ConvergenceError(
+                    f"Bessel series terms leave the double range at nu={nu}, x={x}",
+                    math.nan, k + 1)
+            if abs(term) < np.longdouble(1e-25) * abs_total and k > 4:
+                break
+        else:
+            raise ConvergenceError(
+                f"Bessel series did not converge in {_BESSEL_MAX_TERMS} terms",
+                float(total),
+                _BESSEL_MAX_TERMS,
+            )
     noise = _LD_EPS * float(abs_total)
     budget = 10.0 * rel_tol
     if noise > budget * abs(float(total)) and noise > budget * float(lead):

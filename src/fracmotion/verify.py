@@ -360,6 +360,10 @@ def pgf_ode_residual(
 # Grid points per band of rows in telegraph_residual: a band's arrays peak
 # near 1.7 MB, below the Monte-Carlo checks' working sets.
 _TELEGRAPH_BAND = 1 << 14
+# Most grid steps from the centre to an edge of the telegraph square: the
+# check's time grows with their square, and at h = 1/256, t = 2 this admits
+# c <= 8.
+_TELEGRAPH_MAX_STEPS = 1 << 12
 
 
 def telegraph_residual(
@@ -380,6 +384,8 @@ def telegraph_residual(
     margin keeps the relative residual O(h^2) as the grid refines, whereas a
     fixed step count would pin a boundary layer of h-independent size.
     Reports ``max|residual| / max|c^2 * Laplacian|`` against ``100 h^2``.
+    A square wider than 4 096 steps each side of 0 (``ct/h``; ``c > 8`` at
+    the defaults) raises ``DomainError`` before any point is laid out.
     The density and the stencil are evaluated only on columns that can hold
     a point of the disk ``r <= c(t - h) - margin``; the details count every
     other point of the square as excluded.  ``lam = 0`` degenerates (no
@@ -396,6 +402,9 @@ def telegraph_residual(
     if cone_margin < 5.0 * h * max(1.0, c):
         raise DomainError("cone margin must keep points >= 5 grid steps inside the support")
     half = c * t
+    if not half / h <= _TELEGRAPH_MAX_STEPS:
+        raise DomainError(f"telegraph grid of ct/h = {half / h:.6g} steps each side of 0 "
+                          f"exceeds the cap of {_TELEGRAPH_MAX_STEPS}")
     n_side = int(math.floor(half / h))
     axis = h * np.arange(-n_side, n_side + 1)
     n = axis.size
@@ -792,7 +801,8 @@ def run_check(name: str, alpha: float, lam: float, c: float, t: float, n_samples
     """The report entries of check ``name`` (one of ``CHECK_NAMES``) at order
     ``alpha``, constant rate ``lam``, speed ``c`` and horizon ``t``; ``mc`` and
     ``cf`` draw ``n_samples`` endpoints from ``seed``. Raises ``DomainError``
-    for a bad speed or horizon or an unknown name."""
+    for an unknown name, or unless ``c``, ``t`` and ``c·t`` are finite and
+    positive (the rule of :mod:`fracmotion.densities`)."""
     _require_speed_horizon(c, t)
     if name not in _CHECKS:
         raise DomainError(f"unknown check {name!r}")

@@ -401,6 +401,63 @@ def test_window_past_the_double_range_exits_3_without_a_numpy_warning(tmp_path):
     assert line.startswith("fracmotion: numeric failure: ")
 
 
+@pytest.mark.parametrize("argv,code", [
+    ("simulate --samples 3 --rate const:0 --c 1e200 --t 1e200", EXIT_USAGE),
+    ("density --law line --c 1e-160 --t 1e-160 --grid-min 0 --grid-max 0 --grid-points 1",
+     EXIT_USAGE),
+    ("verify --check telegraph --c 1e200", EXIT_USAGE),
+    ("verify --check cf --c 1e308", EXIT_NUMERIC),
+], ids=lambda v: v.replace(" ", ",") if isinstance(v, str) else str(v))
+def test_extreme_speed_exits_with_one_line_and_no_numpy_warning(tmp_path, argv, code):
+    # These wrote inf rows and exited 0, ended in a traceback, or printed
+    # numpy's warnings from the Bessel series before their exit-3 line.
+    out = tmp_path / "x.out"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "fracmotion.cli", *argv.split(), "--out", str(out)],
+        env=package_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("fracmotion: ")
+    assert not out.exists()
+
+
+EXTREME_SPEED_HORIZON = [(1e200, 1e200), (1e300, 1e10), (1e-160, 1e-160), (1e-160, 1.0),
+                         (1e308, 1.0), (1.0, 1e-320)]
+ENTRY_POINTS = (
+    [["simulate", "--samples", "3", "--rate", "piecewise:1:1"]]
+    + [["density", "--law", law, "--grid-min", "-1", "--grid-max", "1", "--grid-points", "5"]
+       for law in ("planar", "planar-const", "line", "line-classical", "flight")]
+    + [["verify", "--check", name, "--samples", "100000"]
+       for name in ("telegraph", "eigenfunction", "pgf", "law", "mc", "cf")])
+
+
+def holds_no_infinity(path: Path) -> bool:
+    text = path.read_text()
+    if path.suffix == ".json":
+        infinite = []
+        json.loads(text, parse_constant=infinite.append)
+        return not infinite
+    return not any(math.isinf(float(v)) for row in list(csv.reader(text.splitlines()))[1:]
+                   for v in row if v not in ("true", "false"))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c,t", EXTREME_SPEED_HORIZON, ids=lambda v: repr(v))
+@pytest.mark.parametrize("command", ENTRY_POINTS, ids=lambda argv: "-".join(argv[:3]))
+def test_extreme_speed_and_horizon_through_every_entry_point(tmp_path, capsys, command, c, t):
+    # Warnings are errors here, so a numpy warning fails the test.
+    out = tmp_path / ("x.json" if command[0] == "verify" else "x.csv")
+    rc = main([*command, "--c", repr(c), "--t", repr(t), "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC), err
+    if rc == EXIT_OK:
+        assert holds_no_infinity(out)
+    else:
+        (line,) = err
+        assert line.startswith("fracmotion: ")
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("rate", ["power:1,1e308", "const:1e308"])
 @pytest.mark.parametrize("command", [["simulate", "--samples", "3"],
                                      ["density", "--law", "line", "--alpha", "0.5"]])

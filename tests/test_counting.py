@@ -200,6 +200,25 @@ def test_alpha_02_lambda_50_law_and_table_stay_small():
     assert peak < 40e6
 
 
+def test_count_table_owns_its_trimmed_data():
+    # The table was a view of the whole window, which kept the 343 890
+    # counts past it alive: 2.8 MB that no draw can reach.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        dist = CountDistribution(const_spec(0.2, 50.0), 1)
+        table = dist._cum
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert table.base is None and table.flags.owndata
+    assert table.size == dist.support_size - dist.n_lo == 1_592_723
+    assert dist.n_hi - dist.n_lo == 1_936_613
+    assert held < 8.0 * 1_700_000
+    assert table[-1] == 1.0 and table[-2] < 1.0
+
+
 def test_pmf_validation():
     spec = const_spec(0.5, 1.0)
     with pytest.raises(DomainError):

@@ -682,3 +682,85 @@ def test_flight_unconditional_keeps_its_pinned_bits(d, rate, c, t, points):
 @pytest.mark.parametrize("spec,t,points", PGF_PINS)
 def test_pgf_keeps_its_pinned_bits(spec, t, points):
     assert [repr(pgf(spec, t, u)) for u, _ in points] == [v for _, v in points]
+
+
+# ---------------------------------------------------------------------------
+# One rule for c, t and ct
+
+
+def every_law(c, t):
+    """A call of each law at (c, t), at a point that lies in the support of
+    every law wherever c·t is at least 0.1."""
+    spec, flight = const_spec(0.5, 1.0), FlightCountSpec(4, RateFunction.constant(1.0))
+    return {
+        "conditional": lambda: conditional_density(2, c, t, 0.0),
+        "planar": lambda: planar_law(spec, c, t),
+        "mixture": lambda: mixture_density(spec, c, t, 0.0),
+        "planar-const": lambda: planar_density_const_rate(0.5, 1.0, c, t, 0.0, 0.0),
+        "classical-planar": lambda: classical_planar_density(1.0, c, t, 0.0, 0.0),
+        "line": lambda: line_density(spec, c, t, 0.0),
+        "classical-line": lambda: classical_line_density(1.0, c, t, 0.0),
+        "flight-marginal": lambda: flight_marginal(4, 1, c, t, 0.0),
+        "flight": lambda: flight_unconditional(flight, c, t, 0.0),
+        "flight-mixture": lambda: flight_mixture_density(flight, c, t, 0.0),
+    }
+
+
+def every_sampler(c, t):
+    from fracmotion.motion import MotionConfig, conditioned_chunks, flight_radii_batch
+
+    return {
+        "motion-config": lambda: MotionConfig(c, t, const_spec(0.5, 1.0)),
+        "conditioned-chunks": lambda: conditioned_chunks(2, c, t, 3, 0),
+        "flight-radii": lambda: flight_radii_batch(4, 1, c, t, "Y", 3, 0),
+    }
+
+
+def message(call) -> str:
+    with pytest.raises(DomainError) as excinfo:
+        call()
+    return str(excinfo.value)
+
+
+@pytest.mark.parametrize("c,t,expected", [
+    (math.nan, 1.0, "speed c must be finite and positive, got nan"),
+    (-1.0, 1.0, "speed c must be finite and positive, got -1.0"),
+    (math.inf, 1.0, "speed c must be finite and positive, got inf"),
+    (1.0, 0.0, "horizon t must be finite and positive, got 0.0"),
+    (1.0, math.inf, "horizon t must be finite and positive, got inf"),
+    (1e200, 1e200, "support radius c*t must be finite and positive, got inf"),
+    (1e-200, 1e-200, "support radius c*t must be finite and positive, got 0.0"),
+])
+def test_samplers_laws_and_checks_share_one_speed_horizon_rule(c, t, expected):
+    from fracmotion.verify import run_check
+
+    calls = {**every_sampler(c, t), **every_law(c, t),
+             "run-check": lambda: run_check("pgf", 0.5, 1.0, c, t, 10, 0)}
+    assert {name: message(call) for name, call in calls.items()} == {
+        name: expected for name in calls}
+
+
+@pytest.mark.parametrize("c,t", [(1e308, 1.0), (1e-160, 1.0), (1e-160, 1e-160), (1.0, 1e-320)])
+def test_laws_alone_refuse_a_ct_whose_square_is_not_a_normal_double(c, t):
+    # The samplers take such a ct: their endpoints stay within it.
+    for call in every_sampler(c, t).values():
+        call()
+    expected = f"(c*t)^2 must be a positive normal double, got c*t={c * t}"
+    assert {name: message(call) for name, call in every_law(c, t).items()} == {
+        name: expected for name in every_law(c, t)}
+
+
+@pytest.mark.parametrize("law,call,where", [
+    ("conditional", lambda: conditional_density(1, 1.0, 1.0, 1.0), "[0, ct)"),
+    ("flight", lambda: flight_unconditional(FlightCountSpec(4, RateFunction.constant(1.0)),
+                                           1.0, 1.0, np.array([0.2, -0.5])), "[0, ct)"),
+    ("line", lambda: line_density(const_spec(0.5, 1.0), 1.0, 1.0, [[0.0, -1.0]]), "(−ct, ct)"),
+    ("planar-const",
+     lambda: planar_density_const_rate(0.5, 1.0, 1.0, 1.0, 0.3, np.array([0.2, 1.0])),
+     "open disk"),
+])
+def test_a_point_off_the_support_is_named_by_one_helper(law, call, where):
+    got = {"conditional": "1.0", "flight": "-0.5", "line": "-1.0",
+           "planar-const": "(0.3, 1.0)"}[law]
+    text = message(call)
+    assert where in text and text.endswith(f", ct=1.0, got {got}")

@@ -123,6 +123,19 @@ def test_mittag_leffler_at_zero_is_reciprocal_gamma():
     )
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [720.0, 1e300, 1e308, math.inf])
+def test_bessel_past_the_double_range_raises_without_a_numpy_warning(x):
+    # The terms overflowed, with numpy's overflow and invalid-value warnings.
+    with pytest.raises(ConvergenceError, match="leave the double range"):
+        bessel_j(1.0, x, 1e-9)
+
+
+def test_bessel_rejects_nan():
+    with pytest.raises(DomainError, match="x >= 0"):
+        bessel_j(1.0, math.nan)
+
+
 def test_bessel_at_zero_and_at_a_zero_crossing():
     assert bessel_j(0.0, 0.0) == 1.0
     assert bessel_j(2.0, 0.0) == 0.0

@@ -341,6 +341,26 @@ def test_telegraph_bands_keep_the_default_check_small():
     assert peak < 3e6
 
 
+@pytest.mark.parametrize("c", [8.0 + 2.0**-40, 20.0, 1e5, 1e200, 1e308])
+def test_telegraph_grid_past_the_cap_is_refused_before_it_is_laid_out(c, monkeypatch):
+    # c = 20 took 16.5 s, c = 1e5 would lay out a 5e7-step axis, c = 1e200
+    # overflowed numpy's array size and c = 1e308 could not be an integer.
+    from fracmotion import verify
+
+    monkeypatch.setattr(verify.np, "arange", None)
+    with pytest.raises(DomainError, match="exceeds the cap of 4096"):
+        telegraph_residual(1.0, c)
+
+
+def test_telegraph_cap_admits_its_last_square(monkeypatch):
+    from fracmotion import verify
+
+    monkeypatch.setattr(verify, "_TELEGRAPH_MAX_STEPS", 128)  # c <= 0.25 at the defaults
+    assert telegraph_residual(1.0, 0.25).details["excluded_points"] > 0
+    with pytest.raises(DomainError, match="130 steps"):
+        telegraph_residual(1.0, 0.25 + 2.0**-8)
+
+
 def test_telegraph_margin_leaving_no_interior_is_rejected():
     with pytest.raises(DomainError, match="no interior points"):
         telegraph_residual(1.0, 1.0, cone_margin=10.0)
