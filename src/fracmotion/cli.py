@@ -5,7 +5,10 @@ Commands
 --------
 ``fracmotion simulate``  draws endpoint batches to CSV (header
 ``x,y,n,is_singular``), one sampler block at a time, plus a run-manifest
-JSON.  ``fracmotion density``
+JSON.  Its rows hold the bytes of ``repr``; :mod:`fracmotion._csvrows`
+formats them 4 096 at a time by whole-column integer arithmetic (shortest
+round-trip digits by Schubfach) rather than one Python string per row.
+``fracmotion density``
 dumps a named law on a grid to CSV (header ``r,density`` or ``x,density``)
 plus a sidecar JSON recording the singular weight (where the law has one)
 and a count of out-of-support rows, which are written as ``nan``.
@@ -161,7 +164,11 @@ def _row_chunks(*columns: np.ndarray):
 
 def cmd_simulate(config: RunConfig) -> int:
     """Draw an endpoint batch and write ``x,y,n,is_singular`` CSV + manifest,
-    one sampler block at a time."""
+    one sampler block at a time.  Each block's rows go to the file
+    ``_CSV_CHUNK`` at a time as the bytes of
+    :func:`fracmotion._csvrows.endpoint_rows`, which equal
+    ``f"{x!r},{y!r},{n},{'true' if n == 0 else 'false'}\\n"`` per row;
+    each chunk's buffers are dropped before the next is formatted."""
     p = config.params
     rate = parse_rate(p["rate"])
     spec = FracPoissonSpec(alpha=p["alpha"], rate=rate)
@@ -170,14 +177,18 @@ def cmd_simulate(config: RunConfig) -> int:
     blocks = endpoint_blocks(cfg, p["samples"], p["seed"])
     out = _resolve_out(p, "endpoints.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", newline="") as fh:
-        fh.write("x,y,n,is_singular\n")
+    # Only simulate loads the row formatter, so the other commands do not
+    # pay for its import.
+    from ._csvrows import endpoint_rows
+
+    with out.open("wb") as fh:
+        fh.write(b"x,y,n,is_singular\n")
         for cols in blocks:
-            for rows in _row_chunks(cols.x, cols.y, cols.n):
-                fh.writelines(f"{x!r},{y!r},{n},{'true' if n == 0 else 'false'}\n"
-                              for x, y, n in rows)
+            for lo in range(0, cols.n.size, _CSV_CHUNK):
+                part = slice(lo, lo + _CSV_CHUNK)
+                fh.write(endpoint_rows(cols.x[part], cols.y[part], cols.n[part]))
             # Drop the block before the next one is drawn.
-            del cols, rows
+            del cols
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), config,
                     {"rows": p["samples"]})
     print(f"wrote {p['samples']} endpoints to {out}")

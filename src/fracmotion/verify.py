@@ -295,10 +295,11 @@ def eigenfunction_residual(
     origin boundary layer against ``50 * h^(2-alpha)``.
 
     ``eigenvalue_factor != 1`` scales the claimed eigenvalue and serves as
-    the wrong-eigenvalue negative control.  Raises ``RangeOverflowError``
-    where ``g``, which tops out at ``E = E_{alpha,1}(lam/c)``, or the
-    residual formed from it would leave the double range, or where
-    ``lam/(2*pi*c*E)`` is below it.
+    the wrong-eigenvalue negative control.  Raises ``RangeOverflowError``,
+    naming the number that fails, where ``g``, which tops out at
+    ``E = E_{alpha,1}(lam/c)``, or the residual formed from it would leave
+    the double range, where ``lam/(2*pi*c*E)`` is below it, or where
+    :func:`planar_density_const_rate`'s ``c*c*t*t`` overflows.
     """
     t = 1.0 / c
     w = _unit_grid(h)
@@ -312,11 +313,20 @@ def eigenfunction_residual(
         # g tops out at exp(log_norm), and the residual differences it after
         # scaling by the claimed eigenvalue or the L1 weight h^-alpha/Gamma(2-alpha).
         scale = max(eigenvalue_factor * lam / c, h ** -alpha / gamma_pos(2.0 - alpha), 1.0)
-        if not (log_norm + math.log(2.0 * scale) < _LOG_DOUBLE_MAX
-                and limit0 >= sys.float_info.min):
+        if not log_norm + math.log(2.0 * scale) < _LOG_DOUBLE_MAX:
             raise RangeOverflowError(
                 f"eigenfunction profile at lambda={lam} leaves double range: "
                 f"ln E_{{{alpha},1}}({lam * t}) = {log_norm:.6g}")
+        if not limit0 >= sys.float_info.min:
+            log_limit0 = math.log(lam) - math.log(2.0 * math.pi) - math.log(c) - log_norm
+            raise RangeOverflowError(
+                f"eigenfunction normalizer at c={c} leaves double range: "
+                f"lambda/(2*pi*c*E) = exp({log_limit0:.6g}) is below the smallest normal double")
+        # The law forms c*c*t*t, which overflows at t = 1/c although c*t = 1.
+        if not math.isfinite(c * c * t * t):
+            raise RangeOverflowError(
+                f"eigenfunction profile at c={c} leaves double range: the planar "
+                f"law's c*c*t*t at t = 1/c = {t:.6g} is {c * c * t * t}")
         # Scalar ** per node: numpy's power differs in the last ulp.
         ws = np.array([wm**alpha for wm in w[1:]])
         r = np.array([math.sqrt(max(0.0, (c * t) ** 2 - v * v)) for v in ws.tolist()])

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fracmotion.cli import (
+    _CSV_CHUNK,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
@@ -35,6 +36,7 @@ from fracmotion.counting import (
     cumulative_rate,
 )
 from fracmotion import motion
+from fracmotion._csvrows import endpoint_rows
 from fracmotion.densities import (
     classical_line_density,
     flight_unconditional,
@@ -158,6 +160,100 @@ def test_simulate_streams_the_bytes_of_the_whole_batch(tmp_path, seed, rate, n_s
     cfg = motion.MotionConfig(c=1.0, t=1.0, count_spec=FracPoissonSpec(0.5, parse_rate(rate)))
     assert out.read_text() == csv_of_batch(motion.endpoint_arrays(cfg, n_samples, seed))
     assert json.loads((tmp_path / "sim.csv.manifest.json").read_text())["rows"] == n_samples
+
+
+@pytest.mark.parametrize("extra,regime", [
+    # Every value in exponent form.
+    (["--c", "1e-6"], lambda text, cols: text.count("e-") == 2 * cols.n.size),
+    # Exponent form beside whole numbers such as 6028875521076896.0.
+    (["--c", "1e17"], lambda text, cols: "e+16," in text and ".0," in text),
+    # Counts near 5.0e9, past 2**32.
+    (["--alpha", "1", "--rate", "const:5e9"], lambda text, cols: cols.n.min() > 2**32),
+])
+def test_simulate_writes_the_bytes_of_repr_in_every_regime(tmp_path, extra, regime):
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--samples", "200", "--seed", "5", *extra, "--out", str(out)]) == EXIT_OK
+    args = dict(zip(extra[::2], extra[1::2]))
+    cfg = motion.MotionConfig(
+        c=float(args.get("--c", 1.0)), t=1.0,
+        count_spec=FracPoissonSpec(float(args.get("--alpha", 1.0)),
+                                   parse_rate(args.get("--rate", "const:1"))))
+    cols = motion.endpoint_arrays(cfg, 200, 5)
+    text = out.read_text()
+    assert text == csv_of_batch(cols)
+    assert regime(text, cols)
+
+
+# ---------------------------------------------------------------------------
+# Endpoint rows: the chunk formatter against repr
+
+
+def repr_rows(x, y, n) -> bytes:
+    return csv_of_batch(motion.EndpointArrays(x, y, n)).encode()[len("x,y,n,is_singular\n"):]
+
+
+def formatted_rows(x, y, n) -> bytes:
+    return b"".join(endpoint_rows(x[lo:lo + _CSV_CHUNK], y[lo:lo + _CSV_CHUNK],
+                                   n[lo:lo + _CSV_CHUNK])
+                    for lo in range(0, x.size, _CSV_CHUNK))
+
+
+def assert_rows_match_repr(values, counts=None):
+    values = np.asarray(values, dtype=np.float64)
+    # Each value is written as x and, in another row and chunk, as y.
+    x, y = values, np.roll(values, values.size // 2 + 1)
+    n = np.zeros(values.size, dtype=np.int64) if counts is None else counts
+    got, want = formatted_rows(x, y, n), repr_rows(x, y, n)
+    if got != want:
+        bad = [(g, w) for g, w in zip(got.split(b"\n"), want.split(b"\n")) if g != w]
+        pytest.fail(f"{len(bad)} rows differ from repr, first {bad[:3]}")
+
+
+def with_neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        around = [values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)]
+    both = np.concatenate(around)
+    both = both[np.isfinite(both)]
+    return np.concatenate([both, -both])
+
+
+def test_rows_match_repr_at_every_power_of_two():
+    assert_rows_match_repr(with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024))))
+
+
+def test_rows_match_repr_at_every_power_of_ten():
+    assert_rows_match_repr(with_neighbours([float(f"1e{e}") for e in range(-323, 309)]))
+
+
+def test_rows_match_repr_on_random_bit_patterns():
+    bits = np.random.default_rng(20260815).integers(0, 2**64, 200_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    assert_rows_match_repr(values[np.isfinite(values)])
+
+
+def test_rows_match_repr_at_the_edges_of_each_notation():
+    edges = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+             sys.float_info.max, sys.float_info.min, 1.0, 2.0**53 + 2.0,
+             # 17 digits after "0.000": decpt = -3.
+             0.00012345678901234567, 100.0, 1200.0, 6028875521076896.0, 1e22, 1e21]
+    assert_rows_match_repr(np.concatenate([
+        edges, with_neighbours([1e-4, 1e-5, 1e15, 1e16, 2.0**53, 0.5, 1e-3])]))
+
+
+def test_rows_match_repr_for_counts_past_two_to_the_32():
+    counts = np.array([0, 1, 9, 10, 99, 100, 2**32 - 1, 2**32, 5000024773, 10**18, 2**63 - 1],
+                      dtype=np.int64)
+    assert_rows_match_repr(np.linspace(-1.0, 1.0, counts.size), counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.floats(), st.integers(0, 2**63 - 1)),
+                min_size=1, max_size=40))
+def test_rows_match_repr_on_any_floats(rows):
+    x, y, n = (np.array(col) for col in zip(*rows))
+    assert endpoint_rows(x.astype(np.float64), y.astype(np.float64),
+                          n.astype(np.int64)) == repr_rows(x, y, n)
 
 
 def traced_peak(argv) -> int:
@@ -485,6 +581,25 @@ def test_eigenfunction_profile_past_double_range_is_a_numeric_error(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,culprit", [
+    # E_{0.2,1}(1e5) itself leaves the double range.
+    (["--alpha", "0.2", "--lambda", "1e5"], "ln E_{0.2,1}(100000.0) = 1e+25"),
+    # The normalizer lambda/(2*pi*c*E) falls below the smallest double.
+    (["--c", "1e308"], "lambda/(2*pi*c*E) = exp(-711.034) is below the smallest normal double"),
+    # The law forms c*c*t*t = inf at t = 1/c.
+    (["--c", "1e300"], "the planar law's c*c*t*t at t = 1/c = 1e-300 is inf"),
+])
+def test_eigenfunction_range_error_names_the_number_that_fails(tmp_path, capsys, argv, culprit):
+    out = tmp_path / "eig.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["verify", "--check", "eigenfunction", *argv, "--out", str(out)])
+    assert rc == EXIT_NUMERIC
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("fracmotion: numeric failure: eigenfunction") and culprit in line
+    assert not out.exists()
+
+
 def test_eigenfunction_default_entry_keeps_its_statistic(tmp_path):
     out = tmp_path / "eig.json"
     with np.errstate(all="raise"):
@@ -776,6 +891,22 @@ print(json.dumps({"threads": threading.active_count() - before,
 def test_importing_the_cli_starts_no_thread(tmp_path):
     # The endpoint kernel's worker thread starts at the first paired chunk.
     assert run_script(IMPORT_SCRIPT, tmp_path) == {"threads": 0, "loaded": []}
+
+
+TABLES_SCRIPT = """
+import json, sys
+import fracmotion.cli
+loaded = "fracmotion._csvrows" in sys.modules
+import fracmotion._csvrows as rows
+print(json.dumps([loaded, rows._schubfach_table.cache_info().currsize,
+                  rows._digit_table.cache_info().currsize]))
+"""
+
+
+def test_importing_the_cli_builds_no_format_table(tmp_path):
+    # The row formatter is imported by the first simulate, and its tables
+    # are built when it formats its first chunk.
+    assert run_script(TABLES_SCRIPT, tmp_path) == [False, 0, 0]
 
 
 # The same commands with scipy not importable at all.
