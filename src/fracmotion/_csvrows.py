@@ -8,7 +8,9 @@ several; Schubfach (R. Giulietti, "The Schubfach way to render doubles",
 2020) finds that decimal in 128-bit integer arithmetic, here on uint64
 arrays.  Each row is then laid out in fixed character columns, NUL (0)
 wherever the row has no character, and one ``bytes.translate`` per chunk
-deletes the NULs.  Both tables are built on first use.
+deletes the NULs.  The table of scaled powers of ten is filled a column at
+a time, each the first time a chunk's exponents need it, and the digit
+table is built on first use.
 
 The arrays are uint64, int64 and uint8 throughout: numpy turns uint64 mixed
 with int64, or with a bool times a Python int, into float64.
@@ -24,23 +26,30 @@ _POW10 = np.uint64(10) ** np.arange(20, dtype=np.uint64)
 _FLAG_CHARS = np.frombuffer(b"falsetrue\0", dtype=np.uint8).reshape(2, 5)
 
 
-@functools.cache
-def _schubfach_table() -> np.ndarray:
-    """``g(e) = ⌊10^e · 2^(127 − ⌊log₂ 10^e⌋)⌋ + 1`` for ``e`` in
-    [−292, 326], the 128-bit scaled powers of ten of Schubfach, as six
-    uint64 rows: the 32-bit limbs of ``g`` from the lowest, then its low and
-    high 64-bit words.  Built on first use."""
-    rows = []
-    for e in range(-292, 327):
-        p = 10 ** abs(e)
-        if e >= 0:
-            shift = 127 - (p.bit_length() - 1)
-            g = p << shift if shift >= 0 else p >> -shift
-        else:  # ⌊log₂ 10^e⌋ = −bit_length(10^−e), as 10^−e is no power of 2
-            g = (1 << (127 + p.bit_length())) // p
-        g += 1
-        rows.append([(g >> b) & 0xFFFFFFFF for b in (0, 32, 64, 96)] + [g & (2**64 - 1), g >> 64])
-    return np.array(rows, dtype=np.uint64).T.copy()
+# The 128-bit scaled powers of ten of Schubfach, g(e) for e in [−292, 326],
+# as six uint64 rows: the 32-bit limbs of g from the lowest, then its low and
+# high 64-bit words.  Column e + 292 is filled the first time a chunk needs it.
+_SCALED_POWERS = np.empty((6, 619), dtype=np.uint64)
+_FILLED = np.zeros(619, dtype=bool)
+
+
+def _scaled_powers(columns: np.ndarray) -> np.ndarray:
+    """Columns ``e + 292`` of ``g(e) = ⌊10^e · 2^(127 − ⌊log₂ 10^e⌋)⌋ + 1``,
+    filling those not filled yet."""
+    filled = _FILLED[columns]
+    if not filled.all():
+        for col in set(columns[~filled].tolist()):
+            p = 10 ** abs(col - 292)
+            if col >= 292:
+                shift = 127 - (p.bit_length() - 1)
+                g = p << shift if shift >= 0 else p >> -shift
+            else:  # ⌊log₂ 10^e⌋ = −bit_length(10^−e), as 10^−e is no power of 2
+                g = (1 << (127 + p.bit_length())) // p
+            g += 1
+            _SCALED_POWERS[:, col] = [(g >> b) & 0xFFFFFFFF for b in (0, 32, 64, 96)] + [
+                g & (2**64 - 1), g >> 64]
+            _FILLED[col] = True
+    return np.take(_SCALED_POWERS, columns, axis=1)
 
 
 @functools.cache
@@ -48,11 +57,11 @@ def _digit_table() -> np.ndarray:
     """The four digit characters of each ``g`` in [0, 10⁴), one uint32
     each: entry ``g`` with its trailing zeros NUL, entry ``10⁴ + g`` in
     full."""
-    g = np.arange(10_000)
-    place = 10 ** np.arange(3, -1, -1)
-    full = (g[:, None] // place % 10 + 48).astype(np.uint8)
-    blank = full * (g[:, None] % (10 * place) != 0)
-    return np.concatenate([blank, full]).view(np.uint32).ravel()
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # row j: digit j of g
+    # A digit is kept where it or a digit after it is nonzero.
+    kept = np.logical_or.accumulate(digits[::-1] != 0)[::-1]
+    digits += 48
+    return np.concatenate([digits * kept, digits], axis=1).T.copy().view(np.uint32).ravel()
 
 
 def _mul64(a0, a1, a, b0, b1, b):
@@ -119,7 +128,7 @@ def _shortest_decimals(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = (q + ((-k * 1741647) >> 19) + 1).astype(np.uint64)
     # Temporaries are dropped once used: they set a chunk's peak memory.
     del q
-    g0, g1, g2, g3, g_lo, g_hi = np.take(_schubfach_table(), -k + 292, axis=1)
+    g0, g1, g2, g3, g_lo, g_hi = _scaled_powers(292 - k)
     cp = c << (h + 2)
     c0, c1 = cp & 0xFFFFFFFF, cp >> 32
     x1, x0 = _mul64(g0, g1, g_lo, c0, c1, cp)

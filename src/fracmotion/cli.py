@@ -24,7 +24,9 @@ Rates use the mini-grammar ``const:<lam>``, ``power:<a>,<b>`` and
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
 error.  A speed ``c``, horizon ``t`` or support radius ``c·t`` that is not
-finite and positive is a usage error in every command, and so, in
+finite and positive is a usage error in every command (in ``verify
+--check``, the ``c`` and ``t`` the check reads: the telegraph check runs at
+``t = 2`` and the eigenfunction check at ``t = 1/c``), and so, in
 ``density`` and the checks that evaluate a law, is a ``c·t`` whose square
 is not a positive normal double.  The environment variable
 ``FRACMOTION_OUT_DIR`` sets the default output directory when ``--out`` is

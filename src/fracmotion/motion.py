@@ -17,9 +17,11 @@ own ``numpy`` substream ``default_rng((seed, i))``, exactly as
 :func:`sample_trajectory` would consume it.  The batch sampler seeds those
 streams for many ``i`` at once in numpy integer arithmetic instead of
 building one generator per sample.  It works in blocks of ``2**14``
-samples: it seeds a block's streams, and draws their switch counts, in
-pieces of ``2**12``, then sorts the block's rows by count once and draws
-each group of equal count in chunks of at most ``2**14`` uniforms.  It
+samples: it seeds a block's streams in one pass of the hash, whose steps
+that see only the seed's words run once, on Python ints, and draws their
+switch counts from one read of draw 0.  It then sorts the streams by count
+once, draws each group of equal count from contiguous rows in chunks of at
+most ``2**14`` uniforms, and puts x and y back in sample order once.  It
 computes a path's first ``_BULK_DRAWS`` draws in bulk from those states; a
 longer path is drawn by numpy's own PCG64 set to its bulk-seeded state.
 A path with more than ``2**20`` switches takes its endpoint from the exact
@@ -211,24 +213,31 @@ def _entropy_words(value: int) -> list[int]:
     return words
 
 
-def _seed_sequence_state(entropy: list) -> list:
-    """``SeedSequence(entropy).generate_state(4, np.uint64)`` for entropy
-    given as a list of equally shaped uint32 arrays (pool size 4)."""
+def _low32(value):
+    """``value mod 2**32`` of a Python int; uint32 arrays wrap by themselves."""
+    return value & _M32 if isinstance(value, int) else value
+
+
+def _seed_sequence_state(seed_words: list[int], index_words: list) -> list:
+    """``SeedSequence(seed_words + index_words).generate_state(4, np.uint64)``
+    (pool size 4) for seed words given as Python ints and index words as
+    equally shaped uint32 arrays.  A step that sees only seed words runs
+    once, on ints."""
     hash_const = _HASH_INIT_A
 
     def hashmix(value):
         nonlocal hash_const
         value = value ^ hash_const
         hash_const = (hash_const * _HASH_MULT_A) & _M32
-        value = value * hash_const
+        value = _low32(value * hash_const)
         return value ^ (value >> 16)
 
     def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        result = _low32(_low32(_MIX_MULT_L * x) - _low32(_MIX_MULT_R * y))
         return result ^ (result >> 16)
 
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    entropy = seed_words + index_words
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
     for src in range(4):
         for dst in range(4):
             if src != dst:
@@ -237,13 +246,17 @@ def _seed_sequence_state(entropy: list) -> list:
         for dst in range(4):
             pool[dst] = mix(pool[dst], hashmix(word))
     hash_const = _HASH_INIT_B
-    words = []
+    state = []
     for k in range(8):
         value = pool[k % 4] ^ hash_const
         hash_const = (hash_const * _HASH_MULT_B) & _M32
-        value = value * hash_const
-        words.append((value ^ (value >> 16)).astype(np.uint64))
-    return [words[2 * j] | (words[2 * j + 1] << 32) for j in range(4)]
+        value *= hash_const
+        value ^= value >> 16
+        if k % 2:
+            state[-1] |= value.astype(np.uint64) << 32
+        else:
+            state.append(value.astype(np.uint64))
+    return state
 
 
 def _mul128(hi: np.ndarray, lo: np.ndarray, a: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -290,7 +303,6 @@ def _jump(k: int) -> tuple[int, int]:
 
 
 _BULK_DRAWS = 128  # draws of a stream computed in bulk; later ones come from PCG64 itself
-_SEED_PIECE = 1 << 12  # streams seeded, and their draws 0 read, at once
 
 
 @lru_cache(maxsize=None)
@@ -319,50 +331,37 @@ def _to_uniform(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 class _Substreams:
     """The generators ``np.random.default_rng((seed, i))`` for an array of
-    indices ``i``, each in its freshly seeded state."""
+    indices ``i``, each in its freshly seeded state: all of them seeded by
+    one pass of the hash, or two where indices below and from ``2**32``
+    mix."""
 
     def __init__(self, seed: int, indices: np.ndarray):
         indices = np.asarray(indices, dtype=np.uint64)
-        self.x_hi, self.x_lo, self.inc_hi, self.inc_lo = (np.empty_like(indices) for _ in range(4))
-        # The hash's temporaries take several times the state, so the
-        # streams are seeded _SEED_PIECE at a time.
-        for lo in range(0, indices.size, _SEED_PIECE):
-            self._seed(seed, indices[lo:lo + _SEED_PIECE], slice(lo, lo + _SEED_PIECE))
-
-    def _seed(self, seed: int, indices: np.ndarray, piece: slice) -> None:
-        """Seed the streams ``piece`` as ``default_rng((seed, i))`` for ``i``
-        in ``indices``."""
-        seed_words = [np.full(indices.shape, w, dtype=np.uint32) for w in _entropy_words(seed)]
-        s = [np.empty_like(indices) for _ in range(4)]
+        words = [(indices & _M32).astype(np.uint32)]
         # An index of 2**32 or more is two entropy words, which changes the
-        # mixing, so such indices are seeded apart from the rest.
-        wide = indices > _M32
-        for part in (~wide, wide):
-            if part.any():
-                idx = indices[part]
-                words = [(idx & _M32).astype(np.uint32)]
-                if idx[0] > _M32:
-                    words.append((idx >> 32).astype(np.uint32))
-                entropy = [w[part] for w in seed_words] + words
-                for out, value in zip(s, _seed_sequence_state(entropy)):
-                    out[part] = value
+        # mixing; streams of both kinds are seeded both ways.
+        seed_words, wide = _entropy_words(seed), indices > _M32
+        s = _seed_sequence_state(seed_words, words)
+        if wide.any():
+            words.append((indices >> 32).astype(np.uint32))
+            s = np.where(wide, _seed_sequence_state(seed_words, words), s)
         # PCG64 seeding sets inc = (s2:s3) << 1 | 1, then steps from 0, adds
         # (s0:s1) and steps again.  Keep the state x = (s0:s1) + inc, from
         # which the seeded state is one step and draw k is k + 2 steps.
-        x_hi, x_lo, inc_hi, inc_lo = (
-            a[piece] for a in (self.x_hi, self.x_lo, self.inc_hi, self.inc_lo))
-        inc_hi[:] = (s[2] << 1) | (s[3] >> 63)
-        inc_lo[:] = (s[3] << 1) | 1
-        x_hi[:], x_lo[:] = s[0], s[1]
-        _add128(x_hi, x_lo, inc_hi, inc_lo)
+        self.inc_hi = (s[2] << 1) | (s[3] >> 63)
+        self.inc_lo = (s[3] << 1) | 1
+        self.x_hi, self.x_lo = s[0], s[1]
+        _add128(self.x_hi, self.x_lo, self.inc_hi, self.inc_lo)
 
     def first_draws(self) -> np.ndarray:
-        """Draw 0 of every stream, read ``_SEED_PIECE`` streams at a time."""
-        out = np.empty(self.x_hi.size)
-        for lo in range(0, out.size, _SEED_PIECE):
-            piece = slice(lo, lo + _SEED_PIECE)
-            out[piece] = self.uniforms(0, 1, piece)[:, 0]
-        return out
+        """Draw 0 of every stream."""
+        return self.uniforms(0, 1)[:, 0]
+
+    def sort(self, order: np.ndarray) -> None:
+        """Reorder the streams: stream ``j`` becomes the one that was
+        stream ``order[j]``."""
+        self.x_hi, self.x_lo, self.inc_hi, self.inc_lo = (
+            a[order] for a in (self.x_hi, self.x_lo, self.inc_hi, self.inc_lo))
 
     def uniforms(self, start: int, count: int,
                  rows: np.ndarray | slice | None = None) -> np.ndarray:
@@ -603,30 +602,35 @@ if hasattr(os, "register_at_fork"):
 
 def _block_endpoints(cfg: MotionConfig, dist: CountDistribution, seed: int,
                      block: slice) -> EndpointArrays:
-    """One block's columns from its streams: draw the counts, sort the rows
-    by count and draw each equal-count group in chunks of at most
-    ``_DRAW_BUDGET`` uniforms."""
+    """One block's columns from its streams: draw the counts, sort the
+    streams by count once and draw each equal-count group from contiguous
+    rows in chunks of at most ``_DRAW_BUDGET`` uniforms, then put x and y
+    back in sample order."""
     streams = _block_streams(seed, block)
     ns = dist.sample_many(streams.first_draws())
-    xs = np.empty(ns.size)
-    ys = np.empty(ns.size)
     # A row's draws do not depend on its place in its group, so any sort will do.
     order = np.argsort(ns)
-    for rows in np.split(order, np.flatnonzero(np.diff(ns[order])) + 1):
-        n = int(ns[rows[0]])
+    streams.sort(order)
+    counts = ns[order]
+    xy = np.empty((2, ns.size))  # x and y in count order
+    edges = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), ns.size]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        n = int(counts[lo])
         long_paths = n > _MAX_PATH_SWITCHES
         draws = 2 if long_paths else 2 * n + 1
         per_chunk = max(1, _DRAW_BUDGET // draws)
-        for first in range(0, rows.size, per_chunk):
-            chunk = rows[first:first + per_chunk]
+        for first in range(lo, hi, per_chunk):
+            chunk = slice(first, min(first + per_chunk, hi))
             u = streams.uniforms(1, draws, chunk)
             if long_paths:
                 r = _radii(cfg.c * cfg.t, u[:, 0], 2.0 / n)
-                xs[chunk] = r * np.cos(_TWO_PI * u[:, 1])
-                ys[chunk] = r * np.sin(_TWO_PI * u[:, 1])
+                xy[0, chunk] = r * np.cos(_TWO_PI * u[:, 1])
+                xy[1, chunk] = r * np.sin(_TWO_PI * u[:, 1])
             else:
-                xs[chunk], ys[chunk] = _endpoints(cfg.c, cfg.t, n, u)
-    return EndpointArrays(x=xs, y=ys, n=ns)
+                xy[0, chunk], xy[1, chunk] = _endpoints(cfg.c, cfg.t, n, u)
+    out = np.empty_like(xy)
+    out[:, order] = xy
+    return EndpointArrays(x=out[0], y=out[1], n=ns)
 
 
 def endpoint_blocks(cfg: MotionConfig, n_samples: int, seed: int) -> Iterator[EndpointArrays]:

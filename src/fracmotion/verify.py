@@ -799,6 +799,12 @@ _CHECKS = {
     "cf": _cf_check,
 }
 CHECK_NAMES = tuple(_CHECKS)
+# The (c, t) a check reads, where it is not the (c, t) it is given: the
+# telegraph check runs at t = 2 and the eigenfunction check at t = 1/c.
+_SPEED_HORIZON = {
+    "telegraph": lambda c, t: (c, 2.0),
+    "eigenfunction": lambda c, t: (c, 1.0 / c if c else c),  # c = 0 is refused as c
+}
 
 # The default suite as (check, alpha) rows at lambda = c = t = 1, in report
 # order; the mc entries carry an [alpha=...] tag.
@@ -811,11 +817,15 @@ def run_check(name: str, alpha: float, lam: float, c: float, t: float, n_samples
     """The report entries of check ``name`` (one of ``CHECK_NAMES``) at order
     ``alpha``, constant rate ``lam``, speed ``c`` and horizon ``t``; ``mc`` and
     ``cf`` draw ``n_samples`` endpoints from ``seed``. Raises ``DomainError``
-    for an unknown name, or unless ``c``, ``t`` and ``c·t`` are finite and
-    positive (the rule of :mod:`fracmotion.densities`)."""
-    _require_speed_horizon(c, t)
+    for an unknown name, or unless the speed and horizon the check reads, and
+    their product, are finite and positive (the rule of
+    :mod:`fracmotion.densities`): ``(c, 2)`` for ``telegraph``, ``(c, 1/c)``
+    for ``eigenfunction`` and ``(c, t)`` for the others.  ``pgf`` reads no
+    ``c`` but keeps the ``(c, t)`` rule: at a large ``t`` its grid does not
+    resolve the profile and the check fails on correct code."""
     if name not in _CHECKS:
         raise DomainError(f"unknown check {name!r}")
+    _require_speed_horizon(*_SPEED_HORIZON.get(name, lambda c, t: (c, t))(c, t))
     return _CHECKS[name](alpha, lam, c, t, n_samples, seed)
 
 

@@ -895,18 +895,28 @@ def test_importing_the_cli_starts_no_thread(tmp_path):
 
 TABLES_SCRIPT = """
 import json, sys
+import numpy as np
 import fracmotion.cli
 loaded = "fracmotion._csvrows" in sys.modules
 import fracmotion._csvrows as rows
-print(json.dumps([loaded, rows._schubfach_table.cache_info().currsize,
+before = [int(rows._FILLED.sum()), rows._digit_table.cache_info().currsize]
+x = np.random.default_rng(3).random(4096) * 2 - 1
+rows.endpoint_rows(x, x, np.arange(x.size))
+print(json.dumps([loaded, before, np.flatnonzero(rows._FILLED).tolist(),
                   rows._digit_table.cache_info().currsize]))
 """
 
 
 def test_importing_the_cli_builds_no_format_table(tmp_path):
-    # The row formatter is imported by the first simulate, and its tables
-    # are built when it formats its first chunk.
-    assert run_script(TABLES_SCRIPT, tmp_path) == [False, 0, 0]
+    # The row formatter is imported by the first simulate.  Its digit table
+    # is built when it formats its first chunk, and each column of its table
+    # of scaled powers of ten the first time a chunk's exponents need it.
+    loaded, before, filled, digit_tables = run_script(TABLES_SCRIPT, tmp_path)
+    assert [loaded, before, digit_tables] == [False, [0, 0], 1]
+    # The chunk's doubles lie in 2^-11 <= |x| < 1, so |x| = c·2^q with q from
+    # -63 to -53 and Schubfach's k = ⌊q·log₁₀ 2⌋ from -19 to -16: four of the
+    # 619 columns, 292 - k.
+    assert filled == [308, 309, 310, 311]
 
 
 # The same commands with scipy not importable at all.

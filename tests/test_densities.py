@@ -735,7 +735,7 @@ def test_samplers_laws_and_checks_share_one_speed_horizon_rule(c, t, expected):
     from fracmotion.verify import run_check
 
     calls = {**every_sampler(c, t), **every_law(c, t),
-             "run-check": lambda: run_check("pgf", 0.5, 1.0, c, t, 10, 0)}
+             "run-check": lambda: run_check("law", 0.5, 1.0, c, t, 10, 0)}
     assert {name: message(call) for name, call in calls.items()} == {
         name: expected for name in calls}
 

@@ -183,6 +183,29 @@ def test_bulk_substreams_match_default_rng(seed):
                           [expected[r][33:40] for r in (4, 0, 3)])
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**128 - 1),
+       indices=st.lists(st.one_of(st.integers(min_value=0, max_value=2**32 - 1),
+                                  st.integers(min_value=2**32, max_value=2**64 - 1)),
+                        min_size=1, max_size=6))
+def test_seed_sequence_state_is_numpys(seed, indices):
+    # Seeds of up to four words put the index words in the pool or past it.
+    expected = np.array([np.random.SeedSequence((seed, i)).generate_state(4, np.uint64)
+                         for i in indices])
+    idx = np.array(indices, dtype=np.uint64)
+    wide = idx > 2**32 - 1
+    for part in (~wide, wide):
+        if part.any():
+            words = [(idx[part] & 0xFFFFFFFF).astype(np.uint32)]
+            if wide[part][0]:
+                words.append((idx[part] >> 32).astype(np.uint32))
+            state = motion._seed_sequence_state(motion._entropy_words(seed), words)
+            assert np.array_equal(np.array(state).T, expected[part])
+    # Streams of both kinds in one block are seeded both ways.
+    assert np.array_equal(_Substreams(seed, idx).uniforms(0, 3),
+                          [np.random.default_rng((seed, i)).random(3) for i in indices])
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_long_reads_come_from_pcg64_at_the_bulk_seeded_state(seed, monkeypatch):
     # A path of n switches reads draws 1 .. 2n + 1.  From 2n + 1 = _BULK_DRAWS
@@ -230,13 +253,13 @@ def test_batch_replays_bit_for_bit(cfg):
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_batch_rows_do_not_depend_on_batch_size(offset):
-    # Sizes just around a seeding piece, a block and two blocks: each batch
-    # is a prefix of the longest, whose rows on the edges replay.
+    # Sizes just around a block and two blocks: each batch is a prefix of
+    # the longest, whose rows on the edges replay.
     cfg = const_cfg(alpha=0.5, lam=1.0, c=0.7)
-    piece, block = motion._SEED_PIECE, motion._BLOCK
-    sizes = [1] + [base + offset for base in (piece, block, 2 * block)]
+    block = motion._BLOCK
+    sizes = [1] + [base + offset for base in (block, 2 * block)]
     longest = endpoint_arrays(cfg, sizes[-1], seed=12)
-    edges = [0, piece - 1, piece, block - 1, block, sizes[-1] - 2, sizes[-1] - 1]
+    edges = [0, block - 1, block, sizes[-1] - 2, sizes[-1] - 1]
     assert_rows_replay(cfg, longest, 12, edges)
     for n in sizes[:-1]:
         cols = endpoint_arrays(cfg, n, seed=12)
@@ -247,8 +270,6 @@ def test_batch_rows_do_not_depend_on_batch_size(offset):
 def test_batch_does_not_depend_on_block_and_draw_budget(monkeypatch):
     cfg = const_cfg(alpha=0.5, lam=10.0, c=1.7)
     base = endpoint_arrays(cfg, 300, seed=4)
-    # Blocks of 37 are seeded in pieces of 16, 16 and 5.
-    monkeypatch.setattr(motion, "_SEED_PIECE", 16)
     monkeypatch.setattr(motion, "_BLOCK", 37)
     monkeypatch.setattr(motion, "_DRAW_BUDGET", 500)
     # Every path is drawn by numpy's PCG64 at 1, every one in bulk at 10**9.
@@ -257,6 +278,35 @@ def test_batch_does_not_depend_on_block_and_draw_budget(monkeypatch):
         small = endpoint_arrays(cfg, 300, seed=4)
         for f in base._fields:
             assert np.array_equal(getattr(base, f), getattr(small, f))
+
+
+def test_block_columns_do_not_depend_on_the_order_of_their_count_groups(monkeypatch):
+    # The blocks draw their count groups in the order of motion's np.argsort:
+    # here largest count first, each group's rows shuffled, in chunks of few
+    # rows.
+    cfg = const_cfg(alpha=0.5, lam=3.0, c=1.3)
+    base = endpoint_arrays(cfg, 3000, seed=6)
+    shuffle = np.random.default_rng(0)
+    calls = []
+
+    class Numpy:
+        """numpy as motion sees it, but with the count order turned round."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def argsort(a):
+            calls.append(a.size)
+            return np.lexsort((shuffle.random(a.size), -a))
+
+    monkeypatch.setattr(motion, "np", Numpy())
+    monkeypatch.setattr(motion, "_BLOCK", 1000)
+    monkeypatch.setattr(motion, "_DRAW_BUDGET", 60)
+    turned = endpoint_arrays(cfg, 3000, seed=6)
+    assert calls == [1000] * 3
+    for f in base._fields:
+        assert np.array_equal(getattr(base, f), getattr(turned, f)), f
 
 
 def test_sparse_batch_groups_rows_once_per_block(monkeypatch):

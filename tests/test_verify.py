@@ -730,3 +730,26 @@ def test_default_suite_peak_allocation_is_bounded():
 def test_run_check_rejects_an_unknown_name():
     with pytest.raises(DomainError, match="unknown check 'nope'"):
         run_check("nope", 0.5, 1.0, 1.0, 1.0, 100_000, 1)
+
+
+@pytest.mark.parametrize("name,c,t", [
+    # Telegraph runs at t = 2 and eigenfunction at t = 1/c, whatever t is given.
+    ("telegraph", 2.0, 1e308), ("telegraph", 1.0, math.nan),
+    ("eigenfunction", 2.0, 1e308), ("eigenfunction", 1.0, 0.0),
+])
+def test_run_check_refuses_only_the_speed_and_horizon_the_check_reads(name, c, t):
+    (entry,) = run_check(name, 0.5, 1.0, c, t, 100_000, 1)
+    assert entry.passed
+
+
+@pytest.mark.parametrize("name,c,t,expected", [
+    ("telegraph", 1e308, 1.0, "support radius c*t must be finite and positive, got inf"),
+    ("eigenfunction", 1e-310, 1.0, "horizon t must be finite and positive, got inf"),
+    ("eigenfunction", 0.0, 1.0, "speed c must be finite and positive, got 0.0"),
+    ("pgf", 1e300, 1e10, "support radius c*t must be finite and positive, got inf"),
+])
+def test_run_check_applies_the_rule_to_the_speed_and_horizon_the_check_reads(name, c, t,
+                                                                             expected):
+    # (c, 2) for telegraph, (c, 1/c) for eigenfunction, (c, t) for pgf.
+    with pytest.raises(DomainError, match=f"^{expected.replace('*', '[*]')}$"):
+        run_check(name, 0.5, 1.0, c, t, 100_000, 1)
