@@ -21,9 +21,18 @@ samples: it seeds a block's streams in one pass of the hash, whose steps
 that see only the seed's words run once, on Python ints, and draws their
 switch counts from one read of draw 0.  It then sorts the streams by count
 once, draws each group of equal count from contiguous rows in chunks of at
-most ``2**14`` uniforms, and puts x and y back in sample order once.  It
-computes a path's first ``_BULK_DRAWS`` draws in bulk from those states; a
-longer path is drawn by numpy's own PCG64 set to its bulk-seeded state.
+most ``2**14`` uniforms (``2**16`` for paths read from PCG64 of which two
+fit into ``2**14``; a longer one is a chunk alone), and puts x and y back
+in sample order once.  It computes a path's first ``_BULK_DRAWS`` draws in
+bulk from those states; a longer path is drawn by numpy's own PCG64, one
+row per ``Generator.random`` call, after its state, jumped in bulk with
+those of all the block's streams, is written into the four words of the
+generator's ``pcg64_random_t``.  Those words are reached through the bit
+generator's public ``ctypes.state_address`` and checked once per
+generator: the pointer must lie inside the bit generator, and a state set
+through ``bit_generator.state`` must read back as its four words, which
+gives their order.  Where either check fails, each row's state goes
+through ``bit_generator.state``, with the same bits.
 A path with more than ``2**20`` switches takes its endpoint from the exact
 law given ``n`` switches instead (radius ``ct * sqrt(1 - v**(2/n))``).
 
@@ -42,9 +51,10 @@ worker serves another thread.
 
 :func:`endpoint_blocks` hands out the blocks one at a time, each drawn when
 it is asked for, so a consumer that reduces or writes a block and drops it
-before asking for the next holds one block: 32 bytes of stream state and
-24 bytes of columns per sample of one block (about 0.9 MB), one chunk and
-the longest path followed, whatever the batch size.  :func:`endpoint_arrays`
+before asking for the next holds one block: 32 bytes of stream state (64
+where the block has paths read from PCG64) and 24 bytes of columns per
+sample of one block (about 0.9 MB, or 1.4 MB), one chunk and the longest
+path followed, whatever the batch size.  :func:`endpoint_arrays`
 lays the blocks end to end into whole columns, 24 bytes per sample.
 
 Flight-model endpoints (random flights with Dirichlet displacement weights)
@@ -60,6 +70,7 @@ of at most ``_DRAW_BUDGET`` uniforms one at a time, as
 
 from __future__ import annotations
 
+import ctypes  # numpy imports it too
 import math
 import os
 import threading
@@ -287,10 +298,10 @@ def _add128(hi: np.ndarray, lo: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray) 
     hi += lo < b_lo
 
 
-def _jump(k: int) -> tuple[int, int]:
-    """``(M**k, S_k)`` mod 2**128, ``M`` the PCG64 multiplier and
-    ``S_k = sum_{j<k} M**j``: ``k`` steps ``x -> M * x + inc`` take a state
-    ``x`` to ``M**k * x + S_k * inc``."""
+def _jump(k: int) -> tuple[tuple, tuple]:
+    """``(M**k, S_k)`` mod 2**128 as the limbs :func:`_mul128` takes, ``M``
+    the PCG64 multiplier and ``S_k = sum_{j<k} M**j``: ``k`` steps
+    ``x -> M * x + inc`` take a state ``x`` to ``M**k * x + S_k * inc``."""
     mult, shift = 1, 0
     m, s = _PCG_MULT, 1  # (M**j, S_j) for j = 2**bit
     while k:
@@ -299,7 +310,7 @@ def _jump(k: int) -> tuple[int, int]:
         s = (s * (m + 1)) & _M128
         m = (m * m) & _M128
         k >>= 1
-    return mult, shift
+    return tuple((a & _M32, a >> 32 & _M32, a & _M64, a >> 64) for a in (mult, shift))
 
 
 _BULK_DRAWS = 128  # draws of a stream computed in bulk; later ones come from PCG64 itself
@@ -352,6 +363,7 @@ class _Substreams:
         self.inc_lo = (s[3] << 1) | 1
         self.x_hi, self.x_lo = s[0], s[1]
         _add128(self.x_hi, self.x_lo, self.inc_hi, self.inc_lo)
+        self._jumped = {}  # start -> every stream's words for _pcg64_uniforms
 
     def first_draws(self) -> np.ndarray:
         """Draw 0 of every stream."""
@@ -362,18 +374,20 @@ class _Substreams:
         stream ``order[j]``."""
         self.x_hi, self.x_lo, self.inc_hi, self.inc_lo = (
             a[order] for a in (self.x_hi, self.x_lo, self.inc_hi, self.inc_lo))
+        self._jumped = {}
 
     def uniforms(self, start: int, count: int,
                  rows: np.ndarray | slice | None = None) -> np.ndarray:
         """Draws ``start .. start + count - 1`` of the streams ``rows`` (all
         by default), as a ``(len(rows), count)`` array of doubles: in bulk
         within the first ``_BULK_DRAWS`` draws, else row by row from numpy's
-        own PCG64 set to each stream's state, which is faster there."""
+        own PCG64, which is faster there, its four state words set to each
+        stream's state (:meth:`_pcg64_uniforms`)."""
+        if start + count > _BULK_DRAWS:
+            return self._pcg64_uniforms(start, count, slice(None) if rows is None else rows)
         x_hi, x_lo, inc_hi, inc_lo = self.x_hi, self.x_lo, self.inc_hi, self.inc_lo
         if rows is not None:
             x_hi, x_lo, inc_hi, inc_lo = x_hi[rows], x_lo[rows], inc_hi[rows], inc_lo[rows]
-        if start + count > _BULK_DRAWS:
-            return self._pcg64_uniforms(start, count, x_hi, x_lo, inc_hi, inc_lo)
         # Tables come in powers of two, so that a few serve every read.
         table = _draw_table(1 << (start + count - 1).bit_length())
         # Draw-major, the streams innermost: nearly every read is of many
@@ -384,28 +398,74 @@ class _Substreams:
         return _to_uniform(hi, lo).T
 
     @cached_property
-    def _generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(0))
+    def _generator(self) -> tuple:
+        """numpy's PCG64 generator with the :func:`_state_words` of its bit
+        generator, checked once, before the first write."""
+        gen = np.random.Generator(np.random.PCG64(0))
+        return gen, *_state_words(gen.bit_generator)
 
-    def _pcg64_uniforms(self, start, count, x_hi, x_lo, inc_hi, inc_lo) -> np.ndarray:
-        """:meth:`uniforms` drawn row by row with ``Generator.random``."""
-        # The generator steps before each output, so draw k is read from the
-        # state k + 1 steps past x.
-        mult, shift = _jump(start + 1)
-        bits = self._generator.bit_generator
-        out = np.empty((inc_hi.size, count))
-        halves = (a.tolist() for a in (x_hi, x_lo, inc_hi, inc_lo))
-        for row, xh, xl, ih, il in zip(out, *halves):
-            inc = ih << 64 | il
-            state = (mult * (xh << 64 | xl) + shift * inc) & _M128
-            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                          "has_uint32": 0, "uinteger": 0}
-            self._generator.random(out=row)
+    def _pcg64_uniforms(self, start, count, rows) -> np.ndarray:
+        """:meth:`uniforms` drawn row by row with ``Generator.random``, each
+        row's four state words written into the generator's, or its state
+        set through ``bit_generator.state`` where the layout check failed.
+        The words of every stream are jumped in bulk at the first read from
+        ``start``: a block reads its long paths from draw 1, often a few
+        rows at a time."""
+        gen, view, places = self._generator
+        words = self._jumped.get(start)
+        if words is None:
+            # The generator steps before each output, so draw k is read from
+            # the state k + 1 steps past x.
+            mult, shift = _jump(start + 1)
+            hi, lo = _mul128(self.x_hi, self.x_lo, mult)
+            _add128(hi, lo, *_mul128(self.inc_hi, self.inc_lo, shift))
+            halves = (lo, hi, self.inc_lo, self.inc_hi)
+            words = self._jumped[start] = np.stack([halves[k] for k in places], axis=1)
+        words = words[rows]
+        out = np.empty((len(words), count))
+        if view is None:
+            for row, (s_lo, s_hi, i_lo, i_hi) in zip(out, words.tolist()):
+                _set_state(gen.bit_generator, s_hi << 64 | s_lo, i_hi << 64 | i_lo)
+                gen.random(out=row)
+            return out
+        for row, w in zip(out, words):
+            view[...] = w
+            gen.random(out=row)
         return out
+
+
+def _set_state(bits: np.random.PCG64, state: int, inc: int) -> None:
+    """Set ``bits`` to a PCG64 state through numpy's public setter."""
+    bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                  "has_uint32": 0, "uinteger": 0}
+
+
+def _state_words(bits: np.random.PCG64) -> tuple:
+    """A writable uint64 view of the four words of ``bits``' state (numpy's
+    ``pcg64_random_t``, which ``bits.ctypes.state_address`` points to) and,
+    for each word of the view, which of (state lo, state hi, inc lo, inc hi)
+    it holds: ``(0, 1, 2, 3)`` where numpy has ``__uint128_t``, and ``(1, 0,
+    3, 2)``, high word first, on its emulated 128-bit struct.  The view is
+    ``None``, and the order ``(0, 1, 2, 3)``, unless the pointer lies inside
+    ``bits`` and a state set through the public setter reads back through
+    the view as its four words."""
+    p = ctypes.c_void_p.from_address(bits.ctypes.state_address).value or 0
+    if id(bits) <= p and p + 32 <= id(bits) + type(bits).__basicsize__:
+        view = np.frombuffer((ctypes.c_uint64 * 4).from_address(p), dtype=np.uint64)
+        probe = [1, 2, 3, 5]  # state lo, state hi, inc lo, inc hi: all distinct
+        _set_state(bits, 2 << 64 | 1, 5 << 64 | 3)
+        words = view.tolist()
+        if sorted(words) == probe:
+            return view, tuple(probe.index(w) for w in words)
+    return None, (0, 1, 2, 3)
 
 
 _BLOCK = 1 << 14  # samples grouped by switch count together
 _DRAW_BUDGET = 1 << 14  # uniforms drawn at once within a block
+# Uniforms drawn at once for paths read from PCG64 itself: that route holds
+# only its output, where the bulk route's limb arithmetic holds several uint64
+# temporaries of the chunk's size.
+_LONG_DRAW_BUDGET = 1 << 16
 _MAX_PATH_SWITCHES = 1 << 20  # longest path followed switch by switch
 
 
@@ -604,8 +664,10 @@ def _block_endpoints(cfg: MotionConfig, dist: CountDistribution, seed: int,
                      block: slice) -> EndpointArrays:
     """One block's columns from its streams: draw the counts, sort the
     streams by count once and draw each equal-count group from contiguous
-    rows in chunks of at most ``_DRAW_BUDGET`` uniforms, then put x and y
-    back in sample order."""
+    rows in chunks of at most ``_DRAW_BUDGET`` uniforms, or
+    ``_LONG_DRAW_BUDGET`` where the rows are read from PCG64 itself and at
+    least two fit into ``_DRAW_BUDGET``, then put x and y back in sample
+    order."""
     streams = _block_streams(seed, block)
     ns = dist.sample_many(streams.first_draws())
     # A row's draws do not depend on its place in its group, so any sort will do.
@@ -619,6 +681,10 @@ def _block_endpoints(cfg: MotionConfig, dist: CountDistribution, seed: int,
         long_paths = n > _MAX_PATH_SWITCHES
         draws = 2 if long_paths else 2 * n + 1
         per_chunk = max(1, _DRAW_BUDGET // draws)
+        # A path that fills a chunk alone stays alone: one row sums
+        # contiguously (_row_sums), faster than a few rows draw-major.
+        if per_chunk > 1 and 1 + draws > _BULK_DRAWS:
+            per_chunk = _LONG_DRAW_BUDGET // draws
         for first in range(lo, hi, per_chunk):
             chunk = slice(first, min(first + per_chunk, hi))
             u = streams.uniforms(1, draws, chunk)

@@ -228,6 +228,46 @@ def test_long_reads_come_from_pcg64_at_the_bulk_seeded_state(seed, monkeypatch):
     assert np.array_equal(streams.uniforms(far - 5, far + 10, np.array([1, 2])),
                           [expected[r][far - 5:] for r in (1, 2)])
     assert counts == [split, split + 2, far + 10]
+    # Reordered streams read their own draws, not those jumped before the sort.
+    streams.sort(np.array([4, 2, 0, 1, 3]))
+    assert np.array_equal(streams.uniforms(1, split),
+                          [expected[r][1:split + 1] for r in (4, 2, 0, 1, 3)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(state=st.integers(min_value=0, max_value=2**128 - 1),
+       inc=st.integers(min_value=0, max_value=2**127 - 1).map(lambda k: 2 * k + 1))
+def test_state_words_load_the_pcg64_state(state, inc):
+    # Written through the state words, a state reads back through the public
+    # getter and draws as a PCG64 set by the public setter does.
+    gen = np.random.Generator(np.random.PCG64(0))
+    view, places = motion._state_words(gen.bit_generator)
+    assert view is not None
+    halves = (state & motion._M64, state >> 64, inc & motion._M64, inc >> 64)
+    view[...] = [halves[k] for k in places]
+    assert gen.bit_generator.state["state"] == {"state": state, "inc": inc}
+    public = np.random.PCG64(0)
+    public.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+    assert np.array_equal(gen.random(9), np.random.Generator(public).random(9))
+
+
+def test_long_paths_keep_their_bits_when_the_state_layout_check_fails(monkeypatch):
+    # With id() reading 0, the pointer numpy holds to the state lies outside
+    # the bit generator, so every row's state goes through the public setter.
+    cfg = const_cfg(alpha=0.5, lam=10.0)
+    seed = 2**32 + 9
+    base = endpoint_arrays(cfg, 600, seed)
+    with monkeypatch.context() as patch:
+        # A probe state that never reaches the words fails the read-back.
+        patch.setattr(motion, "_set_state", lambda bits, state, inc: None)
+        assert motion._state_words(np.random.PCG64(0)) == (None, (0, 1, 2, 3))
+    monkeypatch.setattr(motion, "id", lambda obj: 0, raising=False)
+    assert motion._state_words(np.random.PCG64(0)) == (None, (0, 1, 2, 3))
+    fallback = endpoint_arrays(cfg, 600, seed)
+    for f in base._fields:
+        assert np.array_equal(getattr(base, f), getattr(fallback, f)), f
+    assert_rows_replay(cfg, fallback, seed, (0, 299, 599))
 
 
 @pytest.mark.parametrize("c,t", [(0.7, 1.0), (3.3, 0.6)])
@@ -272,6 +312,7 @@ def test_batch_does_not_depend_on_block_and_draw_budget(monkeypatch):
     base = endpoint_arrays(cfg, 300, seed=4)
     monkeypatch.setattr(motion, "_BLOCK", 37)
     monkeypatch.setattr(motion, "_DRAW_BUDGET", 500)
+    monkeypatch.setattr(motion, "_LONG_DRAW_BUDGET", 1300)  # 2 to 5 paths of about 200 switches
     # Every path is drawn by numpy's PCG64 at 1, every one in bulk at 10**9.
     for bulk_draws in (1, 10**9):
         monkeypatch.setattr(motion, "_BULK_DRAWS", bulk_draws)
@@ -324,6 +365,68 @@ def test_sparse_batch_groups_rows_once_per_block(monkeypatch):
     cols = endpoint_arrays(const_cfg(alpha=0.5, lam=1.0), 100_000, seed=2)
     assert len(calls) <= 120
     assert len(set(calls)) == np.unique(cols.n).size
+
+
+def test_dense_batch_draws_a_long_count_group_in_one_chunk(monkeypatch):
+    # Paths of 123 to 275 switches read from PCG64 in chunks of up to 2**16
+    # uniforms, 163 rows at n = 200: one kernel call per count group of at
+    # most 163 rows, 158 calls for 135 counts, where chunks of 2**14
+    # uniforms made 332.
+    calls = []
+    kernel = motion._endpoints
+
+    def spy(c, t, n, u):
+        calls.append((n, u.shape[0]))
+        return kernel(c, t, n, u)
+
+    monkeypatch.setattr(motion, "_endpoints", spy)
+    cols = endpoint_arrays(const_cfg(alpha=0.5, lam=10.0), 10_000, seed=20260815)
+    assert cols.n.min() >= 64
+    counts, sizes = np.unique(cols.n, return_counts=True)
+    per_chunk = {n: motion._LONG_DRAW_BUDGET // (2 * n + 1) for n in counts.tolist()}
+    assert per_chunk[200] == 163
+    for n, size in zip(counts.tolist(), sizes.tolist()):
+        rows = [r for m, r in calls if m == n]
+        assert sum(rows) == size and len(rows) == -(-size // per_chunk[n]), n
+    assert (len(calls), counts.size) == (158, 135)
+
+
+def test_a_path_that_fills_a_short_chunk_alone_stays_one_row(monkeypatch):
+    # One row sums contiguously, faster than a few rows draw-major: paths of
+    # more than half of _DRAW_BUDGET draws keep chunks of one row, shorter
+    # ones read from PCG64 take chunks of up to _LONG_DRAW_BUDGET uniforms.
+    calls = []
+    kernel = motion._endpoints
+
+    def spy(c, t, n, u):
+        calls.append((n, u.shape[0]))
+        return kernel(c, t, n, u)
+
+    monkeypatch.setattr(motion, "_endpoints", spy)
+    monkeypatch.setattr(motion, "_DRAW_BUDGET", 600)
+    cfg = const_cfg(alpha=0.5, lam=10.0)
+    cols = endpoint_arrays(cfg, 3000, seed=3)
+    alone = [r for n, r in calls if 2 * (2 * n + 1) > 600]
+    shared = [r for n, r in calls if 2 * (2 * n + 1) <= 600]
+    assert set(alone) == {1} and len(alone) == np.count_nonzero(cols.n >= 150)
+    assert max(shared) > 600 // (2 * 149 + 1)
+    assert_rows_replay(cfg, cols, 3, np.flatnonzero(cols.n == 149)[:3])
+
+
+@settings(max_examples=20, deadline=None)
+@given(alpha=st.floats(min_value=0.3, max_value=1.0),
+       switches=st.integers(min_value=90, max_value=360),
+       c=st.floats(min_value=0.1, max_value=10.0),
+       t=st.floats(min_value=0.1, max_value=2.0),
+       seed=st.integers(min_value=0, max_value=2**64 - 1))
+def test_long_path_batches_replay_bit_for_bit(alpha, switches, c, t, seed):
+    # The count law's mode sits at ``switches`` (Λ = (α m)**α), so most paths
+    # have 64 to 400 switches and read their draws from PCG64 itself.
+    lam = (alpha * switches) ** alpha / t
+    cfg = MotionConfig(c=c, t=t, count_spec=FracPoissonSpec(alpha, RateFunction.constant(lam)))
+    cols = endpoint_arrays(cfg, 24, seed)
+    assert np.count_nonzero(2 * cols.n + 1 >= motion._BULK_DRAWS) >= 12
+    assert_rows_replay(cfg, cols, seed, range(24))
 
 
 def test_sparse_batch_peak_allocation_is_bounded():
