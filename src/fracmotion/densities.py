@@ -37,7 +37,9 @@ Mittag-Leffler ratios go through ``specfun._ml_ratio`` (one array call of
 ``log_mittag_leffler``, then ``math.exp`` per value, as numpy's differs in
 the last ulp), and the line laws sum their Mittag-Leffler-type series for
 all points in one window-kernel call, prefactors added in the log domain.
-The mixtures take one point at a time.
+The flight mixture takes one point at a time; the planar mixture takes
+an array of radii and evaluates each block of count pmf values once for
+all of them.
 """
 
 from __future__ import annotations
@@ -228,33 +230,50 @@ def planar_law(spec: FracPoissonSpec, c: float, t: float) -> PlanarLaw:
 
 
 def _count_mixture(spec, c: float, t: float, r: float, kernel: Callable[[int], float],
-                   first: int, max_terms: int, first_stop: int, what: str) -> float:
+                   first: int, max_terms: int, first_stop: int, what: str,
+                   pmf_blocks: dict) -> float:
     """Σ_{n≥first} kernel(n)·P{N=n} for the count law of ``spec`` at ``t``,
     summed by :func:`~fracmotion.specfun.positive_series` at rel_tol 1e-14.
     Scalar arithmetic per term: the verify report compares the planar sum
-    with the closed form at the level of single ulps."""
+    with the closed form at the level of single ulps.  ``pmf_blocks`` keeps
+    each block's pmf values, keyed by its first index, for the other radii
+    of one call."""
     _require_radius(c, t, r)
     dist = count_distribution(spec, t)
 
     def terms(k):
         n = k + first
-        return [kernel(m) * p for m, p in zip(n.tolist(), dist.pmf(n).tolist())]
+        lo = int(k[0])
+        if lo not in pmf_blocks:
+            pmf_blocks[lo] = dist.pmf(n).tolist()
+        return [kernel(m) * p for m, p in zip(n.tolist(), pmf_blocks[lo])]
 
     return math.fsum(positive_series(terms, 1e-14, max_terms, f"{what} at r={r}",
                                      first_stop=first_stop))
 
 
-def mixture_density(spec: FracPoissonSpec, c: float, t: float, r: float) -> float:
-    """Term-by-term mixture Σ_{n≥1} f_n(r)·P{N=n}: the independent
-    cross-check for the collapsed form in :func:`planar_law`, summed at
-    rel_tol 1e-14 with at most 500 terms.  Each term is the f_n of
-    :func:`conditional_density`, whose arguments are checked once per call.
-    Where every term is 0 (at Λ = 0, or at a Λ so small that every term
-    underflows) the value is 0.0."""
+def mixture_density(spec: FracPoissonSpec, c: float, t: float, r):
+    """Term-by-term mixture Σ_{n≥1} f_n(r)·P{N=n} at a radius or an array
+    of radii: the independent cross-check for the collapsed form in
+    :func:`planar_law`, summed at rel_tol 1e-14 with at most 500 terms per
+    radius.  Each term is the f_n of :func:`conditional_density`, whose
+    arguments are checked once per radius.  The radii of one call share
+    each block of count pmf values, and each keeps the sum and the bits of
+    its one-radius call.  Where every term is 0 (at Λ = 0, or at a Λ so
+    small that every term underflows) the value is 0.0."""
+    pmf_blocks: dict = {}
+    radii = np.asarray(r, dtype=float)
+    out = [_planar_mixture(spec, c, t, ri, pmf_blocks) for ri in radii.ravel().tolist()]
+    return _shaped(np.array(out), radii)
+
+
+def _planar_mixture(spec: FracPoissonSpec, c: float, t: float, r: float,
+                    pmf_blocks: dict) -> float:
+    """:func:`mixture_density` at one radius."""
     w2 = c * c * t * t - r * r
     try:
         return _count_mixture(spec, c, t, r, lambda n: _f_n(n, w2, c * t), 1, 500, 0,
-                              "planar mixture")
+                              "planar mixture", pmf_blocks)
     except ConvergenceError as err:
         # positive_series cannot tell leading terms that underflowed before
         # the series rises from a series of zeros.  The count law's
@@ -456,4 +475,4 @@ def flight_mixture_density(spec: FlightCountSpec, c: float, t: float, r: float,
     offered for the X-variant, whose collapsed form is not available."""
     return _count_mixture(spec, c, t, r,
                           lambda n: flight_marginal(spec.d, n, c, t, r, variant=variant),
-                          0, 200, 3, "flight mixture")
+                          0, 200, 3, "flight mixture", {})

@@ -174,6 +174,33 @@ def test_mixture_density_is_bit_identical_to_scalar_loop(alpha):
         assert mixture_density(spec, 1.0, 1.0, float(r)) == scalar_mixture(spec, 1.0, 1.0, float(r))
 
 
+@pytest.mark.parametrize("alpha,lam", [(1.0, 1.0), (0.5, 1.0), (0.5, 5e-324), (0.7, 3.0)])
+def test_mixture_density_at_an_array_of_radii_keeps_each_radius_bits(alpha, lam, monkeypatch):
+    # One pmf evaluation per block of counts for all the radii of a call
+    # (at Lambda = 5e-324 every term is 0 and the fallback's scalar pmf runs).
+    from fracmotion.counting import CountDistribution
+
+    spec = const_spec(alpha, lam)
+    radii = np.linspace(0.0, 0.995, 40)
+    want = [mixture_density(spec, 1.0, 1.0, r) for r in radii.tolist()]
+    calls = []
+    pmf = CountDistribution.pmf
+    monkeypatch.setattr(CountDistribution, "pmf", lambda self, n: calls.append(n) or pmf(self, n))
+    got = mixture_density(spec, 1.0, 1.0, radii)
+    assert got.shape == radii.shape
+    assert bits(got) == bits(want)
+    starts = [int(np.asarray(n).flat[0]) for n in calls if np.ndim(n)]
+    assert starts and len(starts) == len(set(starts))
+    square = mixture_density(spec, 1.0, 1.0, radii.reshape(8, 5))
+    assert square.shape == (8, 5) and bits(square) == bits(want)
+    assert isinstance(mixture_density(spec, 1.0, 1.0, 0.3), float)
+
+
+def test_mixture_density_names_the_first_radius_off_the_support():
+    with pytest.raises(DomainError, match=r"radius must lie in \[0, ct\), ct=1.0, got 1.0$"):
+        mixture_density(const_spec(0.5, 1.0), 1.0, 1.0, np.array([0.3, 1.0, 2.0]))
+
+
 def test_underflowed_leading_terms_do_not_end_a_series():
     # At alpha = 0.2, Lambda = 5 the count law peaks near n = 15 000, so
     # the leading terms of both series underflow to zero. The line series

@@ -251,13 +251,13 @@ def test_telegraph_bands_do_not_change_the_result(negative, monkeypatch):
 
     squared = lambda x, y, t: classical_planar_density(1.0, 1.0, t, x, y) ** 2  # noqa: E731
     density = squared if negative else None
-    results = []
-    # One row per band, uneven bands, and the whole 257 x 257 grid at once.
-    for band in (1, 1000, 257 * 257):
+    want = full_square_telegraph(1.0, 1.0, 2.0, 1.0 / 64.0, density=density)
+    # The 129 rows x >= 0 of the 257 x 257 grid: one row per band, bands of
+    # 3 rows, bands of 10 rows (the last one 9), and all of them at once.
+    for band in (1, 1000, 2570, 257 * 257):
         monkeypatch.setattr(verify, "_TELEGRAPH_BAND", band)
-        check = telegraph_residual(1.0, 1.0, h=1.0 / 64.0, density=density)
-        results.append((check.statistic, check.details))
-    assert results[0] == results[1] == results[2]
+        got = telegraph_residual(1.0, 1.0, h=1.0 / 64.0, density=density).to_dict()
+        assert got == want, band
 
 
 def full_square_telegraph(lam, c, t, h, density=None, cone_margin=None):
@@ -307,6 +307,33 @@ def test_telegraph_disk_columns_give_the_full_square_entry(lam, c, t, h, margin)
     # entry is the one of the whole square, bit for bit.
     got = telegraph_residual(lam, c, t, h, cone_margin=margin).to_dict()
     assert got == full_square_telegraph(lam, c, t, h, cone_margin=margin)
+
+
+@pytest.mark.parametrize("n_side", [1, 2, 3, 6, 7, 17])
+@pytest.mark.parametrize("lam,c", [(1.0, 1.0), (2.5, 0.7)])
+def test_telegraph_half_grid_gives_the_full_square_entry_on_small_grids(n_side, lam, c):
+    # ct/h = n_side + 1/2 steps each side of 0, and c <= 1 keeps the margin
+    # at 5 steps.  Below 6 steps no point lies inside the margin; at 6 only
+    # the origin does, at 7 the 3 x 3 block around it.
+    h = 1.0 / 64.0
+    t = (n_side + 0.5) * h / c
+    if n_side < 6:
+        with pytest.raises(DomainError, match="no interior points"):
+            telegraph_residual(lam, c, t, h)
+        return
+    got = telegraph_residual(lam, c, t, h).to_dict()
+    assert got == full_square_telegraph(lam, c, t, h)
+    if n_side in (6, 7):
+        assert got["details"]["interior_points"] == {6: 1, 7: 9}[n_side]
+
+
+def test_telegraph_density_not_even_in_x_is_refused():
+    # The check evaluates the rows x >= 0 only and mirrors them.
+    def tilted(x, y, t):
+        return classical_planar_density(1.0, 1.0, t, x, y) * (1.0 + x)
+
+    with pytest.raises(DomainError, match="not even in x"):
+        telegraph_residual(1.0, 1.0, h=1.0 / 64.0, density=tilted)
 
 
 def test_telegraph_negative_control_gives_the_full_square_entry():
@@ -411,6 +438,30 @@ def test_mc_gof_p_values_match_scipy(classical_batch):
     angle = entries["mc-angle-ks"]
     assert angle.details["ks"] == ks.statistic
     assert angle.statistic == pytest.approx(ks.pvalue, rel=1e-13)
+
+
+def test_wrap_angles_is_np_mod_bit_for_bit():
+    from fracmotion.verify import _wrap_angles
+
+    edges = [-0.0, 0.0, -math.pi, math.pi, -5e-324, -1e-300, np.nextafter(-math.pi, 0.0)]
+    rng = np.random.default_rng(5)
+    theta = np.concatenate([edges, np.arctan2(rng.standard_normal(10_000),
+                                              rng.standard_normal(10_000))])
+    want = np.mod(theta, 2.0 * math.pi)
+    got = _wrap_angles(theta.copy())
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert math.copysign(1.0, got[0]) == 1.0  # -0.0 maps to +0.0
+
+
+def test_mc_gof_angles_match_the_np_mod_reference(classical_batch, monkeypatch):
+    from fracmotion import verify
+
+    law = planar_law(const_spec(1.0, 1.0), 1.0, 1.0)
+    got = [e.to_dict() for e in mc_gof([classical_batch], law)]
+    monkeypatch.setattr(verify, "_wrap_angles",
+                        lambda theta: np.mod(theta, 2.0 * math.pi, out=theta))
+    want = [e.to_dict() for e in mc_gof([classical_batch], law)]
+    assert got == want
 
 
 @pytest.mark.parametrize("n", [100_000, 100_001, 400_000])
